@@ -196,10 +196,6 @@ def _metrics_snapshot(outcome: PopulationOutcome,
                              category=category, isp=isp).inc(leaked)
     registry.counter("population_batches_total", isp=isp).inc(
         outcome.batches)
-    registry.counter("population_slot_activations_total", isp=isp).inc(
-        outcome.slots_activated)
-    registry.counter("population_overflow_migrations_total", isp=isp).inc(
-        outcome.overflow_migrations)
     registry.gauge("population_corpus_domains").set(len(corpus))
     return registry.snapshot()
 

@@ -136,29 +136,18 @@ class Host(Node):
 
     # -- receiving ------------------------------------------------------
 
-    def deliver(self, packet: Packet, now: float) -> bool:
+    def deliver(self, packet: Packet, now: float) -> None:
         """Called by the engine when a packet arrives at this host.
 
         Order mirrors Linux: the capture and sniffers see the packet
         first (pcap observes pre-netfilter), then the firewall may drop
         it, then it is demultiplexed to TCP / UDP / ICMP handlers.
-
-        Returns True when the packet is recyclable — nothing at this
-        host retained the object and the engine may return it to the
-        packet pool.  Sniffers receive the live object (and may keep
-        it), and a dropping firewall appends it to its log, so both
-        cases pin the packet.
         """
         self.capture.record(now, self.name, "rx", packet)
-        if self.sniffers:
-            for sniffer in self.sniffers:
-                sniffer(now, packet)
-            recyclable = False
-        else:
-            recyclable = True
+        for sniffer in self.sniffers:
+            sniffer(now, packet)
         if self.firewall is not None and not self.firewall.allows(packet):
-            # evasion.Firewall retains dropped packets in its log.
-            return False
+            return
         if packet.is_tcp:
             self.stack.handle_packet(packet, now)
         elif packet.is_udp:
@@ -169,7 +158,6 @@ class Host(Node):
                 self.stack.handle_unmatched_udp(packet, now)
         else:
             self.stack.handle_icmp(packet, now)
-        return recyclable
 
     # -- services -------------------------------------------------------
 

@@ -20,9 +20,9 @@ queue and the forwarding logic.  Forwarding implements:
 from __future__ import annotations
 
 import itertools
-import os
 import zlib
 from collections import Counter
+from heapq import heappop, heappush
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, no import cycle
@@ -40,8 +40,7 @@ from .faults import (
     FaultPlan,
     HardeningPolicy,
 )
-from .packets import Packet, PacketPool, make_time_exceeded
-from .scheduler import make_scheduler
+from .packets import Packet, make_time_exceeded
 from ..obs.trace import flow_id as _flow_id
 
 #: Default one-way link delay in (virtual) seconds.
@@ -96,7 +95,7 @@ def _ecmp_hash(src_ip: Optional[str], dst_ip: str, node_name: str) -> int:
 class Network:
     """The simulated internetwork: topology, clock, events, forwarding."""
 
-    def __init__(self, *, scheduler: Optional[str] = None) -> None:
+    def __init__(self) -> None:
         self.graph = nx.Graph()
         self.nodes: Dict[str, Node] = {}
         self.ip_owner: Dict[str, Node] = {}
@@ -105,15 +104,10 @@ class Network:
         #: Drops not retained in :attr:`drops` once the list is full.
         self.drops_truncated = 0
         self._drop_counter: Counter = Counter()
-        #: Event scheduler: the slotted calendar queue by default, the
-        #: seed binary heap as the verbatim escape hatch.  Selected per
-        #: instance (``Network(scheduler="heap")``) or process-wide via
-        #: ``REPRO_SCHEDULER=heap`` — both orderings are byte-identical
-        #: (property-tested), so the hatch exists for differential
-        #: debugging, not correctness.
-        kind = scheduler or os.environ.get("REPRO_SCHEDULER") or "slots"
-        self._sched = make_scheduler(kind)
-        self._push = self._sched.push
+        #: The event queue: a binary heap of ``(when, seq, fn, args)``
+        #: entries.  ``seq`` is a global monotonic counter, so events
+        #: due at the same time run in the order they were scheduled.
+        self._queue: List[Tuple[float, int, Callable, tuple]] = []
         self._seq = itertools.count()
         self._dist_cache: Dict[str, Dict[str, float]] = {}
         self._events_processed = 0
@@ -147,14 +141,6 @@ class Network:
         #: packets forward hop by hop over the cached FIB and express
         #: probes re-walk the middlebox chain per call.
         self.delivery_plans_enabled = True
-        #: Free-list reuse of TCP packet/segment pairs.  Toggled by
-        #: ``packet_pooling_enabled`` (or ``REPRO_PACKET_POOLING=0``);
-        #: pooling is invisible to results — recycled packets are fully
-        #: reset and the ip_id stream advances identically either way.
-        self.packet_pool = PacketPool()
-        pooling = os.environ.get("REPRO_PACKET_POOLING", "1")
-        self.packet_pooling_enabled = \
-            pooling.lower() not in ("0", "false", "no", "off")
         #: Installed by :meth:`install_faults`; ``None`` means a perfect
         #: network — the seed repo's behaviour, byte for byte.
         self.faults: Optional[FaultInjector] = None
@@ -294,67 +280,53 @@ class Network:
     # Event queue
     # ------------------------------------------------------------------
 
-    @property
-    def scheduler(self) -> str:
-        """Active scheduler kind: ``"slots"`` or ``"heap"``."""
-        return self._sched.kind
-
-    @scheduler.setter
-    def scheduler(self, kind: str) -> None:
-        self.set_scheduler(kind)
-
-    def set_scheduler(self, kind: str) -> None:
-        """Switch scheduler implementations, migrating pending events.
-
-        Entry objects migrate as-is, so times, sequence numbers and any
-        outstanding cancellation handles all survive the switch.
-        """
-        if kind == self._sched.kind:
-            return
-        replacement = make_scheduler(kind)
-        for entry in self._sched.pop_all():
-            replacement.push_entry(entry)
-        self._sched = replacement
-        self._push = replacement.push
-
-    def call_later(self, delay: float, fn: Callable, *args) -> list:
-        """Schedule ``fn(*args)`` at ``now + delay``.
-
-        Returns an opaque handle accepted by :meth:`cancel_scheduled`.
-        """
+    def call_later(self, delay: float, fn: Callable, *args) -> None:
+        """Schedule ``fn(*args)`` at ``now + delay``."""
         if delay < 0:
             raise SimulationError(f"negative delay: {delay}")
-        return self._push(self.now + delay, next(self._seq), fn, args)
+        heappush(self._queue, (self.now + delay, next(self._seq), fn, args))
 
-    def call_at(self, when: float, fn: Callable, *args) -> list:
+    def call_at(self, when: float, fn: Callable, *args) -> None:
         """Schedule ``fn(*args)`` at absolute virtual time *when*."""
         if when < self.now:
             raise SimulationError(f"cannot schedule in the past: {when} < {self.now}")
-        return self._push(when, next(self._seq), fn, args)
-
-    def cancel_scheduled(self, handle: list) -> bool:
-        """Cancel a pending event by its ``call_later``/``call_at``
-        handle.  Returns False if it already ran or was cancelled.
-        Cancelled events are skipped without touching the event budget.
-        """
-        return self._sched.cancel(handle)
+        heappush(self._queue, (when, next(self._seq), fn, args))
 
     def run(self, until: Optional[float] = None, max_events: int = 20_000_000) -> int:
         """Process events until the queue drains or *until* is reached.
 
         Returns the number of events processed by this call.  At most
         *max_events* events execute: the budget check runs *before*
-        each event — per event, not per slot batch — so a blown budget
-        raises with exactly *max_events* executed, never one more.
+        each event, so a blown budget raises with exactly *max_events*
+        executed, never one more.
         """
-        sched = self._sched
+        processed = 0
+        # Hot loop: hoist attribute lookups that are invariant across
+        # the run (the step hook is armed/disarmed only between runs).
+        queue = self._queue
+        pop = heappop
+        hook = self.step_hook
         try:
-            processed = sched.drain(self, until, max_events)
+            while queue:
+                when = queue[0][0]
+                if until is not None and when > until:
+                    break
+                if processed >= max_events:
+                    raise SimulationError(
+                        f"event budget exceeded ({max_events}); "
+                        f"likely a packet loop"
+                    )
+                when, _, fn, args = pop(queue)
+                if when > self.now:
+                    self.now = when
+                fn(*args)
+                processed += 1
+                if hook is not None:
+                    hook()
         finally:
-            # ``drained`` is valid even when the drain raised (budget,
-            # callback error, step-hook deadline), so partial progress
-            # is always accounted.
-            self._events_processed += sched.drained
+            # Partial progress counts even when the budget, a callback
+            # or the step hook (a campaign deadline) raised.
+            self._events_processed += processed
         if until is not None and self.now < until:
             self.now = until
         return processed
@@ -365,7 +337,7 @@ class Network:
 
     @property
     def pending_events(self) -> int:
-        return len(self._sched)
+        return len(self._queue)
 
     @property
     def events_processed(self) -> int:
@@ -619,8 +591,8 @@ class Network:
                     if hook is not None:
                         for _ in range(plan[3]):
                             hook()
-                    self._push(when, next(self._seq),
-                               self._arrive, (plan[1], packet))
+                    heappush(self._queue, (when, next(self._seq),
+                                           self._arrive, (plan[1], packet)))
                 else:
                     # Per-hop fallback: take one step; downstream
                     # routers re-decide at their own plan.
@@ -628,8 +600,8 @@ class Network:
                 return
             if kind == _PLAN_LINK:
                 if self.faults is None:
-                    self._push(self.now + plan[2], next(self._seq),
-                               self._arrive, (plan[1], packet))
+                    heappush(self._queue, (self.now + plan[2], next(self._seq),
+                                           self._arrive, (plan[1], packet)))
                 else:
                     self._forward_link(from_node, plan[1], packet, plan[2])
                 return
@@ -661,20 +633,14 @@ class Network:
         under heavy loss cannot grow memory without limit.
         """
         self._drop_counter[reason] += 1
-        recyclable = False
         if len(self.drops) < DROPS_KEPT_MAX:
             self.drops.append((self.now, reason, packet))
         else:
             self.drops_truncated += 1
-            recyclable = True
         trace = self.trace
         if trace is not None and trace.active:
             trace.emit("drop", self.now, reason=reason,
                        flow=_flow_id(packet), dst=packet.dst)
-        if recyclable and self.packet_pooling_enabled:
-            # Truncated out of the drops list: nothing retains the
-            # packet anymore, so it can go back to the pool.
-            self.packet_pool.release(packet)
 
     def _forward_link(self, from_node: Node, to_node: Node,
                       packet: Packet, delay: Optional[float] = None) -> None:
@@ -709,8 +675,7 @@ class Network:
                 trace.emit("deliver", self.now, node=node.name,
                            flow=_flow_id(packet),
                            proto=packet.flow_key()[0])
-            if node.deliver(packet, self.now) and self.packet_pooling_enabled:
-                self.packet_pool.release(packet)
+            node.deliver(packet, self.now)
 
     def _arrive(self, node: Node, packet: Packet) -> None:
         """A packet arrives at *node*: terminate, or route onward."""
@@ -721,9 +686,7 @@ class Network:
                     trace.emit("deliver", self.now, node=node.name,
                                flow=_flow_id(packet),
                                proto=packet.flow_key()[0])
-                if (node.deliver(packet, self.now)
-                        and self.packet_pooling_enabled):
-                    self.packet_pool.release(packet)
+                node.deliver(packet, self.now)
             else:
                 # Hosts do not forward.
                 self._drop("host-not-dst", packet)
@@ -767,12 +730,8 @@ class Network:
                            flow=_flow_id(packet),
                            icmp=not router.anonymized)
             if not router.anonymized:
-                # The ICMP error quotes a *clone* of the offender, so
-                # the original can go back to the pool.
                 reply = make_time_exceeded(router.ip, packet)
                 self.transmit(router, reply)
-                if self.packet_pooling_enabled:
-                    self.packet_pool.release(packet)
             else:
                 self._drop(f"ttl-anon:{router.name}", packet)
             return
@@ -799,15 +758,15 @@ class Network:
                     if hook is not None:
                         for _ in range(plan[3]):
                             hook()
-                    self._push(when, next(self._seq),
-                               self._arrive, (plan[1], packet))
+                    heappush(self._queue, (when, next(self._seq),
+                                           self._arrive, (plan[1], packet)))
                 else:
                     self._forward_link(router, plan[4], packet, plan[5])
                 return
             if kind == _PLAN_LINK:
                 if self.faults is None:
-                    self._push(self.now + plan[2], next(self._seq),
-                               self._arrive, (plan[1], packet))
+                    heappush(self._queue, (self.now + plan[2], next(self._seq),
+                                           self._arrive, (plan[1], packet)))
                 else:
                     self._forward_link(router, plan[1], packet, plan[2])
                 return

@@ -299,13 +299,7 @@ class FaultInjector:
     # -- links -----------------------------------------------------------
 
     def on_link(self, a: str, b: str, now: float) -> LinkDecision:
-        """Decide the fate of one packet traversing link *a*–*b*.
-
-        Duplication contract for pooled packets: the injector only ever
-        *decides* to duplicate; the engine performs the copy with
-        ``packet.clone()``, a deep-enough copy, so a duplicate never
-        aliases a pool-recycled original.
-        """
+        """Decide the fate of one packet traversing link *a*–*b*."""
         faults = self.plan.link_faults(a, b)
         if not faults.active:
             return _CLEAN_DECISION

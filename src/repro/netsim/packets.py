@@ -3,14 +3,6 @@
 Packets are small mutable dataclasses.  Routers mutate the TTL in place
 on a per-hop copy; endpoints and middleboxes treat received packets as
 immutable.  ``clone()`` produces deep-enough copies for wiretaps.
-
-:class:`PacketPool` recycles TCP packets on the simulator's hottest
-path.  Pooling is safe because payload bytes are immutable (anything
-that keeps ``segment.payload`` keeps the bytes object, which survives
-the packet's recycling); only retaining the :class:`Packet` or
-:class:`TCPSegment` *object* across a release is hazardous, and the
-engine only releases packets nothing retains (see the release-site
-comments in ``engine.py``).
 """
 
 from __future__ import annotations
@@ -18,7 +10,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field, replace
-from typing import List, Optional, Union
+from typing import Optional, Union
 
 DEFAULT_TTL = 64
 
@@ -273,110 +265,3 @@ def make_dest_unreachable(router_ip: str, offending: Packet, code: int = 1) -> P
     )
     return Packet(src=router_ip, dst=offending.src, payload=message)
 
-
-#: Free-list size cap — beyond this, released packets are simply
-#: dropped for the GC (a topology burst should not pin memory forever).
-POOL_FREE_MAX = 4096
-
-
-class PacketPool:
-    """Free-list recycling of TCP packets.
-
-    Only TCP packets are pooled (they dominate every fetch and probe);
-    ICMP and UDP stay on the plain constructors.  The contract:
-
-    * :meth:`acquire_tcp` behaves exactly like :func:`make_tcp_packet`
-      — including drawing a fresh IP id *before* honoring an explicit
-      ``ip_id`` override, so the global id sequence (and therefore every
-      trace) is identical whether pooling is on or off.
-    * :meth:`release` is a no-op for packets the pool did not create,
-      and a counted no-op for double releases, so release sites never
-      need to know a packet's provenance.
-    * On release the payload reference is scrubbed; every header field
-      is reset on the next acquire.
-    """
-
-    __slots__ = ("_free", "acquired", "reused", "released",
-                 "double_release", "high_water")
-
-    def __init__(self) -> None:
-        self._free: List[Packet] = []
-        self.acquired = 0
-        self.reused = 0
-        self.released = 0
-        self.double_release = 0
-        self.high_water = 0
-
-    def acquire_tcp(
-        self,
-        src: str,
-        dst: str,
-        src_port: int,
-        dst_port: int,
-        *,
-        seq: int = 0,
-        ack: int = 0,
-        flags: TCPFlags = TCPFlags(0),
-        payload: bytes = b"",
-        ttl: int = DEFAULT_TTL,
-        ip_id: Optional[int] = None,
-    ) -> Packet:
-        """A TCP packet, recycled when the free list has one."""
-        self.acquired += 1
-        free = self._free
-        if not free:
-            packet = make_tcp_packet(
-                src, dst, src_port, dst_port, seq=seq, ack=ack,
-                flags=flags, payload=payload, ttl=ttl, ip_id=ip_id,
-            )
-            packet._pooled = True  # type: ignore[attr-defined]
-            packet._in_pool = False  # type: ignore[attr-defined]
-            return packet
-        self.reused += 1
-        packet = free.pop()
-        packet._in_pool = False  # type: ignore[attr-defined]
-        packet.src = src
-        packet.dst = dst
-        packet.ttl = ttl
-        # make_tcp_packet always draws an id (default_factory) and only
-        # then applies an override — reproduce that draw order exactly.
-        packet.ip_id = next_ip_id()
-        if ip_id is not None:
-            packet.ip_id = ip_id
-        segment = packet.payload
-        segment.src_port = src_port
-        segment.dst_port = dst_port
-        segment.seq = seq
-        segment.ack = ack
-        segment.flags = flags
-        segment.payload = payload
-        segment.window = 65535
-        return packet
-
-    def release(self, packet: Packet) -> None:
-        """Return *packet* to the free list if the pool created it."""
-        state = packet.__dict__
-        if not state.get("_pooled"):
-            return
-        if state.get("_in_pool"):
-            self.double_release += 1
-            return
-        self.released += 1
-        packet._in_pool = True  # type: ignore[attr-defined]
-        packet.payload.payload = b""  # drop the bytes reference early
-        free = self._free
-        if len(free) < POOL_FREE_MAX:
-            free.append(packet)
-            if len(free) > self.high_water:
-                self.high_water = len(free)
-
-    def snapshot(self) -> dict:
-        """Counter snapshot for ``repro.obs.metrics``."""
-        return {
-            "acquired": self.acquired,
-            "reused": self.reused,
-            "released": self.released,
-            "double_release": self.double_release,
-            "free": len(self._free),
-            "high_water": self.high_water,
-        }

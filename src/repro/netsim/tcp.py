@@ -150,36 +150,18 @@ class TCPConnection:
         ttl: Optional[int] = None,
         ip_id: Optional[int] = None,
     ) -> Packet:
-        network = self.network
-        if network is not None and network.packet_pooling_enabled:
-            # The emitted packet is never retained by the stack (only
-            # its field values go into ``_unacked``), so it is safe to
-            # draw from — and eventually return to — the packet pool.
-            packet = network.packet_pool.acquire_tcp(
-                self.local_ip,
-                self.remote_ip,
-                self.local_port,
-                self.remote_port,
-                seq=self.snd_nxt if seq is None else seq,
-                ack=self.rcv_nxt if ack is None else ack,
-                flags=flags,
-                payload=payload,
-                ttl=self.default_ttl if ttl is None else ttl,
-                ip_id=ip_id,
-            )
-        else:
-            packet = make_tcp_packet(
-                self.local_ip,
-                self.remote_ip,
-                self.local_port,
-                self.remote_port,
-                seq=self.snd_nxt if seq is None else seq,
-                ack=self.rcv_nxt if ack is None else ack,
-                flags=flags,
-                payload=payload,
-                ttl=self.default_ttl if ttl is None else ttl,
-                ip_id=ip_id,
-            )
+        packet = make_tcp_packet(
+            self.local_ip,
+            self.remote_ip,
+            self.local_port,
+            self.remote_port,
+            seq=self.snd_nxt if seq is None else seq,
+            ack=self.rcv_nxt if ack is None else ack,
+            flags=flags,
+            payload=payload,
+            ttl=self.default_ttl if ttl is None else ttl,
+            ip_id=ip_id,
+        )
         self.stack.host.send_packet(packet)
         return packet
 

@@ -223,11 +223,11 @@ def collect_network_metrics(registry: MetricsRegistry, network,
         network.path_cache_hits)
     registry.counter("netsim_path_cache_misses_total", **labels).inc(
         network.path_cache_misses)
-    # Delivery-plan and packet-pool counters (PR 9).  These are driven
-    # entirely by the (scheduler-independent) event sequence, so they
-    # are as deterministic as the FIB counters above and safe to emit
-    # from the default campaign scrape.  Emitted only when the feature
-    # fired, keeping earlier worlds' snapshots byte-identical.
+    # Delivery-plan counters.  These are driven entirely by the event
+    # sequence, so they are as deterministic as the FIB counters above
+    # and safe to emit from the default campaign scrape.  Emitted only
+    # when the feature fired, keeping earlier worlds' snapshots
+    # byte-identical.
     if network.fwd_plan_hits or network.fwd_plan_builds:
         registry.counter("netsim_fwd_plan_hits_total", **labels).inc(
             network.fwd_plan_hits)
@@ -238,46 +238,9 @@ def collect_network_metrics(registry: MetricsRegistry, network,
             network.express_plan_hits)
         registry.counter("express_plan_builds_total", **labels).inc(
             network.express_plan_builds)
-    pool = getattr(network, "packet_pool", None)
-    if pool is not None and pool.acquired:
-        registry.counter("packet_pool_acquired_total", **labels).inc(
-            pool.acquired)
-        registry.counter("packet_pool_reused_total", **labels).inc(
-            pool.reused)
-        registry.counter("packet_pool_released_total", **labels).inc(
-            pool.released)
-        registry.counter("packet_pool_double_release_total", **labels).inc(
-            pool.double_release)
-        registry.gauge("packet_pool_high_water", **labels).set(
-            pool.high_water)
     for layer, count in sorted(network.client_retries.items()):
         registry.counter("client_retries_total",
                          layer=layer, **labels).inc(count)
-
-
-def collect_scheduler_metrics(registry: MetricsRegistry, network,
-                              **labels: str) -> None:
-    """Scrape the event scheduler's occupancy statistics.
-
-    Kept **out** of :func:`collect_network_metrics` deliberately: slot
-    occupancy and overflow counts depend on which scheduler is running,
-    and the default campaign scrape must stay byte-identical between
-    ``scheduler="slots"`` and the ``scheduler="heap"`` escape hatch.
-    Call this explicitly when profiling the calendar queue.
-    """
-    sched = network._sched
-    registry.gauge("scheduler_pending_events",
-                   kind=sched.kind, **labels).set(len(sched))
-    if sched.kind != "slots":
-        return
-    registry.counter("scheduler_slots_activated_total",
-                     **labels).inc(sched.slots_activated)
-    registry.counter("scheduler_overflow_pushes_total",
-                     **labels).inc(sched.overflow_pushes)
-    registry.counter("scheduler_overflow_migrations_total",
-                     **labels).inc(sched.overflow_migrations)
-    registry.gauge("scheduler_max_slot_occupancy",
-                   **labels).set(sched.max_slot_occupancy)
 
 
 def collect_world_metrics(registry: MetricsRegistry, world,

@@ -2,7 +2,7 @@
 
 This is the implementation the tentpole *replaced*: one Python object
 per session, attributes resolved through the corpus's public methods,
-no columns, no calendar, no sketches.  It exists so the property test
+no columns, no sketches.  It exists so the property test
 (``tests/population/test_engine.py``) can assert that cohort-level
 vectorization changed the *cost* of a simulated day and nothing about
 its outcome: on the same seed, the engine's aggregate counts equal

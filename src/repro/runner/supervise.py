@@ -52,6 +52,7 @@ import collections
 import dataclasses
 import multiprocessing
 import os
+import threading
 import time
 from multiprocessing import connection as mp_connection
 from typing import Deque, Dict, Iterator, List, Optional, Sequence, Tuple
@@ -66,6 +67,12 @@ POLL_INTERVAL = 0.05
 #: Worker exit code for "died of MemoryError outside a unit" (e.g. a
 #: world build under a memory budget); distinguishable from signals.
 EXIT_MEMORY = 43
+
+#: Worker exit code for "the supervisor died first".
+EXIT_ORPHANED = 44
+
+#: How often a worker checks that its supervisor is still alive.
+PARENT_POLL = 0.5
 
 #: Crashes (worker deaths or poison failures) a unit is allowed before
 #: it is quarantined.
@@ -163,6 +170,30 @@ def _empty_extras() -> Dict:
     return {"metrics": None, "trace": None}
 
 
+def _exit_with_parent(parent_pid: int) -> None:
+    """Worker-side watch: exit once the supervisor is gone.
+
+    A SIGKILLed supervisor never closes its pipe ends, and every fork
+    copied them into later workers (under ``repro serve``, into other
+    campaigns' workers too), so ``conn.recv()`` would never see EOF and
+    a ``conn.send()`` could block forever.  The watch runs beside the
+    worker's main thread, so it fires whether the worker is idle,
+    mid-unit or mid-send.
+
+    Two signs cover every start method.  Under ``fork`` and ``spawn``
+    ``parent_pid``, the worker's OS parent when it started, is the
+    supervisor, and the worker is reparented when it dies.  Under
+    ``forkserver`` the OS parent is the server, which its children
+    keep alive, so the worker watches instead the pipe its creator
+    holds open (``parent_process().is_alive()``).  That pipe alone
+    does not do under ``fork``: later workers inherit its write end.
+    """
+    creator = multiprocessing.parent_process()
+    while os.getppid() == parent_pid and creator.is_alive():
+        time.sleep(PARENT_POLL)
+    os._exit(EXIT_ORPHANED)
+
+
 def _worker_main(settings, conn) -> None:
     """Worker process body: initialize once, then serve tasks forever.
 
@@ -178,6 +209,8 @@ def _worker_main(settings, conn) -> None:
     interpreter's heap can no longer be trusted, so the worker dies
     with :data:`EXIT_MEMORY` and lets the supervisor attribute it.
     """
+    threading.Thread(target=_exit_with_parent, args=(os.getppid(),),
+                     daemon=True, name="repro-parent-watch").start()
     worker_initializer(settings)
     while True:
         try:

@@ -161,6 +161,21 @@ class TestEngineWiring:
         # Each of the two hops doubles the packet: 4 copies arrive.
         assert len(rx) == 4
 
+    def test_duplicate_copies_are_independent(self):
+        """A duplicate is a clone: each copy crosses the router, loses
+        one TTL and arrives intact on its own."""
+        net, client, server = build_chain(n_routers=1)
+        net.install_faults(FaultPlan(
+            seed=1, default_link=LinkFaults(duplicate=1.0)))
+        arrived = []
+        server.add_sniffer(lambda now, packet: arrived.append(packet))
+        client.send_packet(
+            make_udp_packet(client.ip, server.ip, 1, 2, b"DUPLICATED"))
+        net.run_until_idle()
+        assert len({id(packet) for packet in arrived}) == len(arrived) == 4
+        assert all(packet.udp.payload == b"DUPLICATED" and packet.ttl == 63
+                   for packet in arrived)
+
     def test_jitter_delays_delivery(self):
         def arrival(plan):
             net, client, server = build_chain(n_routers=1)

@@ -44,6 +44,30 @@ class TestEventBudgetExact:
         # The check fires *before* the over-budget event, never after.
         assert len(ran) == 4
 
+    def test_partial_progress_counts_when_a_callback_or_hook_raises(self):
+        net = Network()
+
+        def boom():
+            raise RuntimeError("callback")
+
+        for _ in range(3):
+            net.call_later(0.0, lambda: None)
+        net.call_later(0.0, boom)
+        with pytest.raises(RuntimeError, match="callback"):
+            net.run_until_idle()
+        # The raising callback itself does not count.
+        assert net.events_processed == 3
+
+        def deadline():
+            raise TimeoutError("hook")
+
+        net.call_later(0.0, lambda: None)
+        net.step_hook = deadline
+        with pytest.raises(TimeoutError, match="hook"):
+            net.run_until_idle()
+        # The hook runs after its event, so that event counts.
+        assert net.events_processed == 4
+
     def test_zero_budget_with_pending_events_raises_immediately(self):
         net = Network()
         ran = []

@@ -1,152 +1,88 @@
-"""Property: the slotted calendar queue IS the seed heap scheduler.
+"""Properties of the event loop: order and the event budget.
 
-For arbitrary schedules — same-time bursts, cancellations before and
-during the run, mid-drain inserts landing in the active slot, and
-far-future events that live in the overflow heap — ``scheduler="slots"``
-must execute exactly the same callbacks, in exactly the same order, at
-exactly the same virtual times as ``scheduler="heap"``.  The campaign
-byte-identity guarantees rest on this equivalence.
+``Network.run`` pops one heap of ``(when, seq, fn, args)`` entries, so
+events run in ``(time, sequence number)`` order and the budget is
+checked before each event.  The budget cases run on two queue layouts
+(see :func:`schedule`): one where the time key alone decides the order
+and one where every event shares a time and the sequence number
+decides.  The campaign byte-identity guarantees rest on this order.
+
+The module, class and case names and the layout ids ``heap`` and
+``slots`` come from the suite that compared a slotted calendar queue
+with the heap, before the calendar was deleted; they are kept so the
+test ids stay stable.
 """
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.netsim import Network
 from repro.netsim.errors import SimulationError
-from repro.netsim.scheduler import SLOT_COUNT, SLOT_WIDTH, make_scheduler
 
-#: Past this horizon an event cannot land in the ring and must take the
-#: overflow-heap path.
-OVERFLOW_HORIZON = SLOT_COUNT * SLOT_WIDTH
+#: The time every event shares in the ``"slots"`` layout.
+SHARED_TIME = 1.0
 
-#: Follow-up delays a firing event may schedule: 0.0 re-enters the slot
-#: being drained, tiny deltas land in it or its neighbours, the large
-#: one goes to the overflow heap.
-FOLLOW_DELAYS = (0.0, 0.001, SLOT_WIDTH / 2, SLOT_WIDTH * 3.5,
-                 OVERFLOW_HORIZON * 2)
+#: ``"heap"``: distinct times pushed in reverse, so the heap's time key
+#: orders them.  ``"slots"``: one shared time, so the sequence number
+#: orders them.
+LAYOUTS = ("heap", "slots")
 
-
-@st.composite
-def schedules(draw):
-    times = draw(st.lists(
-        st.one_of(
-            # Dense cluster: many events per slot, frequent exact ties.
-            st.floats(min_value=0.0, max_value=SLOT_WIDTH * 4),
-            # Spread across the ring.
-            st.floats(min_value=0.0, max_value=OVERFLOW_HORIZON * 0.9),
-            # Beyond the ring horizon: overflow heap + migration.
-            st.floats(min_value=OVERFLOW_HORIZON,
-                      max_value=OVERFLOW_HORIZON * 200),
-        ),
-        min_size=1, max_size=50))
-    # Duplicate some times exactly so same-(when) ordering falls to the
-    # sequence numbers, where ties are actually decided.
-    dups = draw(st.lists(st.integers(0, len(times) - 1), max_size=15))
-    times = times + [times[i] for i in dups]
-    n = len(times)
-    pre_cancel = draw(st.sets(st.integers(0, n - 1), max_size=n))
-    # (canceller, victim): when event *canceller* fires it cancels
-    # event *victim* — in-flight tombstoning, possibly of an event in
-    # the very slot being drained.
-    run_cancel = draw(st.lists(
-        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
-        max_size=10))
-    follow = draw(st.dictionaries(
-        st.integers(0, n - 1), st.sampled_from(FOLLOW_DELAYS), max_size=8))
-    return times, pre_cancel, run_cancel, follow
+#: An event this far ahead of the others waits behind all of them.
+FAR_AHEAD = 10.0
 
 
-def run_schedule(kind, spec):
-    """Execute *spec* under the given scheduler; return the event log."""
-    times, pre_cancel, run_cancel, follow = spec
-    net = Network(scheduler=kind)
-    log = []
-    handles = []
-    victims = {}
-    for canceller, victim in run_cancel:
-        victims.setdefault(canceller, []).append(victim)
-
-    def fire(i):
-        log.append((net.now, i))
-        for j in victims.get(i, ()):
-            net.cancel_scheduled(handles[j])
-        delay = follow.get(i)
-        if delay is not None:
-            # Follow-up tags are disjoint from scheduled indexes, so
-            # they never recurse into more follow-ups.
-            net.call_later(delay, fire, i + 1_000_000)
-
-    for i, when in enumerate(times):
-        handles.append(net.call_at(when, fire, i))
-    for i in sorted(pre_cancel):
-        net.cancel_scheduled(handles[i])
-    processed = net.run_until_idle()
-    return log, processed, net.now, net.pending_events
+def schedule(net, layout, count, fn):
+    """Queue ``fn(0) .. fn(count - 1)`` to run in that order, at or
+    before ``SHARED_TIME``."""
+    if layout == "slots":
+        for i in range(count):
+            net.call_at(SHARED_TIME, fn, i)
+    else:
+        for i in reversed(range(count)):
+            net.call_at(SHARED_TIME * (i + 1) / (count + 1), fn, i)
 
 
 class TestSchedulerEquivalence:
-    @settings(max_examples=120, deadline=None)
-    @given(spec=schedules())
-    def test_slots_match_heap_exactly(self, spec):
-        heap_result = run_schedule("heap", spec)
-        slots_result = run_schedule("slots", spec)
-        assert slots_result == heap_result
+    """The loop keeps the ``(time, seq)`` order for any queue shape."""
 
     def test_same_time_burst_preserves_fifo(self):
-        for kind in ("heap", "slots"):
-            net = Network(scheduler=kind)
-            log = []
-            for i in range(50):
-                net.call_at(1.0, log.append, i)
-            net.run_until_idle()
-            assert log == list(range(50)), kind
+        net = Network()
+        log = []
+        for i in range(50):
+            net.call_at(SHARED_TIME, log.append, i)
+        net.run_until_idle()
+        assert log == list(range(50))
 
     def test_far_future_overflow_round_trip(self):
-        """Overflow events migrate back into the ring in order."""
-        horizon = OVERFLOW_HORIZON
-        whens = [horizon * 150, 0.5, horizon * 3, horizon + 0.25, 2.0]
-        for kind in ("heap", "slots"):
-            net = Network(scheduler=kind)
-            log = []
-            for i, when in enumerate(whens):
-                net.call_at(when, log.append, i)
-            net.run_until_idle()
-            assert log == [1, 4, 3, 2, 0], kind
-            assert net.now == horizon * 150
-
-    def test_set_scheduler_migrates_pending_and_handles(self):
-        net = Network(scheduler="heap")
+        """Events far past the rest run last, in time order, and the
+        clock ends at the farthest one."""
+        whens = [FAR_AHEAD * 150, 0.5, FAR_AHEAD * 3, FAR_AHEAD + 0.25, 2.0]
+        net = Network()
         log = []
-        keep = net.call_at(1.0, log.append, "keep")
-        doomed = net.call_at(2.0, log.append, "doomed")
-        net.call_at(OVERFLOW_HORIZON * 5, log.append, "far")
-        net.set_scheduler("slots")
-        assert net.scheduler == "slots"
-        assert net.pending_events == 3
-        # Handles taken under the heap still cancel under slots.
-        assert net.cancel_scheduled(doomed)
+        for i, when in enumerate(whens):
+            net.call_at(when, log.append, i)
         net.run_until_idle()
-        assert log == ["keep", "far"]
-        assert not net.cancel_scheduled(keep)  # already ran
+        assert log == [1, 4, 3, 2, 0]
+        assert net.now == FAR_AHEAD * 150
+        assert net.pending_events == 0
 
 
+@pytest.mark.parametrize("layout", LAYOUTS)
 class TestEventBudget:
-    """Satellite: the budget bites after exactly ``max_events``."""
+    """The budget bites after exactly ``max_events``."""
 
-    @pytest.mark.parametrize("kind", ["heap", "slots"])
-    def test_exactly_max_events_completes(self, kind):
-        net = Network(scheduler=kind)
-        for i in range(7):
-            net.call_at(0.001 * i, lambda: None)
-        assert net.run_until_idle(max_events=7) == 7
-        assert net.events_processed == 7
-
-    @pytest.mark.parametrize("kind", ["heap", "slots"])
-    def test_one_past_budget_raises_with_exactly_max_executed(self, kind):
-        net = Network(scheduler=kind)
+    def test_exactly_max_events_completes(self, layout):
+        net = Network()
         ran = []
-        for i in range(8):
-            net.call_at(0.001 * i, ran.append, i)
+        schedule(net, layout, 7, ran.append)
+        assert net.run_until_idle(max_events=7) == 7
+        assert ran == list(range(7))
+        assert net.events_processed == 7
+        assert net.pending_events == 0
+
+    def test_one_past_budget_raises_with_exactly_max_executed(self, layout):
+        net = Network()
+        ran = []
+        schedule(net, layout, 8, ran.append)
         with pytest.raises(SimulationError, match="event budget exceeded"):
             net.run_until_idle(max_events=7)
         # The check runs *before* each event: 7 executed, never 8.
@@ -154,69 +90,42 @@ class TestEventBudget:
         assert net.events_processed == 7
         assert net.pending_events == 1
 
-    @pytest.mark.parametrize("kind", ["heap", "slots"])
-    def test_budget_checked_inside_a_slot_batch(self, kind):
-        """All events share one slot; the batch drain must still stop
-        at the budget, not at the slot boundary."""
-        net = Network(scheduler=kind)
+    def test_budget_checked_inside_a_slot_batch(self, layout):
+        """Ten events share one time behind three earlier ones; the
+        drain must stop at the budget, not at the end of that batch."""
+        net = Network()
         ran = []
+        schedule(net, layout, 3, ran.append)
         for i in range(10):
-            net.call_at(1.0, ran.append, i)
+            net.call_at(SHARED_TIME, ran.append, 10 + i)
         with pytest.raises(SimulationError, match="event budget exceeded"):
-            net.run_until_idle(max_events=4)
-        assert ran == [0, 1, 2, 3]
-        assert net.events_processed == 4
+            net.run_until_idle(max_events=6)
+        assert ran == [0, 1, 2, 10, 11, 12]
+        assert net.events_processed == 6
+        assert net.pending_events == 7
 
-    @pytest.mark.parametrize("kind", ["heap", "slots"])
-    def test_cancelled_events_do_not_charge_the_budget(self, kind):
-        net = Network(scheduler=kind)
-        ran = []
-        handles = [net.call_at(0.001 * i, ran.append, i) for i in range(10)]
-        for handle in handles[:5]:
-            net.cancel_scheduled(handle)
-        assert net.run_until_idle(max_events=5) == 5
-        assert ran == [5, 6, 7, 8, 9]
-
-    @pytest.mark.parametrize("kind", ["heap", "slots"])
-    def test_partial_progress_survives_a_blown_budget(self, kind):
+    def test_partial_progress_survives_a_blown_budget(self, layout):
         """After the budget raises, the remaining events are intact and
-        a second run finishes them — with events_processed cumulative."""
-        net = Network(scheduler=kind)
+        a second run finishes them, with events_processed cumulative."""
+        net = Network()
         ran = []
-        for i in range(6):
-            net.call_at(0.001 * i, ran.append, i)
+        schedule(net, layout, 6, ran.append)
         with pytest.raises(SimulationError):
             net.run_until_idle(max_events=3)
         assert net.run_until_idle(max_events=3) == 3
         assert ran == list(range(6))
         assert net.events_processed == 6
 
-    @pytest.mark.parametrize("kind", ["heap", "slots"])
-    def test_mid_drain_inserts_count_against_the_budget(self, kind):
-        net = Network(scheduler=kind)
+    def test_mid_drain_inserts_count_against_the_budget(self, layout):
+        net = Network()
         count = [0]
 
-        def chain():
+        def chain(_):
             count[0] += 1
-            net.call_later(0.0, chain)
+            net.call_later(0.0, chain, None)
 
-        net.call_later(0.0, chain)
+        schedule(net, layout, 3, chain)
         with pytest.raises(SimulationError, match="event budget exceeded"):
             net.run_until_idle(max_events=100)
         assert count[0] == 100
-
-
-class TestSlotStats:
-    def test_occupancy_counters_move(self):
-        sched = make_scheduler("slots")
-        assert sched.kind == "slots"
-        net = Network(scheduler="slots")
-        for i in range(20):
-            net.call_at(0.0, lambda: None)
-        net.call_at(OVERFLOW_HORIZON * 2, lambda: None)
-        net.run_until_idle()
-        stats = net._sched
-        assert stats.max_slot_occupancy >= 20
-        assert stats.overflow_pushes >= 1
-        assert stats.overflow_migrations >= 1
-        assert stats.slots_activated >= 2
+        assert net.events_processed == 100

@@ -306,3 +306,45 @@ class TestListeners:
         net.run_until_idle()
         for index, app in enumerate(apps):
             assert app.data == f"echo:msg{index}".encode()
+
+
+def echo_exchange(net, a, b, payload):
+    """Open a connection to b's echo service, send *payload*, return
+    the reply."""
+    app = Recorder()
+    conn = a.stack.connect(b.ip, 80, app)
+    net.run_until_idle()
+    conn.send(payload)
+    net.run_until_idle()
+    return app.data
+
+
+class TestObservers:
+    """Observers that outlive a delivery keep exactly what they saw."""
+
+    def test_capture_snapshots_unchanged_by_later_traffic(self, pair):
+        net, a, b = pair
+        b.stack.listen(80, EchoServer)
+        assert echo_exchange(net, a, b, b"FIRST") == b"echo:FIRST"
+        before = [(entry.describe(), entry.packet.tcp.payload)
+                  for entry in b.capture if entry.packet.is_tcp]
+        assert any(payload == b"FIRST" for _, payload in before)
+        for i in range(5):
+            echo_exchange(net, a, b, b"noise-%d" % i)
+        after = [(entry.describe(), entry.packet.tcp.payload)
+                 for entry in b.capture if entry.packet.is_tcp]
+        assert after[:len(before)] == before
+
+    def test_packets_a_sniffer_keeps_stay_intact(self, pair):
+        net, a, b = pair
+        b.stack.listen(80, EchoServer)
+        kept = []
+        b.add_sniffer(lambda now, packet: kept.append(packet))
+        echo_exchange(net, a, b, b"SNIFFED")
+        snapshot = [packet.describe() for packet in kept]
+        assert any(packet.is_tcp and packet.tcp.payload == b"SNIFFED"
+                   for packet in kept)
+        for i in range(5):
+            echo_exchange(net, a, b, b"churn-%d" % i)
+        assert [packet.describe() for packet in kept[:len(snapshot)]] \
+            == snapshot

@@ -9,7 +9,12 @@ ids, crash events) stay in sidecars.
 """
 
 import json
+import multiprocessing
 import os
+import signal
+import subprocess
+import sys
+import time
 
 import pytest
 
@@ -193,3 +198,108 @@ class TestSupervisorUnit:
         by_name = {o.unit_name: o for o in outcomes}
         assert by_name["idea"].attempts == 2
         assert all(o.record["status"] == "ok" for o in outcomes)
+
+
+def _proc_stat(pid):
+    """``(state, ppid)`` of a live process, or None once it is reaped."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="utf-8") as fh:
+            stat = fh.read()
+    except OSError:
+        return None
+    # The command name may hold spaces; fields resume after its ")".
+    fields = stat.rpartition(")")[2].split()
+    return fields[0], int(fields[1])
+
+
+def _descendants(pid):
+    """Every live process below ``pid``, however deep."""
+    parents = {}
+    for entry in os.listdir("/proc"):
+        if entry.isdigit():
+            stat = _proc_stat(int(entry))
+            if stat is not None:
+                parents[int(entry)] = stat[1]
+    found, frontier = [], [pid]
+    while frontier:
+        parent = frontier.pop()
+        kids = [child for child, ppid in parents.items() if ppid == parent]
+        found += kids
+        frontier += kids
+    return found
+
+
+def _workers(pid):
+    """The campaign's workers: its descendants with no children of
+    their own, except multiprocessing's resource tracker.  Under
+    ``forkserver`` this skips the server, the workers' parent."""
+    tree = _descendants(pid)
+    parents = {(_proc_stat(p) or ("", None))[1] for p in tree}
+    workers = []
+    for p in tree:
+        try:
+            with open(f"/proc/{p}/cmdline", "rb") as fh:
+                cmdline = fh.read()
+        except OSError:
+            continue
+        if p not in parents and b"resource_tracker" not in cmdline:
+            workers.append(p)
+    return sorted(workers)
+
+
+#: ``python -c`` body: the ``repro`` CLI under the start method named by
+#: its first argument.
+LAUNCH = ("import multiprocessing, sys; "
+          "multiprocessing.set_start_method(sys.argv.pop(1)); "
+          "from repro.cli import main; sys.exit(main())")
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"),
+                    reason="needs /proc to find the worker processes")
+class TestSupervisorDeath:
+    @pytest.mark.parametrize("method",
+                             multiprocessing.get_all_start_methods())
+    def test_workers_exit_when_the_campaign_is_sigkilled(self, tmp_path,
+                                                         method):
+        """SIGKILL the parent of a ``--workers 2`` campaign while both
+        workers spin inside a unit: no process it started may outlive
+        it, whichever start method made the workers."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.join(os.path.dirname(__file__),
+                                         "..", "..", "src")
+        env[HANG_ENV] = ",".join(f"tcpip/{name}" for name in
+                                 ("mtnl", "airtel", "idea", "vodafone",
+                                  "jio"))
+        proc = subprocess.Popen(
+            [sys.executable, "-c", LAUNCH, method, "campaign", "tcpip",
+             "--scale", str(SCALE), "--workers", "2",
+             "--run-dir", str(tmp_path / "run")],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        started = []
+        try:
+            deadline = time.monotonic() + 60
+            workers = []
+            while len(workers) < 2 and time.monotonic() < deadline:
+                assert proc.poll() is None, "campaign exited early"
+                time.sleep(0.1)
+                workers = _workers(proc.pid)
+            assert len(workers) == 2
+            time.sleep(2.0)  # let both workers enter their hung unit
+            # A worker that took a live supervisor for a dead one would
+            # have quit by now, and been replaced.
+            assert proc.poll() is None
+            assert _workers(proc.pid) == workers
+            started = _descendants(proc.pid)
+        finally:
+            proc.send_signal(signal.SIGKILL)
+            proc.wait(timeout=30)
+        deadline = time.monotonic() + 10
+        alive = started
+        while alive and time.monotonic() < deadline:
+            time.sleep(0.1)
+            # A zombie has exited; only its reaping is pending.
+            alive = [pid for pid in started
+                     if (_proc_stat(pid) or ("Z",))[0] != "Z"]
+        for pid in alive:  # do not leak them into later tests
+            os.kill(pid, signal.SIGKILL)
+        assert alive == []
