@@ -2,15 +2,14 @@
 
 Instead of scripting clients one TCP handshake at a time, the engine
 walks the day hour by hour and, within each hour, cohort by cohort;
-each nonzero *(cohort, hour-of-day)* batch processes its whole share
-of sessions over flyweight ``array`` columns — rank, category and
-outcome are parallel scalar columns, never per-session objects.
-Batches draw from their own seeded streams and only add into the
-aggregates, so they are independent and a plain loop runs them.
-The per-cohort sampling constants (Zipf CDF, per-category block
-probabilities, enforcement rate) are precompiled once into a
-:class:`_CohortPlan`, the population analogue of the packet layer's
-precompiled delivery plans.
+each nonzero *(cohort, hour-of-day)* batch runs its whole share of
+sessions in one pass — Zipf draw, per-rank code, outcome count — with
+no per-session object.  A rank's category and master-list bit are
+hashed at most once per engine, into a one-byte-per-rank memo, and
+blocked ranks are counted per rank and folded into the sketches once
+at the end of the day.  Batches draw from their own seeded streams and
+only add into the aggregates, so they are independent and a plain loop
+runs them.
 
 Determinism: every batch draws from ``random.Random`` seeded by the
 string ``pop|{seed}|{isp}|{cohort}|{hour}`` — a pure function of the
@@ -18,8 +17,8 @@ campaign seed, so results are identical across processes and worker
 counts.  Per session the draw order is fixed: two uniforms for the
 Zipf rank, then (only if the domain is on the ISP's master list — a
 hash property, not a draw) one uniform against the ISP's enforcement
-probability.  ``tests/population/test_engine.py`` pins the batched
-engine against the per-session reference implementation in
+probability.  ``tests/population/test_engine.py`` pins the engine
+against the per-session reference implementation in
 :mod:`repro.population.reference`, which replays the same draws one
 session object at a time.
 """
@@ -28,11 +27,10 @@ from __future__ import annotations
 
 import os
 import warnings
-from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from random import Random
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from ..isps.profiles import ISPProfile, profile as isp_profile
 from ..websites.synthetic import DEFAULT_SYNTHETIC_SIZE, SyntheticCorpus
@@ -40,10 +38,11 @@ from .cohorts import CohortSpec, DEFAULT_COHORTS, apportion, hourly_sessions
 from .sketches import (BottomKReservoir, CountMinSketch, DEFAULT_DEPTH,
                        DEFAULT_RESERVOIR_K, DEFAULT_WIDTH)
 
-#: Session outcomes, by column code.  ``blocked`` = domain on the
-#: master list and the ISP's infrastructure enforced it this session;
-#: ``leaked`` = on the list but unenforced (partial coverage and
-#: inconsistent blocklists — the paper's §5 story at population scale).
+#: Session outcomes, in per-category count order.  ``blocked`` =
+#: domain on the master list and the ISP's infrastructure enforced it
+#: this session; ``leaked`` = on the list but unenforced (partial
+#: coverage and inconsistent blocklists — the paper's §5 story at
+#: population scale).
 OUTCOME_NAMES: Tuple[str, ...] = ("ok", "blocked", "leaked")
 
 #: Environment knob: multiply the configured session volume (smoke
@@ -111,15 +110,21 @@ class ZipfMix:
     popularity curve is Zipf-shaped and fully deterministic.
     """
 
-    __slots__ = ("size", "s", "_bounds", "_cdf")
+    __slots__ = ("size", "s", "_cdf", "_buckets")
 
     def __init__(self, size: int, s: float) -> None:
         if size <= 0:
             raise ValueError(f"zipf support must be positive, got {size}")
         self.size = size
         self.s = s
-        bounds: List[Tuple[int, int]] = []
+        # Per bucket, the constants of the within-bucket inverse,
+        # hoisted out of every draw: ``(lo, hi, base, span, inverse)``.
+        # The value is ``(base + u * span) ** inverse``, or
+        # ``lo * base ** u`` when s == 1.0; either way the same floats
+        # as computing the operands per draw.
+        buckets: List[Tuple[int, int, float, float, float]] = []
         masses: List[float] = []
+        a = 1.0 - s
         lo = 1
         while lo <= size:
             hi = min(lo * 2, size + 1)
@@ -127,9 +132,14 @@ class ZipfMix:
             mass = 0.0
             for rank in range(lo, hi):
                 mass += rank ** -s
-            bounds.append((lo, hi))
             masses.append(mass)
+            buckets.append((lo, hi, hi / lo, 0.0, 1.0) if s == 1.0 else
+                           (lo, hi, lo ** a, hi ** a - lo ** a, 1.0 / a))
             lo = hi
+        # A u_bucket of 1.0 bisects past the last CDF entry: repeat the
+        # last bucket there instead of clamping the index per draw.
+        buckets.append(buckets[-1])
+        self._buckets = buckets
         total = sum(masses)
         cdf: List[float] = []
         acc = 0.0
@@ -137,21 +147,16 @@ class ZipfMix:
             acc += mass / total
             cdf.append(acc)
         cdf[-1] = 1.0
-        self._bounds = bounds
         self._cdf = cdf
 
     def rank(self, u_bucket: float, u_within: float) -> int:
         """A 0-based rank from two independent uniforms."""
-        index = bisect_right(self._cdf, u_bucket)
-        if index >= len(self._bounds):
-            index = len(self._bounds) - 1
-        lo, hi = self._bounds[index]
-        s = self.s
-        if s == 1.0:
-            value = lo * (hi / lo) ** u_within
+        lo, hi, base, span, inverse = self._buckets[
+            bisect_right(self._cdf, u_bucket)]
+        if self.s == 1.0:
+            value = lo * base ** u_within
         else:
-            a = 1.0 - s
-            value = (lo ** a + u_within * (hi ** a - lo ** a)) ** (1.0 / a)
+            value = (base + u_within * span) ** inverse
         rank = int(value)
         if rank < lo:
             rank = lo
@@ -161,12 +166,13 @@ class ZipfMix:
 
 
 #: Process-wide memo: the bucket CDF over 1M ranks costs ~0.1 s to
-#: build and every cohort of the same (size, skew) shares it.
+#: build and every cohort of the same (size, skew) shares it.  Keyed on
+#: the exact skew: a mix built for a nearby ``s`` draws different ranks.
 _ZIPF_CACHE: Dict[Tuple[int, float], ZipfMix] = {}
 
 
 def zipf_mix(size: int, s: float) -> ZipfMix:
-    key = (size, round(s, 9))
+    key = (size, s)
     mix = _ZIPF_CACHE.get(key)
     if mix is None:
         mix = _ZIPF_CACHE[key] = ZipfMix(size, s)
@@ -190,21 +196,17 @@ class PopulationConfig:
     reservoir_k: int = DEFAULT_RESERVOIR_K
 
 
-class _CohortPlan:
+class _CohortPlan(NamedTuple):
     """Precompiled per-cohort sampling constants (cf. delivery plans)."""
 
-    __slots__ = ("cohort", "zipf", "hourly")
-
-    def __init__(self, cohort: CohortSpec, zipf: ZipfMix,
-                 hourly: List[int]) -> None:
-        self.cohort = cohort
-        self.zipf = zipf
-        self.hourly = hourly
+    cohort: CohortSpec
+    zipf: ZipfMix
+    hourly: List[int]
 
 
 @dataclass
 class PopulationOutcome:
-    """One ISP-day of aggregated session outcomes (O(cohorts) memory)."""
+    """One ISP-day of aggregated outcomes, fixed-size at any volume."""
 
     isp: str
     mechanism: str
@@ -244,7 +246,7 @@ class PopulationOutcome:
 
 
 class PopulationEngine:
-    """Run one ISP's cohorts through a day of batched sessions."""
+    """Run one ISP's cohorts through a day of one-pass batches."""
 
     def __init__(self, isp: str, corpus: Optional[SyntheticCorpus] = None,
                  config: Optional[PopulationConfig] = None) -> None:
@@ -254,13 +256,11 @@ class PopulationEngine:
             seed=self.config.seed, size=self.config.corpus_size)
         self.enforce_p = enforcement_probability(self.profile)
         self._plans = self._compile_plans()
-        cap = max((max(plan.hourly) for plan in self._plans if plan.hourly),
-                  default=0)
-        # Flyweight columns, allocated once and reused by every batch:
-        # rank / category / outcome are parallel scalar arrays.
-        self._col_rank = array("I", bytes(4 * max(cap, 1)))
-        self._col_cat = array("B", bytes(max(cap, 1)))
-        self._col_out = array("B", bytes(max(cap, 1)))
+        # Per-rank code memo: 0 = not computed yet, else
+        # 1 + (category_id << 1) + listed.  One byte per rank of the
+        # Zipf support (1 MB at the default corpus), filled on a rank's
+        # first visit, so each rank is hashed at most once per engine.
+        self._memo = bytearray(self.config.corpus_size)
 
     def _compile_plans(self) -> List[_CohortPlan]:
         config = self.config
@@ -276,65 +276,70 @@ class PopulationEngine:
 
     def run(self) -> PopulationOutcome:
         config = self.config
-        corpus = self.corpus
-        outcome = PopulationOutcome(
-            isp=self.profile.name,
-            mechanism=self.profile.mechanism,
-            sessions=config.sessions,
-            counts={name: [0, 0, 0] for name in corpus.category_names()},
-            hourly=[0] * 24,
-            blocked_counts=CountMinSketch(width=config.sketch_width,
-                                          depth=config.sketch_depth,
-                                          seed=config.seed),
-            exemplars=BottomKReservoir(k=config.reservoir_k,
-                                       seed=config.seed),
-        )
+        names = self.corpus.category_names()
+        # Unblocked sessions per memo code (ok when the code is
+        # unlisted, leaked when listed); blocked sessions per rank.
+        unblocked = [0] * (1 + 2 * len(names))
+        blocked: Dict[int, int] = {}
+        hourly = [0] * 24
+        batches = 0
         for hour in range(24):
             for plan in self._plans:
                 batch = plan.hourly[hour]
                 if batch:
-                    self._run_batch(plan, hour, batch, outcome)
-                    outcome.batches += 1
-        return outcome
+                    self._run_batch(plan, hour, batch, unblocked, blocked)
+                    hourly[hour] += batch
+                    batches += 1
+        counts = {name: [unblocked[2 * index + 1], 0,
+                         unblocked[2 * index + 2]]
+                  for index, name in enumerate(names)}
+        sketch = CountMinSketch(width=config.sketch_width,
+                                depth=config.sketch_depth, seed=config.seed)
+        reservoir = BottomKReservoir(k=config.reservoir_k, seed=config.seed)
+        # Count-min rows are sums and bottom-k offers are idempotent,
+        # so one add and one offer per distinct rank fill both sketches
+        # exactly as one per blocked session would.
+        for rank, count in blocked.items():
+            counts[names[(self._memo[rank] - 1) >> 1]][1] += count
+            sketch.add(rank, count)
+            reservoir.offer(rank)
+        return PopulationOutcome(
+            isp=self.profile.name, mechanism=self.profile.mechanism,
+            sessions=config.sessions, counts=counts, hourly=hourly,
+            batches=batches, blocked_counts=sketch, exemplars=reservoir)
 
     def _run_batch(self, plan: _CohortPlan, hour: int, batch: int,
-                   outcome: PopulationOutcome) -> None:
-        config = self.config
-        rng = Random(f"pop|{config.seed}|{self.profile.name}"
-                     f"|{plan.cohort.name}|{hour}")
-        rand = rng.random
-        rank_of = plan.zipf.rank
-        category_of = self.corpus.category_id
-        in_master = self.corpus.in_master_list
+                   unblocked: List[int], blocked: Dict[int, int]) -> None:
         isp = self.profile.name
+        rand = Random(f"pop|{self.config.seed}|{isp}"
+                      f"|{plan.cohort.name}|{hour}").random
+        cdf = plan.zipf._cdf
+        buckets = plan.zipf._buckets
+        unit_skew = plan.zipf.s == 1.0
+        memo = self._memo
+        category_of = self.corpus.category_id
+        listed = self.corpus.listed_in_category
         enforce_p = self.enforce_p
-        col_rank = self._col_rank
-        col_cat = self._col_cat
-        col_out = self._col_out
-        # Pass 1: generate the batch into the columns.
-        for i in range(batch):
-            rank = rank_of(rand(), rand())
-            col_rank[i] = rank
-            col_cat[i] = category_of(rank)
-            if in_master(isp, rank):
-                col_out[i] = 1 if rand() < enforce_p else 2
+        blocked_get = blocked.get
+        for _ in range(batch):
+            # ZipfMix.rank, inlined: bucket, then within-bucket inverse.
+            lo, hi, base, span, inverse = buckets[bisect_right(cdf, rand())]
+            if unit_skew:
+                rank = int(lo * base ** rand())
             else:
-                col_out[i] = 0
-        # Pass 2: columnar aggregation into counts and sketches.
-        flat = [0] * (len(outcome.counts) * 3)
-        for i in range(batch):
-            flat[col_cat[i] * 3 + col_out[i]] += 1
-        for index, name in enumerate(outcome.counts):
-            per_cat = outcome.counts[name]
-            base = index * 3
-            per_cat[0] += flat[base]
-            per_cat[1] += flat[base + 1]
-            per_cat[2] += flat[base + 2]
-        add = outcome.blocked_counts.add
-        offer = outcome.exemplars.offer
-        for i in range(batch):
-            if col_out[i] == 1:
-                rank = col_rank[i]
-                add(rank)
-                offer(rank)
-        outcome.hourly[hour] += batch
+                rank = int((base + rand() * span) ** inverse)
+            if rank < lo:
+                rank = lo
+            elif rank >= hi:
+                rank = hi - 1
+            rank -= 1
+            code = memo[rank]
+            if not code:
+                category = category_of(rank)
+                code = memo[rank] = (1 + (category << 1)
+                                     + listed(isp, rank, category))
+            # An even code is master-listed: draw against enforcement.
+            if code & 1 or rand() >= enforce_p:
+                unblocked[code] += 1
+            else:
+                blocked[rank] = blocked_get(rank, 0) + 1

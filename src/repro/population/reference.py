@@ -1,12 +1,12 @@
 """The per-session reference the batched engine is pinned against.
 
-This is the implementation the tentpole *replaced*: one Python object
-per session, attributes resolved through the corpus's public methods,
-no columns, no sketches.  It exists so the property test
-(``tests/population/test_engine.py``) can assert that cohort-level
-vectorization changed the *cost* of a simulated day and nothing about
-its outcome: on the same seed, the engine's aggregate counts equal
-this loop's, exactly.
+This is the straightforward simulation the engine optimizes: one
+Python object per session, attributes resolved through the corpus's
+public methods on every visit, no memo, no sketches.  It exists so the
+property test (``tests/population/test_engine.py``) can assert that
+batching changed the *cost* of a simulated day and nothing about its
+outcome: on the same seed, the engine's aggregate counts and sketches
+equal this loop's, exactly.
 
 To make that equality meaningful the reference must consume the same
 random draws in the same documented order (two uniforms for the Zipf

@@ -25,6 +25,7 @@ same domain is on (or off) the list for every session that visits it.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Dict, List, Tuple
 
 from .blocklists import (CATEGORY_SENSITIVITY, DNS_BLOCKLIST_SIZES,
@@ -108,7 +109,7 @@ class SyntheticCorpus:
         self._cat_words = tuple(CATEGORIES[name][1]
                                 for name in self._cat_names)
         # Cumulative category weights as integer thresholds on the
-        # 64-bit hash, so category choice is one mix and one scan.
+        # 64-bit hash, so category choice is one mix and one bisect.
         total = sum(CATEGORIES[name][0] for name in self._cat_names)
         cdf: List[int] = []
         acc = 0.0
@@ -137,11 +138,10 @@ class SyntheticCorpus:
         return mix64(self._seed_mix ^ mix64(rank * _GOLDEN + salt))
 
     def category_id(self, rank: int) -> int:
-        bits = self._uniform_bits(rank, _SALT_CATEGORY)
-        for index, bound in enumerate(self._cat_cdf):
-            if bits <= bound:
-                return index
-        return len(self._cat_cdf) - 1  # pragma: no cover - cdf[-1]=max
+        # The first category whose threshold is >= the hash; the last
+        # threshold is the largest 64-bit value, so one always is.
+        return bisect_left(self._cat_cdf,
+                           self._uniform_bits(rank, _SALT_CATEGORY))
 
     def category(self, rank: int) -> str:
         return self._cat_names[self.category_id(rank)]
@@ -176,10 +176,16 @@ class SyntheticCorpus:
         """Deterministic membership: a property of the domain, not a
         per-visit coin flip — every session that visits this rank sees
         the same verdict."""
+        return self.listed_in_category(isp, rank, self.category_id(rank))
+
+    def listed_in_category(self, isp: str, rank: int,
+                           category_id: int) -> bool:
+        """:meth:`in_master_list` for a caller that already holds
+        ``category_id(rank)``, so the category hash runs once."""
         probs = self._block_p.get(isp)
         if probs is None:
             return False
-        p = probs[self.category_id(rank)]
+        p = probs[category_id]
         if p <= 0.0:
             return False
         bits = self._uniform_bits(rank, _SALT_BLOCK ^ self._isp_salts[isp])
