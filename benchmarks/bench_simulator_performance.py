@@ -126,39 +126,52 @@ def test_express_dns_probe_throughput(benchmark, perf_world):
 def test_fib_speedup_express_probe(perf_world):
     """Acceptance check: the FIB fast path buys >=2x on express probes.
 
-    The same sweep as the throughput bench, timed once with the
-    forwarding caches on (warm) and once with
-    ``routing_cache_enabled = False`` — which routes every probe
-    through the seed implementation, bypassing the FIB, the path
-    cache, and the express box memo.
+    The same sweep as the throughput bench, timed once through the
+    engine's warm forwarding caches and once walking every probe with
+    the seed router (``tests/netsim/reference_router.py``): no FIB,
+    path cache, box memo or compiled plan, only its per-destination
+    distance maps, which the first of its two timed rounds fills.
     """
+    from tests.netsim.reference_router import ReferenceRouter
+
     world = perf_world
     client = world.client_of("idea")
     domains = world.corpus.domains()
     payloads = [(world.hosting.ip_for(d, "in"), canonical_payload(d))
                 for d in domains]
     network = world.network
+    oracle = ReferenceRouter(network)
 
     def sweep():
-        censored = 0
+        censored = []
         for ip, payload in payloads:
             verdict = express_http_probe(network, client, ip, payload)
-            censored += verdict.censored
+            if verdict.censored:
+                censored.append((ip, verdict.domain, verdict.hop))
         return censored
 
-    def timed():
+    def oracle_sweep():
+        censored = []
+        for ip, payload in payloads:
+            for hop, box in oracle.boxes_along(client, ip, client.ip):
+                spec = getattr(box, "spec", None)
+                if (spec is None or not spec.inspects_port(80)
+                        or not box.in_scope(client.ip)):
+                    continue
+                domain = spec.matched_domain(payload)
+                if domain is not None:
+                    censored.append((ip, domain, hop))
+                    break
+        return censored
+
+    def timed(run):
         start = time.perf_counter()
-        censored = sweep()
+        censored = run()
         return time.perf_counter() - start, censored
 
     sweep()  # warm the FIB, path cache, and box memo
-    fast = min(timed() for _ in range(3))
-    assert network.routing_cache_enabled
-    network.routing_cache_enabled = False
-    try:
-        slow = min(timed() for _ in range(2))
-    finally:
-        network.routing_cache_enabled = True  # perf_world is shared
+    fast = min((timed(sweep) for _ in range(3)), key=lambda r: r[0])
+    slow = min((timed(oracle_sweep) for _ in range(2)), key=lambda r: r[0])
     assert fast[1] == slow[1], "cached and uncached verdicts diverged"
     speedup = slow[0] / fast[0]
     assert speedup >= 2.0, (
@@ -207,7 +220,6 @@ def test_event_core_speedup_fetch(perf_world):
 
     fetch_batch()  # warm the FIB and plan caches
     fast = min(timed() for _ in range(3))
-    assert network.routing_cache_enabled
     try:
         network.delivery_plans_enabled = False
         set_content_cache(False)

@@ -293,7 +293,7 @@ def _print_fault_stats(world) -> None:
 
 def _cmd_info(world) -> int:
     print(f"nodes: {len(world.network.nodes)}, "
-          f"links: {world.network.graph.number_of_edges()}")
+          f"links: {sum(map(len, world.network.adjacency.values())) // 2}")
     print(f"PBW corpus: {len(world.corpus)} sites, "
           f"Alexa destinations: {len(world.alexa)}")
     print(f"{'ISP':10s} {'mechanism':16s} {'boxes':>5s} "

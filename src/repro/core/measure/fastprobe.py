@@ -71,12 +71,9 @@ def middleboxes_along(network: Network, client: Host, dst_ip: str,
     Cached per (client, destination, source address) until the
     network's topology generation moves.  Callers must treat the
     returned list as read-only — both express probe flavours only
-    iterate it.  Setting ``network.routing_cache_enabled = False``
-    bypasses the memo (equivalence tests and benchmarks).
+    iterate it.
     """
     client_ip = client_ip or client.ip
-    if not network.routing_cache_enabled:
-        return _walk_middleboxes(network, client, dst_ip, client_ip)
     generation = network.topology_generation
     entry = _BOX_CACHE.get(network)
     if entry is None or entry[0] != generation:
@@ -120,17 +117,6 @@ _PLAN_CACHE: "weakref.WeakKeyDictionary[Network, Tuple[int, Dict]]" = \
 
 #: DNS-plan sentinel for unroutable resolvers (a miss we also memoize).
 _UNROUTABLE = ("unroutable", ())
-
-
-def plans_enabled(network: Network) -> bool:
-    """Express probes compile plans only when both cache layers are on.
-
-    ``routing_cache_enabled = False`` is the verbatim-seed escape hatch
-    and must bypass every memo; ``delivery_plans_enabled = False``
-    turns off just the compiled plans while keeping PR 4's FIB/path
-    caches (useful for isolating a suspected plan bug).
-    """
-    return network.routing_cache_enabled and network.delivery_plans_enabled
 
 
 def _plan_slot(network: Network) -> Dict:
@@ -220,7 +206,7 @@ def express_http_probe(
     """Would this request payload be censored en route?"""
     client_ip = client_ip or client.ip
     verdict = NOT_CENSORED
-    if plans_enabled(network):
+    if network.delivery_plans_enabled:
         for hop, box, matcher, _blocklist in _http_plan(
                 network, client, dst_ip, client_ip, dst_port):
             domain = matcher(payload)
@@ -268,7 +254,7 @@ def express_canonical_probe(
     client_ip = client_ip or client.ip
     wanted = domain.lower()
     if boxes is None:
-        if plans_enabled(network):
+        if network.delivery_plans_enabled:
             for hop, box, _matcher, blocklist in _http_plan(
                     network, client, dst_ip, client_ip, 80):
                 if wanted in blocklist:
@@ -341,7 +327,7 @@ def express_dns_probe(
     Walks the path for inline DNS injectors first (they answer from
     mid-path), then consults the resolver service itself.
     """
-    if plans_enabled(network):
+    if network.delivery_plans_enabled:
         kind, injectors = _dns_plan(network, client, resolver_ip)
         if kind == "unroutable":
             return NO_ANSWER

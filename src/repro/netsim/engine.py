@@ -28,8 +28,6 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 if TYPE_CHECKING:  # pragma: no cover - typing only, no import cycle
     from ..obs.trace import TraceBus
 
-import networkx as nx
-
 from .devices import Host, Node, Router
 from .errors import RoutingError, SimulationError, UnknownNodeError
 from .faults import (
@@ -92,11 +90,38 @@ def _ecmp_hash(src_ip: Optional[str], dst_ip: str, node_name: str) -> int:
     return zlib.crc32(key.encode("ascii"))
 
 
+def dijkstra_distances(adjacency: Dict[str, Dict[str, float]],
+                       source: str) -> Dict[str, float]:
+    """Shortest-path delay between *source* and every node it reaches.
+
+    Neighbours relax in adjacency order, heap ties break by push order
+    and the source sits at integer ``0``: the steps, and so the floats,
+    of networkx's ``single_source_dijkstra_path_length``, which
+    ``tests/netsim/test_fib_property.py`` holds this to exactly.
+    """
+    dist: Dict[str, float] = {}
+    seen: Dict[str, float] = {source: 0}
+    counter = itertools.count()
+    fringe = [(0, next(counter), source)]
+    while fringe:
+        dist_v, _, v = heappop(fringe)
+        if v in dist:
+            continue
+        dist[v] = dist_v
+        for u, delay in adjacency[v].items():
+            vu_dist = dist_v + delay
+            if u not in dist and (u not in seen or vu_dist < seen[u]):
+                seen[u] = vu_dist
+                heappush(fringe, (vu_dist, next(counter), u))
+    return dist
+
+
 class Network:
     """The simulated internetwork: topology, clock, events, forwarding."""
 
     def __init__(self) -> None:
-        self.graph = nx.Graph()
+        #: The topology: node name -> {neighbour name: link delay}.
+        self.adjacency: Dict[str, Dict[str, float]] = {}
         self.nodes: Dict[str, Node] = {}
         self.ip_owner: Dict[str, Node] = {}
         self.now: float = 0.0
@@ -109,10 +134,9 @@ class Network:
         #: due at the same time run in the order they were scheduled.
         self._queue: List[Tuple[float, int, Callable, tuple]] = []
         self._seq = itertools.count()
-        self._dist_cache: Dict[str, Dict[str, float]] = {}
         self._events_processed = 0
         #: Monotonic counter bumped on every topology/addressing change;
-        #: all derived routing state (distances, FIB, paths) is valid
+        #: all derived routing state (FIB, paths, plans) is valid
         #: only for the generation it was computed under.
         self._generation = 0
         #: dst node name -> {node name -> sorted ECMP candidate names}.
@@ -124,16 +148,11 @@ class Network:
         self._path_cache: Dict[Tuple[str, str, Optional[str]],
                                Tuple[Node, ...]] = {}
         #: (node name, dst_ip, src_ip) -> compiled forwarding step —
-        #: the delivery plan consulted by :meth:`transmit` and
-        #: :meth:`_route_through` instead of re-deriving next hop and
-        #: link delay per packet.  Built lazily from :meth:`next_hop`
-        #: (so equivalence is by construction), invalidated with the
-        #: other routing caches.
+        #: the delivery plan consulted by :meth:`_dispatch` instead of
+        #: re-deriving next hop and link delay per packet.  Built
+        #: lazily from :meth:`next_hop` (so equivalence is by
+        #: construction), invalidated with the other routing caches.
         self._fwd_plans: Dict[Tuple[str, str, Optional[str]], tuple] = {}
-        #: Escape hatch for equivalence tests and benchmarks: when
-        #: False, :meth:`next_hop`/:meth:`path_to` recompute from the
-        #: graph every call (the seed implementation, byte for byte).
-        self.routing_cache_enabled = True
         #: Escape hatch for precompiled delivery plans at *both*
         #: layers: the engine's per-(node, dst, src) forwarding plans
         #: (including transit-hop fusion) and the express-probe plans
@@ -210,7 +229,6 @@ class Network:
     def invalidate_routing_caches(self) -> None:
         """Advance the generation and drop all derived routing state."""
         self._generation += 1
-        self._dist_cache.clear()
         self._fib.clear()
         self._path_cache.clear()
         self._fwd_plans.clear()
@@ -221,7 +239,7 @@ class Network:
             raise SimulationError(f"duplicate node name: {node.name}")
         self.nodes[node.name] = node
         node.network = self
-        self.graph.add_node(node.name)
+        self.adjacency[node.name] = {}
         for ip in node.ips:
             self.register_ip(ip, node)
         self.invalidate_routing_caches()
@@ -263,7 +281,8 @@ class Network:
         for name in (a, b):
             if name not in self.nodes:
                 raise UnknownNodeError(f"unknown node: {name}")
-        self.graph.add_edge(a, b, delay=delay)
+        self.adjacency[a][b] = delay
+        self.adjacency[b][a] = delay
         self.invalidate_routing_caches()
 
     def node(self, name: str) -> Node:
@@ -348,27 +367,17 @@ class Network:
     # Routing (hash-based ECMP over shortest paths)
     # ------------------------------------------------------------------
 
-    def _distances_to(self, dst_name: str) -> Dict[str, float]:
-        """Distance from every node to *dst_name* (cached per target)."""
-        cached = self._dist_cache.get(dst_name)
-        if cached is None:
-            cached = nx.single_source_dijkstra_path_length(
-                self.graph, dst_name, weight="delay"
-            )
-            self._dist_cache[dst_name] = cached
-        return cached
-
     def _ecmp_candidates(self, node_name: str, dist: Dict[str, float]
                          ) -> List[str]:
-        """Sorted equal-cost next-hop names from *node_name* (seed
-        algorithm, shared by the FIB builder and the uncached path)."""
+        """Sorted equal-cost next-hop names from *node_name* toward the
+        node *dist* was measured from."""
         best_cost = None
         candidates: List[str] = []
-        for neighbor in self.graph.neighbors(node_name):
+        for neighbor, delay in self.adjacency[node_name].items():
             neighbor_dist = dist.get(neighbor)
             if neighbor_dist is None:
                 continue
-            cost = self.graph.edges[node_name, neighbor]["delay"] + neighbor_dist
+            cost = delay + neighbor_dist
             if best_cost is None or cost < best_cost - 1e-12:
                 best_cost = cost
                 candidates = [neighbor]
@@ -381,7 +390,8 @@ class Network:
         """The forwarding table toward *dst_name*, built on first use.
 
         One pass over every (reachable node, incident edge) pair — the
-        same asymptotic cost as the Dijkstra sweep that feeds it — then
+        same asymptotic cost as the Dijkstra sweep that feeds it, whose
+        distance map is read here and nowhere else — then
         every subsequent ``next_hop`` toward this destination is a pair
         of dict lookups.  Invalidated wholesale by
         :meth:`invalidate_routing_caches`.
@@ -389,7 +399,7 @@ class Network:
         table = self._fib.get(dst_name)
         if table is None:
             self.fib_builds += 1
-            dist = self._distances_to(dst_name)
+            dist = dijkstra_distances(self.adjacency, dst_name)
             table = {
                 name: self._ecmp_candidates(name, dist)
                 for name in dist
@@ -421,39 +431,21 @@ class Network:
         owner = self.ip_owner.get(dst_ip)
         if owner is None or owner is from_node:
             return None
-        if not self.routing_cache_enabled:
-            return self._next_hop_uncached(from_node, dst_ip, src_ip, owner)
         candidates = self._fib_for(owner.name).get(from_node.name)
         if not candidates:
             return None
         digest = self._flow_hash(src_ip, dst_ip, from_node.name)
         return self.nodes[candidates[digest % len(candidates)]]
 
-    def _next_hop_uncached(self, from_node: Node, dst_ip: str,
-                           src_ip: Optional[str], owner: Node
-                           ) -> Optional[Node]:
-        """The seed implementation: recompute candidates every call.
-
-        Kept as the reference the FIB fast path is property-tested
-        against (``routing_cache_enabled = False`` routes through it).
-        """
-        dist = self._distances_to(owner.name)
-        if dist.get(from_node.name) is None:
-            return None
-        candidates = self._ecmp_candidates(from_node.name, dist)
-        if not candidates:
-            return None
-        choice = _ecmp_hash(src_ip, dst_ip, from_node.name) % len(candidates)
-        return self.nodes[candidates[choice]]
-
-    def path_to(self, from_node: Node, dst_ip: str, max_hops: int = 64,
+    def path_to(self, from_node: Node, dst_ip: str,
                 src_ip: Optional[str] = None) -> List[Node]:
         """The full ECMP path a packet for *dst_ip* takes from *from_node*.
 
         ``src_ip`` defaults to the node's own primary address so planned
         paths match the paths that node's packets actually take.  Used
         by the express probing layer; equivalence with packet-by-packet
-        forwarding is covered by property tests.
+        forwarding is covered by property tests.  A walk longer than 64
+        hops raises :class:`RoutingError`.
 
         Successful walks are cached per ``(node, dst_ip, src_ip)`` until
         the topology generation moves; callers get a fresh list every
@@ -461,24 +453,22 @@ class Network:
         """
         if src_ip is None and from_node.ips:
             src_ip = from_node.ip
-        if self.routing_cache_enabled:
-            key = (from_node.name, dst_ip, src_ip)
-            cached = self._path_cache.get(key)
-            if cached is not None:
-                self.path_cache_hits += 1
-                return list(cached)
-            self.path_cache_misses += 1
+        key = (from_node.name, dst_ip, src_ip)
+        cached = self._path_cache.get(key)
+        if cached is not None:
+            self.path_cache_hits += 1
+            return list(cached)
+        self.path_cache_misses += 1
         owner = self.ip_owner.get(dst_ip)
         if owner is None:
             raise RoutingError(f"no node owns {dst_ip}")
         path = [from_node]
         current = from_node
-        for _ in range(max_hops):
+        for _ in range(64):
             if current is owner:
-                if self.routing_cache_enabled:
-                    if len(self._path_cache) >= PATH_CACHE_MAX:
-                        self._path_cache.clear()
-                    self._path_cache[key] = tuple(path)
+                if len(self._path_cache) >= PATH_CACHE_MAX:
+                    self._path_cache.clear()
+                self._path_cache[key] = tuple(path)
                 return path
             nxt = self.next_hop(current, dst_ip, src_ip)
             if nxt is None:
@@ -488,7 +478,7 @@ class Network:
                 )
             path.append(nxt)
             current = nxt
-        raise RoutingError(f"path to {dst_ip} exceeds {max_hops} hops")
+        raise RoutingError(f"path to {dst_ip} exceeds 64 hops")
 
     def hop_count(self, from_node: Node, dst_ip: str) -> int:
         """Number of forwarding hops from *from_node* to *dst_ip*."""
@@ -543,8 +533,8 @@ class Network:
             if nxt is None:
                 plan = _NO_ROUTE_PLAN
             else:
-                edges = self.graph.edges
-                first_delay = edges[from_node.name, nxt.name]["delay"]
+                adjacency = self.adjacency
+                first_delay = adjacency[from_node.name][nxt.name]
                 delays = [first_delay]
                 node = nxt
                 # Extend through pure-transit routers.  Stops at the
@@ -557,7 +547,7 @@ class Network:
                     following = self.next_hop(node, dst_ip, src_ip)
                     if following is None:
                         break
-                    delays.append(edges[node.name, following.name]["delay"])
+                    delays.append(adjacency[node.name][following.name])
                     node = following
                 if len(delays) == 1:
                     plan = (_PLAN_LINK, nxt, first_delay)
@@ -571,58 +561,59 @@ class Network:
 
     def transmit(self, from_node: Node, packet: Packet) -> None:
         """Emit *packet* from *from_node* toward its destination."""
-        if self.routing_cache_enabled and self.delivery_plans_enabled:
-            plan = self._plan_for(from_node, packet.dst, packet.src)
-            kind = plan[0]
-            if kind == _PLAN_EXPRESS:
-                trace = self.trace
-                if (self.faults is None and packet.ttl > plan[3]
-                        and (trace is None or not trace.active)):
-                    when = self.now
-                    for delay in plan[2]:
-                        when += delay
-                    packet.ttl -= plan[3]
-                    # The skipped transit arrivals still count as
-                    # steps, so ``events_processed`` — and the
-                    # journal's per-unit "steps" — matches the per-hop
-                    # path (e.g. the same unit run under --trace).
-                    self._events_processed += plan[3]
-                    hook = self.step_hook
-                    if hook is not None:
-                        for _ in range(plan[3]):
-                            hook()
-                    heappush(self._queue, (when, next(self._seq),
-                                           self._arrive, (plan[1], packet)))
-                else:
-                    # Per-hop fallback: take one step; downstream
-                    # routers re-decide at their own plan.
-                    self._forward_link(from_node, plan[4], packet, plan[5])
-                return
-            if kind == _PLAN_LINK:
-                if self.faults is None:
-                    heappush(self._queue, (self.now + plan[2], next(self._seq),
-                                           self._arrive, (plan[1], packet)))
-                else:
-                    self._forward_link(from_node, plan[1], packet, plan[2])
-                return
-            if kind == _PLAN_LOCAL:
-                self.call_later(0.0, self._deliver_local, plan[1], packet)
-                return
-            self._drop("no-route", packet)
-            return
-        owner = self.ip_owner.get(packet.dst)
-        if owner is None:
-            self._drop("no-route", packet)
-            return
-        if owner is from_node:
-            # Loopback delivery.
-            self.call_later(0.0, self._deliver_local, owner, packet)
-            return
-        nxt = self.next_hop(from_node, packet.dst, packet.src)
-        if nxt is None:
-            self._drop("no-route", packet)
-            return
-        self._forward_link(from_node, nxt, packet)
+        self._dispatch(from_node, packet, False)
+
+    def _dispatch(self, node: Node, packet: Packet, transit: bool) -> None:
+        """Send *packet* onward from *node* by its delivery plan.
+
+        With delivery plans off, each call derives a one-hop plan from
+        the FIB instead of the compiled, cached one.  *transit* marks a
+        packet routed through *node* rather than sent by it: its
+        no-route drop then names the router.
+        """
+        if self.delivery_plans_enabled:
+            plan = self._plan_for(node, packet.dst, packet.src)
+        elif self.ip_owner.get(packet.dst) is node:
+            plan = (_PLAN_LOCAL, node, 0.0)
+        else:
+            nxt = self.next_hop(node, packet.dst, packet.src)
+            plan = _NO_ROUTE_PLAN if nxt is None else (
+                _PLAN_LINK, nxt, self.adjacency[node.name][nxt.name])
+        kind = plan[0]
+        if kind == _PLAN_EXPRESS:
+            trace = self.trace
+            if (self.faults is None and packet.ttl > plan[3]
+                    and (trace is None or not trace.active)):
+                when = self.now
+                for delay in plan[2]:
+                    when += delay
+                packet.ttl -= plan[3]
+                # The skipped transit arrivals still count as steps, so
+                # ``events_processed`` — and the journal's per-unit
+                # "steps" — matches the per-hop path (e.g. the same
+                # unit run under --trace).
+                self._events_processed += plan[3]
+                hook = self.step_hook
+                if hook is not None:
+                    for _ in range(plan[3]):
+                        hook()
+                heappush(self._queue, (when, next(self._seq),
+                                       self._arrive, (plan[1], packet)))
+            else:
+                # Per-hop fallback: take one step; downstream routers
+                # re-decide at their own plan.
+                self._forward_link(node, plan[4], packet, plan[5])
+        elif kind == _PLAN_LINK:
+            if self.faults is None:
+                heappush(self._queue, (self.now + plan[2], next(self._seq),
+                                       self._arrive, (plan[1], packet)))
+            else:
+                self._forward_link(node, plan[1], packet, plan[2])
+        elif kind == _PLAN_LOCAL:
+            self.call_later(0.0, self._deliver_local, plan[1], packet)
+        else:
+            self._drop(f"no-route:{node.name}" if transit else "no-route",
+                       packet)
 
     def _drop(self, reason: str, packet: Packet) -> None:
         """Record a dropped packet (list for tests, counter for stats).
@@ -643,14 +634,9 @@ class Network:
                        flow=_flow_id(packet), dst=packet.dst)
 
     def _forward_link(self, from_node: Node, to_node: Node,
-                      packet: Packet, delay: Optional[float] = None) -> None:
-        """Put *packet* on the link toward *to_node*, faults permitting.
-
-        *delay* may be passed in by a precompiled forwarding plan that
-        already knows the edge delay; when ``None`` it is looked up.
-        """
-        if delay is None:
-            delay = self.graph.edges[from_node.name, to_node.name]["delay"]
+                      packet: Packet, delay: float) -> None:
+        """Put *packet* on the *delay* link toward *to_node*, faults
+        permitting."""
         if self.faults is not None:
             decision = self.faults.on_link(from_node.name, to_node.name,
                                            self.now)
@@ -741,46 +727,7 @@ class Network:
             self._drop("router-is-dst", packet)
             return
 
-        if self.routing_cache_enabled and self.delivery_plans_enabled:
-            plan = self._plan_for(router, packet.dst, packet.src)
-            kind = plan[0]
-            if kind == _PLAN_EXPRESS:
-                if (self.faults is None and packet.ttl > plan[3]
-                        and (trace is None or not trace.active)):
-                    when = self.now
-                    for delay in plan[2]:
-                        when += delay
-                    packet.ttl -= plan[3]
-                    # Skipped transit arrivals still count as steps
-                    # (see :meth:`transmit`).
-                    self._events_processed += plan[3]
-                    hook = self.step_hook
-                    if hook is not None:
-                        for _ in range(plan[3]):
-                            hook()
-                    heappush(self._queue, (when, next(self._seq),
-                                           self._arrive, (plan[1], packet)))
-                else:
-                    self._forward_link(router, plan[4], packet, plan[5])
-                return
-            if kind == _PLAN_LINK:
-                if self.faults is None:
-                    heappush(self._queue, (self.now + plan[2], next(self._seq),
-                                           self._arrive, (plan[1], packet)))
-                else:
-                    self._forward_link(router, plan[1], packet, plan[2])
-                return
-            if kind == _PLAN_LOCAL:
-                self.call_later(0.0, self._deliver_local, plan[1], packet)
-                return
-            self._drop(f"no-route:{router.name}", packet)
-            return
-
-        nxt = self.next_hop(router, packet.dst, packet.src)
-        if nxt is None:
-            self._drop(f"no-route:{router.name}", packet)
-            return
-        self._forward_link(router, nxt, packet)
+        self._dispatch(router, packet, True)
 
     # ------------------------------------------------------------------
     # Introspection helpers

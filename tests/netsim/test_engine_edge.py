@@ -87,6 +87,32 @@ class TestRouting:
         net.link("r1", "b", delay=0.001)
         assert net.hop_count(a, b.ip) == 2
 
+    @staticmethod
+    def _chain(n_routers):
+        net = Network()
+        a = net.add_host("a", "10.0.0.1")
+        b = net.add_host("b", "10.0.0.2")
+        prev = "a"
+        for i in range(n_routers):
+            net.add_router(f"r{i}", f"10.1.{i}.1")
+            net.link(prev, f"r{i}")
+            prev = f"r{i}"
+        net.link(prev, "b")
+        return net, a, b
+
+    def test_path_longer_than_64_hops_raises(self):
+        net, a, b = self._chain(70)
+        for _ in range(2):  # nothing cached by the failed walk
+            with pytest.raises(RoutingError, match="exceeds 64 hops"):
+                net.path_to(a, b.ip)
+
+    def test_path_of_63_hops_is_the_longest_walked(self):
+        net, a, b = self._chain(62)
+        assert net.hop_count(a, b.ip) == 63
+        net, a, b = self._chain(63)
+        with pytest.raises(RoutingError, match="exceeds 64 hops"):
+            net.hop_count(a, b.ip)
+
 
 class TestEventBudget:
     def test_runaway_loop_detected(self):

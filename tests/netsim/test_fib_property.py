@@ -1,8 +1,9 @@
 """Property: the FIB fast path is the seed routing, byte for byte.
 
-For random topologies and address pairs, cached ``next_hop`` /
-``path_to`` must return exactly what the uncached seed implementation
-(``routing_cache_enabled = False``) returns — including after
+For random topologies and address pairs, every distance map the engine
+builds must equal networkx's exactly, and cached ``next_hop`` /
+``path_to`` must return exactly what the seed router in
+``reference_router.py`` returns — including ``RoutingError``s, after
 ``add_node`` / ``link`` invalidation and with a fault plan installed
 (faults drop packets on links; they never change routing).
 """
@@ -10,8 +11,11 @@ For random topologies and address pairs, cached ``next_hop`` /
 from hypothesis import given, settings, strategies as st
 
 from repro.netsim import Network
+from repro.netsim.engine import dijkstra_distances
 from repro.netsim.errors import RoutingError
 from repro.netsim.faults import FaultPlan
+
+from .reference_router import ReferenceRouter
 
 #: A few distinct delays so equal-cost sets are common but not total.
 DELAYS = (0.001, 0.005, 0.02)
@@ -39,51 +43,45 @@ def build(spec) -> Network:
         else:
             net.add_router(f"n{i}", f"10.0.{i}.1")
     # A spanning chain keeps everything connected; extra links create
-    # the equal-cost diversity ECMP actually exercises.
+    # the equal-cost diversity ECMP actually exercises, and a repeated
+    # pair re-links an existing edge with a new delay.
     for i in range(n - 1):
         net.link(f"n{i}", f"n{i + 1}", delay=chain_delays[i])
     for a, b, delay in extra:
-        if a != b and not net.graph.has_edge(f"n{a}", f"n{b}"):
+        if a != b:
             net.link(f"n{a}", f"n{b}", delay=delay)
     return net
 
 
-def _reference_path(net, node, dst_ip):
-    """path_to via the uncached seed implementation."""
-    net.routing_cache_enabled = False
+def _path(router, node, dst_ip):
     try:
-        return net.path_to(node, dst_ip)
+        return router.path_to(node, dst_ip)
     except RoutingError as exc:
         return ("error", str(exc))
-    finally:
-        net.routing_cache_enabled = True
 
 
-def _cached_path(net, node, dst_ip):
-    try:
-        return net.path_to(node, dst_ip)
-    except RoutingError as exc:
-        return ("error", str(exc))
+def assert_distances_equal(net: Network, oracle: ReferenceRouter) -> None:
+    for name in net.nodes:
+        assert dijkstra_distances(net.adjacency, name) == \
+            oracle.distances_to(name), f"distances to {name}"
 
 
 def assert_routing_equivalent(net: Network) -> None:
+    oracle = ReferenceRouter(net)
+    assert_distances_equal(net, oracle)
     addresses = list(net.ip_owner)
     src_ips = [None] + addresses[:2]
-    for name in net.nodes:
-        node = net.nodes[name]
+    for name, node in net.nodes.items():
         for dst_ip in addresses:
             for src_ip in src_ips:
                 fast = net.next_hop(node, dst_ip, src_ip)
-                net.routing_cache_enabled = False
-                slow = net.next_hop(node, dst_ip, src_ip)
-                net.routing_cache_enabled = True
+                slow = oracle.next_hop(node, dst_ip, src_ip)
                 assert fast is slow, (
                     f"next_hop({name}, {dst_ip}, {src_ip}): "
                     f"fib={fast} seed={slow}")
             # Twice: the second call exercises the cache-hit path.
-            assert _cached_path(net, node, dst_ip) == \
-                _cached_path(net, node, dst_ip) == \
-                _reference_path(net, node, dst_ip)
+            assert _path(net, node, dst_ip) == _path(net, node, dst_ip) \
+                == _path(oracle, node, dst_ip)
 
 
 class TestFIBEquivalence:
@@ -109,3 +107,9 @@ class TestFIBEquivalence:
         net = build(spec)
         net.install_faults(FaultPlan.uniform_loss(0.3, seed=fault_seed))
         assert_routing_equivalent(net)
+
+
+def test_world_distance_maps_match_networkx(small_world):
+    """Every destination of a built world, not just small topologies."""
+    net = small_world.network
+    assert_distances_equal(net, ReferenceRouter(net))

@@ -11,6 +11,8 @@ import pytest
 from repro.netsim import Network, SimulationError, make_udp_packet
 from repro.netsim import engine as engine_module
 
+from .reference_router import ReferenceRouter
+
 
 def chain(n_routers=3):
     net = Network()
@@ -110,6 +112,21 @@ class TestDropStats:
         assert net.drop_stats(collapse=False) == {
             "inline-drop:r1": 1, "inline-drop:r2": 1, "loss:a->b": 1}
 
+    @pytest.mark.parametrize("plans", [True, False])
+    def test_no_route_names_the_router_only_in_transit(self, plans):
+        net, client, _ = chain()
+        net.delivery_plans_enabled = plans
+        net.add_host("island", "10.8.0.1")  # owned but unreachable
+        client.send_packet(make_udp_packet(client.ip, "10.8.0.1", 1, 2, b"x"))
+        net.inject_at(net.node("r1"),
+                      make_udp_packet(client.ip, "10.8.0.1", 1, 2, b"x"))
+        # Placed straight onto r2: a transit drop names the router.
+        net.call_later(0.0, net._arrive, net.node("r2"),
+                       make_udp_packet(client.ip, "10.8.0.1", 1, 2, b"x"))
+        net.run_until_idle()
+        assert net.drop_stats(collapse=False) == {"no-route": 2,
+                                                  "no-route:r2": 1}
+
     def test_list_is_capped_but_counter_is_not(self, monkeypatch):
         monkeypatch.setattr(engine_module, "DROPS_KEPT_MAX", 3)
         net, client, _ = chain()
@@ -163,11 +180,10 @@ class TestFIBInvalidation:
 
     def test_cached_matches_uncached_on_warm_caches(self):
         net, client, server = chain()
+        net.path_to(client, server.ip)
         warm = net.path_to(client, server.ip)
-        net.routing_cache_enabled = False
-        cold = net.path_to(client, server.ip)
-        net.routing_cache_enabled = True
-        assert warm == cold
+        assert net.path_cache_hits == 1
+        assert warm == ReferenceRouter(net).path_to(client, server.ip)
 
     def test_middlebox_attach_bumps_generation(self):
         net, client, server = chain()
