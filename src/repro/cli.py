@@ -179,9 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="N",
                        help="worker slots a submission gets when it "
                             "does not specify (default: 1)")
-    serve.add_argument("--cold-worlds", action="store_true",
-                       help="disable the resident hot-world pool "
-                            "(workers rebuild the world per unit)")
 
     fuzz = sub.add_parser(
         "fuzz",
@@ -440,7 +437,6 @@ def _cmd_serve(args) -> int:
         spool=args.spool,
         slots=args.workers,
         default_workers=args.default_workers,
-        warm_worlds=not args.cold_worlds,
     ))
     try:
         return asyncio.run(service.run())

@@ -1,9 +1,10 @@
 """repro.runner — crash-safe campaign orchestration.
 
 The layer above individual experiments: decompose every experiment
-into named measurement units, journal each unit durably, resume from
-the journal after a crash, and guard runaway units with cooperative
-deadlines.  See ``docs/CAMPAIGNS.md`` for the full model.
+into named measurement units, run each unit in a supervised worker
+process, journal it durably, resume from the journal after a crash,
+and guard runaway units with deadlines.  See ``docs/CAMPAIGNS.md`` for
+the full model.
 
 Public surface::
 

@@ -6,7 +6,7 @@ result to an append-only hash-chained journal (``journal.jsonl`` in
 the run directory), and renders the final tables **from the journal**
 — never from in-memory state.  Consequences:
 
-* killing the process at any point loses at most the unit in flight;
+* killing the process at any point loses at most the units in flight;
 * ``resume=True`` re-runs only missing, failed, or timed-out units;
 * straight and killed-and-resumed runs with the same seed produce
   byte-identical ``tables.txt`` (every payload takes the same
@@ -14,31 +14,33 @@ the run directory), and renders the final tables **from the journal**
   built from the campaign seed, never on state left over from
   earlier units).
 
-With ``workers > 1`` independent units execute concurrently in a
-process pool (each worker builds its own world from the campaign
-seed); results stream back and are committed to the journal in
-**canonical unit order**, so the journal — and the tables rendered
-from it — are byte-identical to a serial run.  Journal records carry
-only deterministic fields; per-unit wall-clock timings live in the run
+Units always execute in a **supervised worker pool**
+(:class:`~repro.runner.supervise.Supervisor`) of ``workers``
+processes; ``workers=1`` is a one-worker pool, not a separate code
+path.  Each worker builds its own world from the campaign seed;
+results stream back and are committed to the journal in **canonical
+unit order**, so the journal — and the tables rendered from it — are
+byte-identical for every worker count.  Journal records carry only
+deterministic fields; per-unit wall-clock timings live in the run
 directory's ``timings.jsonl`` sidecar.  See ``docs/PERFORMANCE.md``
-for the determinism argument.
+for the determinism argument.  To step through a unit in a debugger,
+run its experiment in-process with ``repro experiment <name>``.
 
-A cooperative :class:`~repro.runner.watchdog.Watchdog` bounds runaway
-units: per-unit simulated-event budgets (deterministic) and per-unit /
-per-campaign wall-clock guards (for real hangs) convert a stuck unit
-into a recorded :class:`~repro.runner.errors.TimeoutDegradation` entry
-and move on.
+Runaway units are bounded twice: each worker's cooperative
+:class:`~repro.runner.watchdog.Watchdog` turns a blown simulated-event
+or wall budget into a recorded
+:class:`~repro.runner.errors.TimeoutDegradation`, and the supervisor
+kills a worker that outlives the wall budget anyway (a pure-Python
+spin).  The campaign-wide ``deadline`` is checked here, between
+commits.
 
-Parallel runs are **supervised**
-(:class:`~repro.runner.supervise.Supervisor`): a worker lost to the OS
-is respawned and its unit retried with bounded backoff; a unit that
-repeatedly crashes its worker is journaled ``quarantined`` and the
-campaign proceeds; ``unit_wall`` is enforced non-cooperatively by
-killing the worker on deadline.  Crash/retry forensics ride the
-``supervision.jsonl`` sidecar and the metrics "wall" section — never
-the journal, which stays byte-identical to a serial run even when
-workers are killed mid-campaign.  See "Failure modes and recovery" in
-``docs/CAMPAIGNS.md``.
+A worker lost to the OS is respawned and its unit retried with
+bounded backoff; a unit that repeatedly crashes its worker is
+journaled ``quarantined`` and the campaign proceeds.  Crash/retry
+forensics ride the ``supervision.jsonl`` sidecar and the metrics
+"wall" section — never the journal, which stays byte-identical to an
+undisturbed run even when workers are killed mid-campaign.  See
+"Failure modes and recovery" in ``docs/CAMPAIGNS.md``.
 """
 
 from __future__ import annotations
@@ -59,13 +61,7 @@ from .errors import (
     TimeoutDegradation,
 )
 from .journal import Journal
-from .parallel import (
-    FatalUnitError,
-    PoisonUnitError,
-    UnitSettings,
-    build_unit_world,
-    execute_unit,
-)
+from .parallel import UnitSettings
 from .units import Unit
 from .watchdog import Watchdog
 
@@ -180,8 +176,6 @@ class Campaign:
                  hard_grace: float = 2.0,
                  memory_limit_mb: Optional[int] = None,
                  stop_event=None,
-                 supervised: bool = False,
-                 warm_worlds: bool = False,
                  on_event: Optional[Callable[[Dict], None]] = None,
                  adopt_settings: Optional[Sequence[str]] = None,
                  clock: Callable[[], float] = time.monotonic) -> None:
@@ -189,14 +183,12 @@ class Campaign:
 
         if workers < 1:
             raise CampaignError(f"workers must be >= 1, got {workers}")
-        if workers > 1 and specs is not None:
-            raise CampaignError(
-                "workers > 1 requires registry experiments (worker "
-                "processes re-resolve units by name; ad-hoc spec "
-                "modules cannot cross the process boundary)")
         self.workers = workers
         self.registry = (dict(specs) if specs is not None
                          else _registry(experiments))
+        #: Ad-hoc spec modules go to the workers at spawn; registry
+        #: experiments are re-resolved there by name.
+        self._specs = self.registry if specs is not None else None
         #: On resume with no explicit experiment list, adopt the
         #: journal's recorded list rather than demanding a retype.
         self._adopt_experiments = specs is None and experiments is None
@@ -228,12 +220,6 @@ class Campaign:
         #: later ``--resume`` produces bytes identical to an
         #: uninterrupted run.
         self.stop_event = stop_event
-        #: Route even ``workers=1`` through the supervised pool: unit
-        #: execution leaves this process entirely.  The service needs
-        #: this — concurrent in-process campaigns would stomp the
-        #: process-global qid/port streams mid-unit.
-        self.supervised = supervised
-        self.warm_worlds = warm_worlds
         #: Live observability: called with small lifecycle dicts
         #: (``campaign-start`` / ``unit-committed`` / ``campaign-end``
         #: plus every supervision event).  Best-effort — a failing sink
@@ -248,11 +234,10 @@ class Campaign:
         #: through :meth:`_check_meta`, so a genuine conflict (e.g.
         #: ``--seed 9`` against a seed-7 journal) still errors.
         self._adopt_settings = frozenset(adopt_settings or ())
-        self._unit_wall_param = unit_wall
-        self._deadline_param = deadline
-        self._clock = clock
-        self.watchdog = Watchdog(unit_steps=unit_steps, unit_wall=unit_wall,
-                                 campaign_wall=deadline, clock=clock)
+        self.unit_wall = unit_wall
+        #: Campaign scope only: each worker arms its own unit-scope
+        #: watchdog from :meth:`_settings`.
+        self.watchdog = Watchdog(campaign_wall=deadline, clock=clock)
 
     # ------------------------------------------------------------------
     # Journal plumbing
@@ -312,20 +297,10 @@ class Campaign:
 
     def _adopt_recorded(self, recorded: Dict) -> None:
         """Take un-flagged settings from the journal meta record."""
-        adopted_steps = False
         for key in self._adopt_settings:
             attr = self._ADOPTABLE.get(key)
-            if attr is None or key not in recorded:
-                continue
-            if getattr(self, attr) != recorded[key]:
+            if attr is not None and key in recorded:
                 setattr(self, attr, recorded[key])
-                adopted_steps = adopted_steps or key == "unit_steps"
-        if adopted_steps:
-            # The watchdog captured unit_steps at construction.
-            self.watchdog = Watchdog(
-                unit_steps=self.unit_steps,
-                unit_wall=self._unit_wall_param,
-                campaign_wall=self._deadline_param, clock=self._clock)
 
     def _check_meta(self, recorded: Dict) -> None:
         expected = self._meta()
@@ -360,15 +335,10 @@ class Campaign:
             seed=self.seed, scale=self.scale, fraction=self.fraction,
             loss=self.loss, fault_seed=self.fault_seed,
             retries=self.retries, unit_steps=self.unit_steps,
-            unit_wall=self.watchdog.unit_wall,
+            unit_wall=self.unit_wall,
             trace=self.trace,
             memory_limit_mb=self.memory_limit_mb,
-            warm_worlds=self.warm_worlds,
         )
-
-    def _fresh_world(self):
-        """A pristine world per unit: resume-order independence."""
-        return build_unit_world(self._settings())
 
     def _sidecar_error(self, where: str, exc: BaseException) -> None:
         """A diagnostics channel failed: count it and say so on stderr.
@@ -403,18 +373,17 @@ class Campaign:
         except Exception as exc:
             self._sidecar_error("live", exc)
 
-    def _journal_failed_fatal(self, record: Dict) -> None:
-        """Best-effort durable note of a fatal crash (then re-raise)."""
+    def _journal_failed_fatal(self, journal: Journal,
+                              record: Dict) -> None:
+        """Best-effort durable note of a fatal crash (then abort)."""
         try:
-            self._append(self._journal, record)
+            self._append(journal, record)
         except Exception as exc:
             self._sidecar_error("fatal-journal", exc)
 
     def _commit(self, journal: Journal, experiment: str, unit: Unit,
-                record: Dict, wall: float,
-                extras: Optional[Dict] = None,
-                attempts: int = 1,
-                worker: Optional[int] = None) -> None:
+                record: Dict, wall: float, extras: Dict,
+                attempts: int, worker: Optional[int]) -> None:
         """Durably journal one unit record; observability in sidecars.
 
         The journal record is untouched by observability — metrics
@@ -448,8 +417,6 @@ class Campaign:
             experiment=experiment).observe(wall)
         self._wall_total += wall
         self._steps_total += record.get("steps") or 0
-        if extras is None:
-            return
         snapshot = extras.get("metrics")
         if snapshot is not None:
             self._metrics_det.merge(snapshot)
@@ -472,7 +439,6 @@ class Campaign:
 
         os.makedirs(self.run_dir, exist_ok=True)
         journal, prior, discarded = self._open_journal()
-        self._journal = journal
         self._metrics_det = MetricsRegistry()
         self._metrics_wall = MetricsRegistry()
         self._wall_total = 0.0
@@ -510,10 +476,7 @@ class Campaign:
         self._emit_live("campaign-start", run_dir=self.run_dir,
                         pending=len(pending), resumed=resumed)
         try:
-            if self.workers > 1 or self.supervised:
-                deadline_hit = self._run_parallel(journal, pending)
-            else:
-                deadline_hit = self._run_serial(journal, pending)
+            deadline_hit = self._run_units(journal, pending)
             report = self._finish(units_by_exp, resumed, discarded,
                                   deadline_hit)
             if self._drained:
@@ -561,15 +524,13 @@ class Campaign:
         except OSError as exc:
             self._sidecar_error("supervision", exc)
 
-    def _check_deadline(self, deadline_hit: Optional[str]
-                        ) -> Optional[str]:
-        """Between units/commits: has the campaign budget expired?"""
-        if deadline_hit is None:
-            try:
-                self.watchdog.check_campaign()
-            except CampaignDeadline as exc:
-                return str(exc)
-        return deadline_hit
+    def _deadline_hit(self) -> Optional[str]:
+        """Between commits: why the campaign budget is spent, if it is."""
+        try:
+            self.watchdog.check_campaign()
+        except CampaignDeadline as exc:
+            return str(exc)
+        return None
 
     def _crash_if_injected(self, executed: int) -> None:
         if self.crash_after is not None and executed >= self.crash_after:
@@ -577,79 +538,19 @@ class Campaign:
                 f"injected crash after {executed} journaled unit(s) — "
                 f"resume with repro campaign --resume {self.run_dir}")
 
-    def _run_serial(self, journal: Journal,
-                    pending: List[Tuple[str, Unit]]) -> Optional[str]:
-        """Seed behaviour: one unit at a time, in canonical order.
-
-        Poison failures (``MemoryError``) get the same retry-then-
-        quarantine treatment the supervisor applies to worker deaths,
-        so a serial run journals the same deterministic quarantine
-        record a parallel run does.
-        """
-        from .supervise import quarantine_record
-
-        settings = self._settings()
-        executed = 0
-        deadline_hit: Optional[str] = None
-        for key, unit in pending:
-            if self._stop_requested():
-                self._drained = True
-                break
-            deadline_hit = self._check_deadline(deadline_hit)
-            if deadline_hit is not None:
-                continue
-            unit_key = f"{key}/{unit.name}"
-            crashes = 0
-            start = time.monotonic()
-            while True:
-                try:
-                    record, wall, extras = execute_unit(
-                        settings, key, unit, self.watchdog)
-                    attempts = crashes + 1
-                except FatalUnitError as exc:
-                    self._journal_failed_fatal(exc.record)
-                    raise exc.original
-                except PoisonUnitError as exc:
-                    crashes += 1
-                    self._supervision_bus.emit(
-                        "worker-crash", self.watchdog.campaign_elapsed(),
-                        unit=unit_key, attempt=crashes,
-                        reason=exc.record["error"]["reason"])
-                    if crashes >= self.max_worker_crashes:
-                        record = quarantine_record(key, unit.name,
-                                                   crashes)
-                        wall = time.monotonic() - start
-                        extras = None
-                        attempts = crashes
-                        self._supervision_bus.emit(
-                            "unit-quarantined",
-                            self.watchdog.campaign_elapsed(),
-                            unit=unit_key, crashes=crashes)
-                        break
-                    self._supervision_bus.emit(
-                        "unit-retry", self.watchdog.campaign_elapsed(),
-                        unit=unit_key, attempt=crashes + 1, delay=0.0)
-                    continue
-                break
-            self._commit(journal, key, unit, record, wall, extras,
-                         attempts=attempts)
-            executed += 1
-            self._crash_if_injected(executed)
-        return deadline_hit
-
-    def _run_parallel(self, journal: Journal,
-                      pending: List[Tuple[str, Unit]]) -> Optional[str]:
-        """Fan units out to a supervised worker pool; commit in
+    def _run_units(self, journal: Journal,
+                   pending: List[Tuple[str, Unit]]) -> Optional[str]:
+        """Fan units out to the supervised worker pool; commit in
         canonical order.
 
         Dispatch is free-running (workers pick up units as slots open)
         but :meth:`Supervisor.run` yields outcomes in submission
-        order, so the journal is written exactly as a serial run
-        writes it — including after worker crashes, retries,
+        order, so the journal is written in the same order at every
+        worker count — including after worker crashes, retries,
         quarantines and hard deadline kills, none of which touch the
         record bytes.  A hit deadline stops committing — undelivered
-        results are discarded, leaving those units missing and
-        resumable, just as the serial loop leaves them un-run.
+        results, the units in flight among them, are discarded,
+        leaving those units missing and resumable.
 
         A stop request (``stop_event``) drains instead: the supervisor
         stops dispatching, in-flight units finish, and those still in
@@ -661,8 +562,8 @@ class Campaign:
         executed = 0
         deadline_hit: Optional[str] = None
         supervisor = Supervisor(
-            self._settings(), self.workers,
-            unit_wall=self.watchdog.unit_wall,
+            self._settings(), self.workers, specs=self._specs,
+            unit_wall=self.unit_wall,
             max_crashes=self.max_worker_crashes,
             hard_grace=self.hard_grace,
             events=self._supervision_bus,
@@ -672,11 +573,13 @@ class Campaign:
             [(key, unit.name) for key, unit in pending])
         try:
             for outcome in outcomes:
-                deadline_hit = self._check_deadline(deadline_hit)
+                deadline_hit = self._deadline_hit()
                 if deadline_hit is not None:
                     break
                 if outcome.kind == "fatal":
-                    self._journal_failed_fatal(outcome.record)
+                    self._journal_failed_fatal(journal, outcome.record)
+                    print(outcome.extras.get("traceback", ""),
+                          end="", file=sys.stderr)
                     raise CampaignError(
                         f"fatal error in unit {outcome.experiment}:"
                         f"{outcome.unit_name}: "

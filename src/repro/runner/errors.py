@@ -107,7 +107,7 @@ class SimulatedCrash(RuntimeError):
 class TimeoutDegradation:
     """A hang converted into data: one unit's blown deadline budget.
 
-    ``kind`` is ``"sim-steps"``, ``"unit-wall"`` or ``"campaign-wall"``;
+    ``kind`` is ``"sim-steps"`` or ``"unit-wall"``;
     ``detail`` is deterministic (it names the budget, never the elapsed
     time) so resumed and uninterrupted runs render identical tables.
     """

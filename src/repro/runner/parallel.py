@@ -5,26 +5,26 @@ runs on a **fresh world built from the campaign seed** (never on state
 left over from earlier units), so executing them in worker processes
 cannot change what any unit measures.  What *could* differ is the
 order results reach the journal — so the campaign keeps submission
-free-running but **commits results in canonical unit order** (the
-order the serial runner uses).  The journal, and therefore the tables
-rendered from it, come out byte-identical to a ``--workers 1`` run;
-CI byte-compares the two on every push.
+free-running but **commits results in canonical unit order**.  The
+journal, and therefore the tables rendered from it, come out
+byte-identical for every worker count; CI byte-compares ``--workers
+1`` and ``--workers 4`` on every push.
 
-The pieces here are shared by both execution modes:
+Every campaign unit runs in a supervised worker process
+(:mod:`repro.runner.supervise`); ``--workers 1`` is a one-worker pool.
+The pieces here are the worker's side of that:
 
 * :class:`UnitSettings` — the picklable subset of campaign
   configuration a unit's execution depends on;
 * :func:`execute_unit` — build world, arm watchdog, run one unit,
-  classify the outcome into a journal record (the single
-  implementation both the serial loop and the workers call);
+  classify the outcome into a journal record and an outcome kind;
 * :func:`worker_initializer` / :func:`run_unit_task` — the worker
-  entry points used by the supervised pool
-  (:mod:`repro.runner.supervise`).  Workers receive only
-  ``(experiment, unit name, attempt)`` triples and re-resolve the unit
-  from the experiment registry, so no closures ever cross the process
-  boundary.  Deterministic chaos hooks (:data:`KILL_ENV` /
-  :data:`HANG_ENV`) let tests and CI kill or wedge workers at exact
-  ``unit:attempt`` points.
+  entry points.  Workers receive only ``(experiment, unit name,
+  attempt)`` triples and re-resolve the unit from the experiment
+  registry (or from the ad-hoc spec modules handed over at spawn), so
+  no closures cross the process boundary per task.  Deterministic
+  chaos hooks (:data:`KILL_ENV` / :data:`HANG_ENV`) let tests and CI
+  kill or wedge workers at exact ``unit:attempt`` points.
 
 Wall-clock timings are *returned* alongside records but never
 journaled — they are the one nondeterministic observable, and live in
@@ -37,7 +37,8 @@ import dataclasses
 import os
 import signal
 import time
-from typing import Dict, Optional, Tuple
+import traceback
+from typing import Dict, Mapping, Optional, Tuple
 
 from .errors import (FATAL, POISON, CampaignError, UnitTimeout,
                      classify_error)
@@ -81,42 +82,6 @@ class UnitSettings:
     #: ``resource.setrlimit`` in :func:`worker_initializer` so one
     #: pathological world build cannot OOM the host.  ``None`` = off.
     memory_limit_mb: Optional[int] = None
-    #: Keep hot worlds resident in each worker
-    #: (:mod:`repro.runner.worldpool`): the worker prebuilds the next
-    #: unit's world while idle, so units skip the inline rebuild.
-    #: Byte-identity with cold builds is pinned by tests; the service
-    #: turns this on, batch ``repro campaign`` keeps the seed path.
-    warm_worlds: bool = False
-
-
-class FatalUnitError(Exception):
-    """A unit died of a programming error.
-
-    Carries the failed unit's journal record so the campaign can note
-    the crash durably before propagating; ``original`` is the fatal
-    exception itself (re-raised verbatim by the serial path).
-    """
-
-    def __init__(self, record: Dict, original: BaseException) -> None:
-        super().__init__(str(original))
-        self.record = record
-        self.original = original
-
-
-class PoisonUnitError(Exception):
-    """A unit hit a :data:`~repro.runner.errors.POISON` failure.
-
-    The process that ran it may be damaged (a ``MemoryError`` leaves
-    arbitrary allocations half-done), so the unit is retried in a
-    fresh worker and quarantined when the failure repeats, instead of
-    aborting the campaign.  Carries the half-built record like
-    :class:`FatalUnitError`.
-    """
-
-    def __init__(self, record: Dict, original: BaseException) -> None:
-        super().__init__(str(original))
-        self.record = record
-        self.original = original
 
 
 def build_unit_world(settings: UnitSettings):
@@ -140,13 +105,14 @@ def build_unit_world(settings: UnitSettings):
 
 
 def execute_unit(settings: UnitSettings, experiment: str, unit: Unit,
-                 watchdog: Watchdog,
-                 world_source=None) -> Tuple[Dict, float, Dict]:
-    """Run one unit; returns ``(journal record, wall seconds, extras)``.
+                 watchdog: Watchdog
+                 ) -> Tuple[Dict, float, Dict, Optional[str]]:
+    """Run one unit; returns ``(journal record, wall seconds, extras,
+    kind)``.
 
     The record carries only deterministic fields (status, payload,
     simulated-step count); the wall measurement rides separately so
-    journals stay byte-identical across runs and execution modes.
+    journals stay byte-identical across runs and worker counts.
     ``extras`` is the observability side channel — never journaled:
 
     * ``extras["metrics"]`` — a deterministic
@@ -156,14 +122,12 @@ def execute_unit(settings: UnitSettings, experiment: str, unit: Unit,
     * ``extras["trace"]`` — when ``settings.trace`` is set, the unit's
       buffered trace events as canonical JSON lines (else ``None``).
 
-    ``world_source`` overrides how the unit's pristine world is
-    obtained (default: :func:`build_unit_world`); the supervised
-    workers pass a :class:`~repro.runner.worldpool.WorldPool` checkout
-    when ``settings.warm_worlds`` is set.  Any source must yield a
-    world byte-equivalent to a fresh build.
-
-    Fatal (programming) errors raise :class:`FatalUnitError` wrapping
-    the half-built record.
+    ``kind`` is ``None`` for a committable record, ``"fatal"`` for a
+    programming error (the campaign journals the record and aborts)
+    or ``"poison"`` for a resource failure the supervisor routes
+    through retry and quarantine.  Neither carries metrics or trace;
+    a fatal outcome's ``extras["traceback"]`` holds the formatted
+    traceback for stderr, while the journal keeps the one-line reason.
     """
     from ..experiments.common import domain_sample
     from ..obs.metrics import (MetricsRegistry, STEP_BUCKETS,
@@ -173,9 +137,10 @@ def execute_unit(settings: UnitSettings, experiment: str, unit: Unit,
                     "unit": unit.name, "payload": None,
                     "error": None, "timeout": None}
     obs_snapshot: Optional[Dict] = None
+    kind: Optional[str] = None
+    extras: Dict = {"metrics": None, "trace": None}
     start = time.monotonic()
-    world = (world_source(settings) if world_source is not None
-             else build_unit_world(settings))
+    world = build_unit_world(settings)
     sink = None
     if settings.trace:
         from ..obs.trace import BufferSink, TraceBus
@@ -201,12 +166,10 @@ def execute_unit(settings: UnitSettings, experiment: str, unit: Unit,
             "category": category,
             "reason": f"{type(exc).__name__}: {exc}",
         }
+        if category in (FATAL, POISON):
+            kind = category
         if category == FATAL:
-            record["steps"] = watchdog.end_unit()
-            raise FatalUnitError(record, exc) from exc
-        if category == POISON:
-            record["steps"] = watchdog.end_unit()
-            raise PoisonUnitError(record, exc) from exc
+            extras["traceback"] = traceback.format_exc()
     else:
         if isinstance(payload, dict):
             # Experiments may return a deterministic metrics snapshot
@@ -223,6 +186,8 @@ def execute_unit(settings: UnitSettings, experiment: str, unit: Unit,
     finally:
         steps = watchdog.end_unit()
     record["steps"] = steps
+    if kind is not None:
+        return record, time.monotonic() - start, extras, kind
     registry = MetricsRegistry()
     collect_world_metrics(registry, world, experiment=experiment)
     if obs_snapshot:
@@ -230,37 +195,31 @@ def execute_unit(settings: UnitSettings, experiment: str, unit: Unit,
     if steps is not None:
         registry.histogram("campaign_unit_steps", STEP_BUCKETS,
                            experiment=experiment).observe(steps)
-    extras = {
-        "metrics": registry.snapshot(),
-        "trace": sink.lines() if sink is not None else None,
-    }
-    return record, time.monotonic() - start, extras
+    extras["metrics"] = registry.snapshot()
+    if sink is not None:
+        extras["trace"] = sink.lines()
+    return record, time.monotonic() - start, extras, None
 
 
 # ---------------------------------------------------------------------------
 # Worker-process side
 # ---------------------------------------------------------------------------
 
-#: Per-worker state installed by :func:`worker_initializer`:
-#: the settings plus a lazily built ``{experiment: {name: Unit}}`` memo
-#: (units are re-resolved from the registry once per worker, then
-#: reused for every task the worker executes).
+#: Per-worker state installed by :func:`worker_initializer`: the
+#: settings, the ad-hoc spec modules (``None`` = the experiment
+#: registry) and a lazily built ``{experiment: {name: Unit}}`` memo
+#: (units are re-resolved once per worker, then reused for every task
+#: the worker executes).
 _WORKER: Dict = {}
 
 
-def worker_initializer(settings: UnitSettings) -> None:
+def worker_initializer(settings: UnitSettings,
+                       specs: Optional[Mapping[str, object]] = None
+                       ) -> None:
     _WORKER["settings"] = settings
+    _WORKER["specs"] = specs
     _WORKER["units"] = {}
-    _WORKER["pool"] = None
     _apply_memory_limit(settings.memory_limit_mb)
-    if settings.warm_worlds:
-        from .worldpool import WorldPool
-
-        pool = WorldPool()
-        # Worker startup overlaps the parent's spool/journal setup and
-        # dispatch latency, so the first unit already starts hot.
-        pool.prebuild(settings)
-        _WORKER["pool"] = pool
 
 
 def _apply_memory_limit(limit_mb: Optional[int]) -> None:
@@ -346,11 +305,12 @@ def _maybe_chaos(experiment: str, unit_name: str, attempt: int) -> None:
 
 
 def _resolve_unit(experiment: str, unit_name: str) -> Unit:
-    from ..experiments import EXPERIMENT_MODULES
-
     by_name = _WORKER["units"].get(experiment)
     if by_name is None:
-        module = EXPERIMENT_MODULES.get(experiment)
+        modules = _WORKER["specs"]
+        if modules is None:
+            from ..experiments import EXPERIMENT_MODULES as modules
+        module = modules.get(experiment)
         if module is None:
             raise CampaignError(f"worker: unknown experiment "
                                 f"{experiment!r}")
@@ -368,58 +328,16 @@ def run_unit_task(experiment: str, unit_name: str, attempt: int = 1
                   ) -> Tuple[Dict, float, Dict, Optional[str]]:
     """Pool task: execute one unit in this worker process.
 
-    Returns ``(record, wall, extras, kind)`` where ``kind`` is ``None``
-    for a normal outcome, ``"fatal"`` for a programming error, or
-    ``"poison"`` for a resource failure the supervisor should route
-    through retry/quarantine.  Fatal and poison errors are folded into
-    the returned record rather than raised, so the parent can journal
-    them durably — mirroring the serial path.  The wall measurement
-    covers the failed attempt too (a crashed unit's elapsed time is
-    forensic data, not something to zero out).
+    Returns :func:`execute_unit`'s ``(record, wall, extras, kind)``.
+    Fatal and poison failures come back as values rather than
+    exceptions, so the parent can journal them durably.
     """
     settings: UnitSettings = _WORKER["settings"]
-    pool = _WORKER.get("pool")
-    start = time.monotonic()
     _maybe_chaos(experiment, unit_name, attempt)
     unit = _resolve_unit(experiment, unit_name)
     # Each worker arms its own unit-scope watchdog; the campaign-wide
-    # wall budget stays with the parent, which enforces it between
-    # journal commits exactly as the serial loop does between units.
+    # wall budget stays with the parent, which checks it between
+    # journal commits.
     watchdog = Watchdog(unit_steps=settings.unit_steps,
                         unit_wall=settings.unit_wall)
-    world_source = pool.checkout if pool is not None else None
-    try:
-        record, wall, extras = execute_unit(settings, experiment, unit,
-                                            watchdog,
-                                            world_source=world_source)
-    except FatalUnitError as exc:
-        return (exc.record, time.monotonic() - start,
-                {"metrics": None, "trace": None}, "fatal")
-    except PoisonUnitError as exc:
-        return (exc.record, time.monotonic() - start,
-                {"metrics": None, "trace": None}, "poison")
-    return record, wall, extras, None
-
-
-def idle_prebuild() -> None:
-    """Restock the worker's world pool between tasks.
-
-    Called by the worker loop *after* a result has shipped, so the
-    build overlaps the parent's journal commit and dispatch round-trip
-    instead of sitting on any unit's critical path.  Legal exactly
-    because no unit is executing in this process at that moment (the
-    build stomps the process-global qid/port streams — see
-    :mod:`repro.runner.worldpool`).  A failed prebuild falls back to
-    inline builds rather than killing the worker; ``MemoryError``
-    propagates so the supervisor can attribute it.
-    """
-    pool = _WORKER.get("pool")
-    if pool is None:
-        return
-    try:
-        pool.prebuild(_WORKER["settings"])
-    except MemoryError:
-        raise
-    except Exception:
-        pool.clear()
-        _WORKER["pool"] = None
+    return execute_unit(settings, experiment, unit, watchdog)

@@ -1,21 +1,18 @@
-"""Self-healing supervision for process-parallel campaigns.
+"""Self-healing supervision for campaign workers.
 
-The PR-4 process pool made campaigns parallel but left them brittle:
-one worker lost to the OS (OOM killer, ``kill -9``, a segfault in a
-C extension) surfaced as ``BrokenProcessPool`` and aborted the whole
-run, and a unit spinning in pure Python was invisible to the
-cooperative watchdog.  The paper's methodology — multi-week campaigns
-across nine ISPs — only reproduces on infrastructure that degrades
-instead of dying, so this module replaces the bare
-``ProcessPoolExecutor`` with a supervised worker pool:
+Every campaign unit runs in a supervised worker process — ``--workers
+1`` is a one-worker pool — so a unit can never take the campaign
+process down with it, and the same crash, retry and quarantine rules
+apply at every worker count.  The campaign methodology (multi-week
+sweeps across nine ISPs) only reproduces on infrastructure that
+degrades instead of dying, so the pool is built for that:
 
 * **Worker supervision.**  Each worker is a dedicated process with its
   own command pipe; the :class:`Supervisor` knows exactly which unit
   (and which attempt) every worker is running.  A worker that dies is
-  detected (``is_alive``/exitcode — the custom pool means worker death
-  never manifests as ``BrokenProcessPool``, and the loss is contained
-  to that one worker), its slot is respawned, and its unit is
-  re-dispatched with bounded exponential backoff.
+  detected (``is_alive``/exitcode — the loss is contained to that one
+  worker), its slot is respawned, and its unit is re-dispatched with
+  bounded exponential backoff.
 
 * **Poison-unit quarantine.**  A unit that crashes its worker
   :attr:`~Supervisor.max_crashes` times (default 2) — or repeatedly
@@ -35,7 +32,7 @@ instead of dying, so this module replaces the bare
 * **Determinism.**  Records are produced by deterministic unit
   executions and committed by the campaign in canonical order, so a
   kill-riddled ``--workers 4`` run commits a journal and tables
-  byte-identical to an undisturbed serial run.  Everything
+  byte-identical to an undisturbed ``--workers 1`` run.  Everything
   nondeterministic — attempts, worker ids, walls, crash reasons —
   rides the ``timings.jsonl`` / ``supervision.jsonl`` sidecars and the
   wall-half metrics, never the journal.
@@ -52,13 +49,16 @@ import collections
 import dataclasses
 import multiprocessing
 import os
+import signal
 import threading
 import time
+import traceback
 from multiprocessing import connection as mp_connection
-from typing import Deque, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (Deque, Dict, Iterator, List, Mapping, Optional,
+                    Sequence, Tuple)
 
 from .errors import POISON, QUARANTINED, CampaignError
-from .parallel import idle_prebuild, run_unit_task, worker_initializer
+from .parallel import run_unit_task, worker_initializer
 
 #: How long the commit loop blocks waiting for results per iteration;
 #: also the granularity of death/deadline checks.
@@ -97,8 +97,8 @@ def quarantine_record(experiment: str, unit_name: str,
     """The durable journal record for a poison unit.
 
     Deterministic given the crash count — no signals, pids or walls —
-    so serial and supervised runs that quarantine the same unit after
-    the same number of attempts journal identical bytes.
+    so runs that quarantine the same unit after the same number of
+    attempts journal identical bytes at any worker count.
     """
     return {
         "type": "unit", "experiment": experiment, "unit": unit_name,
@@ -144,7 +144,8 @@ class TaskOutcome:
     wall: float
     extras: Dict
     #: ``None`` for committable outcomes, ``"fatal"`` when the campaign
-    #: must journal the record and abort.
+    #: must journal the record and abort (``extras["traceback"]`` then
+    #: says why, for stderr only).
     kind: Optional[str]
     #: Which attempt produced the record (1 = first try).
     attempts: int
@@ -194,7 +195,7 @@ def _exit_with_parent(parent_pid: int) -> None:
     os._exit(EXIT_ORPHANED)
 
 
-def _worker_main(settings, conn) -> None:
+def _worker_main(settings, conn, specs=None) -> None:
     """Worker process body: initialize once, then serve tasks forever.
 
     Tasks arrive and results return on the worker's **own duplex
@@ -208,10 +209,15 @@ def _worker_main(settings, conn) -> None:
     fatal result — except ``MemoryError`` outside a unit, where the
     interpreter's heap can no longer be trusted, so the worker dies
     with :data:`EXIT_MEMORY` and lets the supervisor attribute it.
+
+    SIGINT is ignored: Ctrl-C reaches the terminal's whole process
+    group, and the parent owns the drain — it stops dispatching and
+    commits the units its workers finish.
     """
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     threading.Thread(target=_exit_with_parent, args=(os.getppid(),),
                      daemon=True, name="repro-parent-watch").start()
-    worker_initializer(settings)
+    worker_initializer(settings, specs)
     while True:
         try:
             task = conn.recv()
@@ -233,17 +239,13 @@ def _worker_main(settings, conn) -> None:
                           "reason": f"{type(exc).__name__}: {exc}"},
                 "timeout": None, "status": "failed", "steps": None,
             }
-            wall, extras, kind = 0.0, _empty_extras(), "fatal"
+            wall, kind = 0.0, "fatal"
+            extras = _empty_extras()
+            extras["traceback"] = traceback.format_exc()
         try:
             conn.send((index, attempt, record, wall, extras, kind))
         except (BrokenPipeError, OSError):
             break
-        # Result shipped: restock the hot-world pool (no-op unless
-        # ``settings.warm_worlds``) while the parent commits/dispatches.
-        try:
-            idle_prebuild()
-        except MemoryError:
-            os._exit(EXIT_MEMORY)
     try:
         conn.close()
     except OSError:  # pragma: no cover - teardown race
@@ -262,9 +264,15 @@ class Supervisor:
     supervisor emits ``worker-crash`` / ``unit-retry`` /
     ``unit-quarantined`` / ``unit-hard-timeout`` / ``worker-spawn``
     events onto it with wall-relative timestamps.
+
+    ``specs`` maps experiment names to ad-hoc spec modules that
+    replace the experiment registry in the workers.  It is handed over
+    once per spawn: under ``fork`` anything goes, while ``spawn`` and
+    ``forkserver`` must pickle it.
     """
 
     def __init__(self, settings, workers: int, *,
+                 specs: Optional[Mapping[str, object]] = None,
                  unit_wall: Optional[float] = None,
                  max_crashes: int = DEFAULT_MAX_CRASHES,
                  backoff_base: float = DEFAULT_BACKOFF_BASE,
@@ -281,6 +289,7 @@ class Supervisor:
                 f"max_crashes must be >= 1, got {max_crashes}")
         self.settings = settings
         self.workers = workers
+        self.specs = specs
         self.unit_wall = unit_wall
         self.max_crashes = max_crashes
         self.backoff_base = backoff_base
@@ -542,7 +551,7 @@ class Supervisor:
         parent_conn, child_conn = self._ctx.Pipe()
         process = self._ctx.Process(
             target=_worker_main,
-            args=(self.settings, child_conn),
+            args=(self.settings, child_conn, self.specs),
             daemon=True, name=f"repro-campaign-worker-{worker_id}")
         process.start()
         child_conn.close()

@@ -8,19 +8,22 @@ actually simulating gets its budgets checked continuously:
   per unit.  Fully deterministic: the same seed blows the same budget
   at the same event, whether the campaign ran straight through or was
   killed and resumed, so tables stay byte-identical.
-* **wall budgets** (``unit_wall`` / ``campaign_wall``) — real-clock
-  guards converting hangs into recorded timeouts instead of stuck
-  processes.  Inherently non-deterministic; use step budgets where
-  byte-identity matters.
+* **wall budget** (``unit_wall``) — a real-clock guard converting a
+  hang into a recorded timeout instead of a stuck process.
+  Inherently non-deterministic; use step budgets where byte-identity
+  matters.
+
+Each worker arms one per unit.  The campaign keeps one more for the
+campaign-wide wall budget (``campaign_wall``), which it checks only
+between commits (:meth:`Watchdog.check_campaign`): a spent budget
+stops the campaign, it never times a unit out.
 
 "Cooperative" is load-bearing: a unit spinning in pure Python without
-touching the network cannot be interrupted mid-loop — the campaign
-still bounds it between units via :meth:`Watchdog.check_campaign`.
-With ``workers > 1`` that hole is closed: the supervised pool
-(:mod:`repro.runner.supervise`) enforces ``unit_wall``
-non-cooperatively by killing the worker process on deadline and
-journaling the unit as a ``timeout`` with the same detail text this
-watchdog writes.
+touching the network cannot be interrupted mid-loop.  The supervised
+pool (:mod:`repro.runner.supervise`) closes that hole by enforcing
+``unit_wall`` non-cooperatively: it kills the worker process on
+deadline and journals the unit as a ``timeout`` with the same detail
+text this watchdog writes.
 """
 
 from __future__ import annotations
@@ -95,16 +98,8 @@ class Watchdog:
                 f"unit exceeded {self.unit_steps} simulated events")
         if self._steps % WALL_CHECK_EVERY:
             return
-        now = self._clock()
         if (self.unit_wall is not None
-                and now - self._unit_start_wall > self.unit_wall):
+                and self._clock() - self._unit_start_wall > self.unit_wall):
             raise UnitTimeout(
                 "unit-wall",
                 f"unit exceeded {self.unit_wall:g}s wall budget")
-        if (self.campaign_wall is not None
-                and self._campaign_start is not None
-                and now - self._campaign_start > self.campaign_wall):
-            raise UnitTimeout(
-                "campaign-wall",
-                f"campaign wall budget {self.campaign_wall:g}s exhausted "
-                f"mid-unit")

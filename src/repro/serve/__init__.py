@@ -8,8 +8,8 @@ A long-lived daemon wrapping the campaign runner:
 * a weighted fair-share scheduler (:mod:`.scheduler`) dispatches
   queued campaigns onto a bounded worker-slot budget, with per-tenant
   quotas and deterministic 429-style rejections;
-* workers keep hot worlds resident (:mod:`repro.runner.worldpool`),
-  so units skip the per-unit world rebuild;
+* each campaign runs its units in its own supervised worker pool
+  (:mod:`repro.runner.supervise`), exactly as ``repro campaign`` does;
 * live TraceBus/metrics events stream per run over SSE (:mod:`.sse`),
   and ``/healthz`` / ``/readyz`` report real signals (:mod:`.health`);
 * SIGTERM drains gracefully — stop admitting, finish the units in

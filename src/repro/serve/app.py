@@ -5,10 +5,10 @@ Concurrency model — three layers, one seam each:
 * an **asyncio loop** owns the listening socket, request parsing,
   SSE streams, signal handlers, and all scheduler state mutation;
 * each *running* campaign occupies one **thread** executing the
-  ordinary :class:`~repro.runner.campaign.Campaign` commit loop with
-  ``supervised=True`` — unit execution itself happens in worker
-  *processes* (the PR-6 supervisor), never in this process, so
-  concurrent campaigns cannot stomp the process-global qid/port
+  ordinary :class:`~repro.runner.campaign.Campaign` commit loop — unit
+  execution itself happens in the campaign's supervised worker
+  *processes* (:mod:`repro.runner.supervise`), never in this process,
+  so concurrent campaigns cannot stomp the process-global qid/port
   allocator streams;
 * campaign threads talk back only through two thread-safe channels:
   the :class:`~repro.obs.live.LiveFeed` (events) and
@@ -67,8 +67,6 @@ class ServiceConfig:
     slots: int = 2
     #: Worker slots a submission gets when it does not say.
     default_workers: int = 1
-    #: Keep prebuilt hot worlds resident in workers.
-    warm_worlds: bool = True
 
 
 @dataclasses.dataclass
@@ -250,8 +248,6 @@ class Service:
                     sub.get("max_worker_crashes", 2)),
                 memory_limit_mb=sub.get("memory_limit_mb"),
                 stop_event=stop_event,
-                supervised=True,
-                warm_worlds=self.config.warm_worlds,
                 on_event=lambda event, _t=job.tenant, _r=job.run_id:
                     self._on_campaign_event(_t, _r, event),
             )

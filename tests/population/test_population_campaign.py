@@ -53,8 +53,9 @@ class TestUnits:
 class TestMetricsLift:
     def test_execute_unit_routes_obs_metrics_sidecar(self):
         unit = next(iter(population_scale.units(("idea",))))
-        record, _wall, extras = execute_unit(
+        record, _wall, extras, kind = execute_unit(
             SETTINGS, "population-scale", unit, Watchdog())
+        assert kind is None
         assert record["status"] == "ok"
         # The snapshot is lifted out of the journaled payload...
         assert "obs_metrics" not in record["payload"]

@@ -4,10 +4,13 @@
 raised, the failure it was classifying would be replaced by a crash of
 the classifier itself.  A hypothesis property holds it total over a
 grab-bag of exception types, including ones with hostile ``__str__``.
-The serial quarantine round-trip lives here too: a unit that raises
-``MemoryError`` repeatedly must end up durably ``quarantined``.
+The quarantine round-trip lives here too: a unit that raises
+``MemoryError`` repeatedly must end up durably ``quarantined``, and a
+fatal error must reach stderr with its traceback while the journal
+keeps only the one-line reason.
 """
 
+import json
 import types
 
 import pytest
@@ -107,8 +110,9 @@ def _poison_module():
 
 
 class TestSerialQuarantine:
-    """The serial path applies the same retry-then-quarantine policy
-    the supervisor applies to worker deaths."""
+    """A ``MemoryError`` comes back from a one-worker pool in band as a
+    ``poison`` outcome: the supervisor recycles the worker and applies
+    the retry-then-quarantine policy it applies to worker deaths."""
 
     def _run(self, run_dir, **kwargs):
         return Campaign(seed=1808, scale=0.05, fraction=1.0,
@@ -141,3 +145,45 @@ class TestSerialQuarantine:
 
         with pytest.raises(CampaignError, match="max_worker_crashes"):
             Campaign(run_dir=str(tmp_path / "run"), max_worker_crashes=0)
+
+
+def _explode_helper():
+    raise ValueError("deliberate programming error")
+
+
+def _explode(world, domains):
+    _explode_helper()
+
+
+def _fatal_units():
+    yield Unit("boom", _explode)
+
+
+class TestFatalTraceback:
+    def test_traceback_on_stderr_reason_in_journal(self, tmp_path,
+                                                   capsys):
+        from repro.runner.errors import CampaignError
+
+        specs = {"fatal-exp": types.SimpleNamespace(
+            CAMPAIGN=TableSpec(title="Fatal test", headers=("unit",)),
+            units=_fatal_units)}
+        campaign = Campaign(seed=1808, scale=0.05, fraction=1.0,
+                            run_dir=str(tmp_path / "run"), specs=specs)
+        with pytest.raises(CampaignError, match="fatal error in unit "
+                           "fatal-exp:boom: ValueError: deliberate"):
+            campaign.run()
+        err = capsys.readouterr().err
+        assert "Traceback (most recent call last)" in err
+        assert "_explode_helper" in err
+        with open(campaign.journal_path, encoding="utf-8") as fh:
+            records = [json.loads(line) for line in fh]
+        failed = {key: value for key, value in records[-1].items()
+                  if key not in ("seq", "prev", "hash")}
+        assert failed == {
+            "type": "unit", "experiment": "fatal-exp", "unit": "boom",
+            "payload": None, "timeout": None, "status": "failed",
+            "error": {"category": "fatal",
+                      "reason": "ValueError: deliberate programming "
+                                "error"},
+            "steps": 0,
+        }

@@ -6,7 +6,9 @@ committed in canonical unit order and every unit runs on a fresh world
 built from the campaign seed regardless of which process executes it.
 """
 
+import json
 import os
+import types
 
 import pytest
 
@@ -14,6 +16,7 @@ from repro.runner import CampaignError, SimulatedCrash
 from repro.runner.campaign import Campaign
 from repro.runner.parallel import UnitSettings, run_unit_task, \
     worker_initializer
+from repro.runner.units import TableSpec, Unit, campaign_payload
 
 #: Cheap-but-real experiment subset (same as the resume suite).
 EXPERIMENTS = ["tcpip", "table3"]
@@ -73,19 +76,64 @@ class TestWorkerValidation:
         with pytest.raises(CampaignError, match="workers"):
             _campaign(tmp_path / "run", workers=0)
 
-    def test_specs_cannot_be_parallel(self, tmp_path):
-        import types
 
-        from repro.runner.units import TableSpec, Unit, campaign_payload
 
-        module = types.SimpleNamespace(
-            CAMPAIGN=TableSpec(title="t", headers=("a",)),
-            units=lambda: iter([Unit("u", lambda w, d:
-                                     campaign_payload([["x"]]))]),
-        )
-        with pytest.raises(CampaignError, match="registry"):
-            Campaign(run_dir=str(tmp_path / "run"),
-                     specs={"adhoc": module}, workers=2)
+def _node_count(world, domains):
+    return campaign_payload([["nodes", len(world.network.nodes)]])
+
+
+def _address_space_limit(world, domains):
+    import resource
+
+    return campaign_payload(
+        [["RLIMIT_AS", resource.getrlimit(resource.RLIMIT_AS)[0]]])
+
+
+def _adhoc_units():
+    yield Unit("nodes", _node_count)
+    yield Unit("limit", _address_space_limit)
+
+
+#: An ad-hoc spec registry built from module-level functions, so it
+#: pickles under every start method.
+ADHOC = {"adhoc": types.SimpleNamespace(
+    CAMPAIGN=TableSpec(title="Ad hoc", headers=("probe", "value")),
+    units=_adhoc_units)}
+
+
+def _unit_rows(journal_path):
+    with open(journal_path, encoding="utf-8") as fh:
+        records = [json.loads(line) for line in fh]
+    return {rec["unit"]: rec["payload"]["rows"]
+            for rec in records if rec.get("type") == "unit"}
+
+
+class TestAdHocSpecs:
+    """``specs=`` modules reach the workers at spawn."""
+
+    def _run(self, run_dir, **kwargs):
+        return Campaign(seed=1808, scale=SCALE, fraction=1.0,
+                        run_dir=str(run_dir), specs=ADHOC,
+                        **kwargs).run()
+
+    def test_specs_run_at_any_worker_count(self, tmp_path):
+        one = self._run(tmp_path / "one")
+        two = self._run(tmp_path / "two", workers=2)
+        assert one.complete and two.complete
+        assert _read(two.journal_path) == _read(one.journal_path)
+        assert _unit_rows(one.journal_path)["nodes"][0][1] > 0
+
+    def test_memory_limit_applies_at_one_worker(self, tmp_path):
+        import resource
+
+        own = resource.getrlimit(resource.RLIMIT_AS)
+        limit_mb = 16384
+        report = self._run(tmp_path / "run", memory_limit_mb=limit_mb)
+        assert report.complete
+        assert _unit_rows(report.journal_path)["limit"] == [
+            ["RLIMIT_AS", limit_mb * 2 ** 20]]
+        # The budget caps the worker, never the campaign's own process.
+        assert resource.getrlimit(resource.RLIMIT_AS) == own
 
 
 class TestWorkerTask:
@@ -132,7 +180,8 @@ class TestWorkerTask:
         # The failed attempt's elapsed time is forensic data — it must
         # not be reported as 0.0.
         assert wall >= 0.05
-        assert extras == {"metrics": None, "trace": None}
+        assert extras["metrics"] is None and extras["trace"] is None
+        assert "deliberate programming error" in extras["traceback"]
 
     def test_poison_path_reports_poison_kind(self):
         def balloon(world, domains):

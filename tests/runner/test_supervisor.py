@@ -1,11 +1,12 @@
-"""Self-healing parallel campaigns: the supervised worker pool.
+"""Self-healing campaigns: the supervised worker pool.
 
-The acceptance suite for the supervision layer: a kill-riddled
-``workers=4`` campaign must commit a journal and tables byte-identical
-to the undisturbed serial run; a unit that crashes its worker twice is
-quarantined durably; a unit hung in pure Python is killed at the hard
-deadline and journaled as a timeout.  All forensics (attempts, worker
-ids, crash events) stay in sidecars.
+The acceptance suite for the supervision layer, which runs every
+campaign (``workers=1`` is a one-worker pool): a kill-riddled campaign
+must commit a journal and tables byte-identical to the undisturbed
+run; a unit that crashes its worker twice is quarantined durably; a
+unit hung in pure Python is killed at the hard deadline and journaled
+as a timeout; Ctrl-C drains under every start method.  All forensics
+(attempts, worker ids, crash events) stay in sidecars.
 """
 
 import json
@@ -50,11 +51,13 @@ def _jsonl(path):
 class TestKillChaos:
     """Injected worker SIGKILLs must be invisible in durable outputs."""
 
+    @pytest.mark.parametrize("workers", [1, 4])
     def test_kill_riddled_run_byte_identical_to_serial(self, tmp_path,
-                                                       monkeypatch):
+                                                       monkeypatch,
+                                                       workers):
         serial = _campaign(tmp_path / "serial").run()
         monkeypatch.setenv(KILL_ENV, KILL_PLAN)
-        chaos = _campaign(tmp_path / "chaos", workers=4).run()
+        chaos = _campaign(tmp_path / "chaos", workers=workers).run()
 
         assert chaos.complete
         assert _read(chaos.journal_path) == _read(serial.journal_path)
@@ -87,12 +90,18 @@ class TestKillChaos:
             serial.run_dir, "metrics.json")))
         assert metrics["deterministic"] == serial_metrics["deterministic"]
 
-    def test_serial_runs_are_chaos_immune(self, tmp_path, monkeypatch):
-        """The serial path never enters run_unit_task, so a stray kill
-        plan in the environment cannot touch a workers=1 campaign."""
-        monkeypatch.setenv(KILL_ENV, KILL_PLAN)
-        report = _campaign(tmp_path / "run", experiments=("tcpip",)).run()
-        assert report.complete
+    def test_serial_runs_face_the_same_chaos(self, tmp_path,
+                                             monkeypatch):
+        """``workers=1`` is a one-worker pool, so a kill plan reaches
+        it too: a unit killed on every attempt is quarantined with the
+        same journal bytes as on two workers."""
+        monkeypatch.setenv(KILL_ENV, "tcpip/mtnl")
+        serial = _campaign(tmp_path / "serial",
+                           experiments=("tcpip",)).run()
+        pooled = _campaign(tmp_path / "pooled", experiments=("tcpip",),
+                           workers=2).run()
+        assert serial.counts["quarantined"] == 1
+        assert _read(serial.journal_path) == _read(pooled.journal_path)
 
 
 class TestQuarantine:
@@ -137,11 +146,13 @@ class TestQuarantine:
 
 
 class TestHardDeadline:
+    @pytest.mark.parametrize("workers", [1, 2])
     def test_pure_python_hang_is_killed_and_journaled(self, tmp_path,
-                                                      monkeypatch):
+                                                      monkeypatch,
+                                                      workers):
         monkeypatch.setenv(HANG_ENV, "tcpip/mtnl")
         report = _campaign(tmp_path / "run", experiments=("tcpip",),
-                           workers=2, unit_wall=0.5,
+                           workers=workers, unit_wall=0.5,
                            hard_grace=0.5).run()
         assert report.counts["timeout"] == 1
         assert report.counts["ok"] == report.counts["total"] - 1
@@ -303,3 +314,71 @@ class TestSupervisorDeath:
         for pid in alive:  # do not leak them into later tests
             os.kill(pid, signal.SIGKILL)
         assert alive == []
+
+
+def _units_journaled(path):
+    """Complete ``unit`` lines in a journal that may be mid-write."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError:
+        return 0
+    lines = data.split(b"\n")[:-1]  # the last piece may be torn
+    return sum(b'"type":"unit"' in line for line in lines)
+
+
+#: Ctrl-C cases: every start method at two workers, plus the
+#: one-worker pool under ``spawn``, which also resumes.
+CTRL_C_CASES = [(method, 2) for method in
+                multiprocessing.get_all_start_methods()] + [("spawn", 1)]
+
+
+@pytest.mark.skipif(not hasattr(os, "killpg"),
+                    reason="needs POSIX process groups")
+class TestCtrlC:
+    """Ctrl-C reaches the terminal's whole process group.  The workers
+    ignore it and the parent drains: the units in flight finish and are
+    committed, the rest stay resumable, and nothing is journaled
+    ``failed``."""
+
+    EXPERIMENTS = ("tcpip", "table3", "table1", "evasion")
+
+    @pytest.mark.parametrize("method,workers", CTRL_C_CASES)
+    def test_sigint_to_the_group_drains(self, tmp_path, method, workers):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.join(os.path.dirname(__file__),
+                                         "..", "..", "src")
+        run_dir = tmp_path / "run"
+        proc = subprocess.Popen(
+            [sys.executable, "-c", LAUNCH, method, "campaign",
+             *self.EXPERIMENTS, "--scale", str(SCALE),
+             "--workers", str(workers), "--run-dir", str(run_dir)],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+            start_new_session=True)
+        journal = run_dir / "journal.jsonl"
+        try:
+            deadline = time.monotonic() + 60
+            while _units_journaled(journal) < 1:
+                assert proc.poll() is None, "campaign exited early"
+                assert time.monotonic() < deadline, "no unit journaled"
+                time.sleep(0.01)
+            os.killpg(proc.pid, signal.SIGINT)
+            _, err = proc.communicate(timeout=60)
+        finally:
+            if proc.poll() is None:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.wait()
+        assert proc.returncode == 130, err.decode()
+        assert b"repro campaign --resume" in err
+        records = _jsonl(journal)
+        assert not [rec for rec in records if rec.get("status") == "failed"]
+        assert records[-1]["type"] == "unit"  # no end record: resumable
+        if (method, workers) != ("spawn", 1):
+            return
+        from repro.cli import main
+
+        assert main(["campaign", "--resume", str(run_dir)]) == 0
+        straight = _campaign(tmp_path / "straight",
+                             experiments=self.EXPERIMENTS,
+                             fraction=None).run()
+        assert _read(run_dir / "tables.txt") == _read(straight.tables_path)

@@ -85,16 +85,18 @@ class TestWallBudgets:
         clock.now = 99.0
         _spin(network, WALL_CHECK_EVERY - 1)  # amortized: not yet read
 
-    def test_campaign_wall_mid_unit(self):
+    def test_campaign_wall_never_interrupts_a_unit(self):
+        # The campaign budget is checked between commits only; a unit
+        # in flight is never timed out by it.
         clock = FakeClock()
         watchdog = Watchdog(campaign_wall=10.0, clock=clock)
         watchdog.start_campaign()
         network = FakeNetwork()
         watchdog.begin_unit(network)
         clock.now = 11.0
-        with pytest.raises(UnitTimeout) as excinfo:
-            _spin(network, WALL_CHECK_EVERY)
-        assert excinfo.value.kind == "campaign-wall"
+        _spin(network, 4 * WALL_CHECK_EVERY)
+        with pytest.raises(CampaignDeadline):
+            watchdog.check_campaign()
 
 
 class TestCampaignDeadline:

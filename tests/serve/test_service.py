@@ -3,8 +3,8 @@
 The daemon runs on a background thread with a real asyncio loop and a
 real port (``port=0``); tests speak plain ``http.client``.  Campaigns
 here are tiny (tcpip at scale 0.05) but real — including the
-supervised worker pool and the resident hot-world path — so the
-byte-identity assertion at the end is the genuine article.
+supervised worker pool — so the byte-identity assertion at the end is
+the genuine article.
 """
 
 import asyncio
@@ -156,8 +156,8 @@ class TestCampaignLifecycle:
         assert detail["status"]["state"] == "complete"
         assert detail["journal"] and detail["tables"]
 
-        # the service ran it supervised with resident hot worlds; a
-        # plain serial Campaign must produce the same bytes
+        # the service ran it from a campaign thread; a plain
+        # Campaign must produce the same bytes
         from repro.runner.campaign import Campaign
 
         reference = tmp_path / "ref"

@@ -143,11 +143,11 @@ class TestServeParser:
             ["serve", "--host", "127.0.0.1", "--port", "0",
              "--spool", "s", "--workers", "3",
              "--tenant", "alice:2:2:4", "--tenant", "bob",
-             "--default-workers", "2", "--cold-worlds"])
+             "--default-workers", "2"])
         assert args.command == "serve"
         assert args.port == 0
         assert args.tenant == ["alice:2:2:4", "bob"]
-        assert args.cold_worlds is True
+        assert args.default_workers == 2
 
     def test_bad_tenant_spec_exits(self):
         with pytest.raises(SystemExit):

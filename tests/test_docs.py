@@ -43,7 +43,7 @@ def test_cli_subcommand_introspection():
     known = check_docs.cli_subcommands()
     assert {"info", "experiment", "campaign", "report", "fuzz",
             "fetch", "evade", "trace", "serve"} <= set(known)
-    assert {"--tenant", "--spool", "--cold-worlds"} <= known["serve"]
+    assert {"--tenant", "--spool", "--default-workers"} <= known["serve"]
     assert "--resume" in known["campaign"]
 
 
