@@ -123,6 +123,29 @@ def test_express_dns_probe_throughput(benchmark, perf_world):
     assert answered == len(domains)
 
 
+def test_resolver_sweep_throughput(benchmark, perf_world):
+    """Open-resolver sweep (section 3.2-III) of the mtnl and bsnl pools.
+
+    Both whole ISP pools, 524,288 addresses, as fig2 sweeps them.  The
+    sweep counts every address but probes only the owned ones, so its
+    cost follows the resolvers, not the pool size.  One untimed round
+    first fills the FIB toward the resolvers, so the median times the
+    sweep itself.  CI's --min-speedup keeps this case at least 10x
+    faster than the sweep that formatted and looked up every address
+    (its median is kept under previous_cases)."""
+    from repro.core.measure import sweep_open_resolvers
+
+    world = perf_world
+
+    def sweep_both():
+        return [len(sweep_open_resolvers(world, isp).open_resolvers)
+                for isp in ("mtnl", "bsnl")]
+
+    found = benchmark.pedantic(sweep_both, rounds=3, iterations=1,
+                               warmup_rounds=1)
+    assert all(found), found
+
+
 def test_fib_speedup_express_probe(perf_world):
     """Acceptance check: the FIB fast path buys >=2x on express probes.
 

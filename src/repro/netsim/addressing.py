@@ -1,18 +1,25 @@
 """IPv4 addressing utilities: parsing, prefixes, allocation and bogons.
 
 The simulator stores addresses as dotted-quad strings (they appear in
-traces and censorship notifications), with integer conversions used
-internally for prefix arithmetic.  A small :class:`PrefixAllocator` hands
-out non-overlapping prefixes when topologies are built, and
-:func:`is_bogon` implements the bogon test the paper's DNS heuristics
-rely on (section 3.2-II, heuristic 2).
+traces and censorship notifications) and does its prefix arithmetic
+on 32-bit integers.  The conversions between the two are one strict
+integer core: :func:`ip_to_int` accepts exactly the strings the
+standard library's IPv4 address parser accepts -- four dot-separated
+canonical decimal octets, with no leading zeros, whitespace, signs or
+non-ASCII digits -- so every address has one spelling, and a string
+key such as ``Network.ip_owner``'s maps to one integer and back.  The
+stdlib parser stays off the runtime path; a property test
+(``tests/netsim/test_integer_core.py``) holds the core to it.  A small
+:class:`PrefixAllocator` hands out non-overlapping prefixes when
+topologies are built, and :func:`is_bogon` implements the bogon test
+the paper's DNS heuristics rely on (section 3.2-II, heuristic 2) as
+integer ``(network, mask)`` checks.
 """
 
 from __future__ import annotations
 
-import ipaddress
 from dataclasses import dataclass, field
-from typing import Iterator, List, Sequence
+from typing import List, Sequence
 
 from .errors import AddressError
 
@@ -36,31 +43,48 @@ BOGON_PREFIXES: Sequence[str] = (
     "240.0.0.0/4",
 )
 
-_BOGON_NETWORKS = tuple(ipaddress.ip_network(p) for p in BOGON_PREFIXES)
+#: The canonical spelling of every octet: a lookup here is the whole
+#: validation, since anything else ("00", "256", " 1", "+1") is absent.
+_OCTETS = {str(value): value for value in range(256)}
 
 
 def ip_to_int(ip: str) -> int:
     """Convert a dotted-quad IPv4 string to its 32-bit integer value."""
     try:
-        return int(ipaddress.IPv4Address(ip))
-    except (ipaddress.AddressValueError, ValueError) as exc:
-        raise AddressError(f"invalid IPv4 address: {ip!r}") from exc
+        a, b, c, d = ip.split(".")
+        return ((_OCTETS[a] << 24) | (_OCTETS[b] << 16)
+                | (_OCTETS[c] << 8) | _OCTETS[d])
+    except (AttributeError, TypeError, ValueError, KeyError):
+        raise AddressError(f"invalid IPv4 address: {ip!r}") from None
 
 
 def int_to_ip(value: int) -> str:
     """Convert a 32-bit integer to a dotted-quad IPv4 string."""
     if not 0 <= value <= 0xFFFFFFFF:
         raise AddressError(f"integer out of IPv4 range: {value!r}")
-    return str(ipaddress.IPv4Address(value))
+    return (f"{value >> 24}.{(value >> 16) & 0xFF}."
+            f"{(value >> 8) & 0xFF}.{value & 0xFF}")
 
 
 def is_valid_ip(ip: str) -> bool:
     """Return True if *ip* parses as an IPv4 address."""
     try:
-        ipaddress.IPv4Address(ip)
-    except (ipaddress.AddressValueError, ValueError):
+        ip_to_int(ip)
+    except AddressError:
         return False
     return True
+
+
+def _mask(length: int) -> int:
+    """The network mask of a /*length* prefix as a 32-bit integer."""
+    return (0xFFFFFFFF << (32 - length)) & 0xFFFFFFFF
+
+
+#: :data:`BOGON_PREFIXES` as integer ``(network, mask)`` pairs.
+_BOGON_NETWORKS = tuple(
+    (ip_to_int(network), _mask(int(length)))
+    for network, _, length in (text.partition("/") for text in BOGON_PREFIXES)
+)
 
 
 def is_bogon(ip: str) -> bool:
@@ -69,8 +93,11 @@ def is_bogon(ip: str) -> bool:
     The paper's DNS-filtering heuristic marks a resolution as censored
     when the returned address is a bogon (section 3.2-II).
     """
-    addr = ipaddress.IPv4Address(ip_to_int(ip))
-    return any(addr in net for net in _BOGON_NETWORKS)
+    value = ip_to_int(ip)
+    for network, mask in _BOGON_NETWORKS:
+        if value & mask == network:
+            return True
+    return False
 
 
 @dataclass(frozen=True)
@@ -83,8 +110,10 @@ class Prefix:
     def __post_init__(self) -> None:
         if not 0 <= self.length <= 32:
             raise AddressError(f"invalid prefix length: {self.length}")
-        mask = self.mask
-        if self.network & ~mask & 0xFFFFFFFF:
+        if not 0 <= self.network <= 0xFFFFFFFF:
+            raise AddressError(
+                f"prefix network out of IPv4 range: {self.network!r}")
+        if self.network & ~self.mask:
             raise AddressError(
                 f"host bits set in prefix {int_to_ip(self.network)}/{self.length}"
             )
@@ -102,9 +131,7 @@ class Prefix:
     @property
     def mask(self) -> int:
         """The network mask as a 32-bit integer."""
-        if self.length == 0:
-            return 0
-        return (0xFFFFFFFF << (32 - self.length)) & 0xFFFFFFFF
+        return _mask(self.length)
 
     @property
     def size(self) -> int:
@@ -122,16 +149,6 @@ class Prefix:
                 f"offset {offset} out of range for /{self.length} prefix"
             )
         return int_to_ip(self.network + offset)
-
-    def hosts(self) -> Iterator[str]:
-        """Iterate every address in the prefix (including .0 and broadcast).
-
-        The simulator does not reserve network/broadcast addresses; the
-        paper's resolver scan sweeps "the entire IPv4 address space of the
-        said ISP" and so do we.
-        """
-        for offset in range(self.size):
-            yield int_to_ip(self.network + offset)
 
     def subnets(self, new_length: int) -> List["Prefix"]:
         """Split the prefix into sub-prefixes of *new_length*."""
@@ -171,7 +188,15 @@ class PrefixAllocator:
 
     def allocate(self, length: int) -> Prefix:
         """Allocate the next free prefix of the given *length*."""
-        if length < self.pool.length:
+        return Prefix(self._claim(length), length)
+
+    def allocate_address(self) -> str:
+        """Allocate a single address (a /32) and return it as a string."""
+        return int_to_ip(self._claim(32))
+
+    def _claim(self, length: int) -> int:
+        """Advance past the next free /*length* and return its network."""
+        if not self.pool.length <= length <= 32:
             raise AddressError(
                 f"cannot allocate /{length} from /{self.pool.length} pool"
             )
@@ -183,8 +208,4 @@ class PrefixAllocator:
                 f"prefix pool {self.pool} exhausted allocating /{length}"
             )
         self._cursor = aligned + step
-        return Prefix(self.pool.network + aligned, length)
-
-    def allocate_address(self) -> str:
-        """Allocate a single address (a /32) and return it as a string."""
-        return int_to_ip(self.allocate(32).network)
+        return self.pool.network + aligned

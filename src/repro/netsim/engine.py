@@ -139,8 +139,10 @@ class Network:
         #: all derived routing state (FIB, paths, plans) is valid
         #: only for the generation it was computed under.
         self._generation = 0
-        #: dst node name -> {node name -> sorted ECMP candidate names}.
-        self._fib: Dict[str, Dict[str, List[str]]] = {}
+        #: dst node name -> (distance map, {node name -> sorted ECMP
+        #: candidate names}); a node's row is filled when it first asks.
+        self._fib: Dict[str, Tuple[Dict[str, float],
+                                   Dict[str, List[str]]]] = {}
         #: (src_ip, dst_ip, node name) -> crc32 — the flow-key memo for
         #: :func:`_ecmp_hash` (topology-independent, never invalidated).
         self._ecmp_hash_cache: Dict[Tuple[Optional[str], str, str], int] = {}
@@ -386,24 +388,22 @@ class Network:
         candidates.sort()
         return candidates
 
-    def _fib_for(self, dst_name: str) -> Dict[str, List[str]]:
+    def _fib_for(self, dst_name: str
+                 ) -> Tuple[Dict[str, float], Dict[str, List[str]]]:
         """The forwarding table toward *dst_name*, built on first use.
 
-        One pass over every (reachable node, incident edge) pair — the
-        same asymptotic cost as the Dijkstra sweep that feeds it, whose
-        distance map is read here and nowhere else — then
-        every subsequent ``next_hop`` toward this destination is a pair
-        of dict lookups.  Invalidated wholesale by
+        A build is one Dijkstra sweep from the destination; the table
+        keeps its distance map beside an empty row map, and
+        :meth:`next_hop` fills a node's sorted candidate row the first
+        time that node asks, so a build costs nothing for nodes no
+        packet routes from.  Every later ``next_hop`` from an asked
+        node is a few dict lookups.  Invalidated wholesale by
         :meth:`invalidate_routing_caches`.
         """
         table = self._fib.get(dst_name)
         if table is None:
             self.fib_builds += 1
-            dist = dijkstra_distances(self.adjacency, dst_name)
-            table = {
-                name: self._ecmp_candidates(name, dist)
-                for name in dist
-            }
+            table = (dijkstra_distances(self.adjacency, dst_name), {})
             self._fib[dst_name] = table
         else:
             self.fib_hits += 1
@@ -431,10 +431,16 @@ class Network:
         owner = self.ip_owner.get(dst_ip)
         if owner is None or owner is from_node:
             return None
-        candidates = self._fib_for(owner.name).get(from_node.name)
+        dist, rows = self._fib_for(owner.name)
+        name = from_node.name
+        candidates = rows.get(name)
+        if candidates is None:
+            if name not in dist:
+                return None
+            candidates = rows[name] = self._ecmp_candidates(name, dist)
         if not candidates:
             return None
-        digest = self._flow_hash(src_ip, dst_ip, from_node.name)
+        digest = self._flow_hash(src_ip, dst_ip, name)
         return self.nodes[candidates[digest % len(candidates)]]
 
     def path_to(self, from_node: Node, dst_ip: str,

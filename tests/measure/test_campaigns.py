@@ -12,7 +12,11 @@ from repro.core.measure import (
     precision_recall,
     run_detector,
     scan_isp_resolvers,
+    sweep_open_resolvers,
 )
+from repro.core.measure.fastprobe import express_dns_probe
+from repro.core.vantage import VantagePoint
+from repro.netsim import Prefix, ip_to_int
 
 
 class TestCoverageCampaigns:
@@ -59,6 +63,25 @@ class TestCoverageCampaigns:
         assert result.n_paths > 0
 
 
+def reference_sweep(world, isp, prefixes):
+    """``(swept, open resolvers)`` from probing every address of every
+    prefix in turn, skipping only addresses no node owns."""
+    vantage = VantagePoint.inside(world, isp)
+    probe_domain = world.alexa[0].domain
+    swept, found = 0, []
+    for prefix in prefixes:
+        for offset in range(prefix.size):
+            ip = prefix.address(offset)
+            swept += 1
+            if world.network.owner_of(ip) is None:
+                continue
+            answer = express_dns_probe(world.network, vantage.host, ip,
+                                       probe_domain)
+            if answer.ok and world.alexa[0].ip in answer.ips:
+                found.append(ip)
+    return swept, found
+
+
 class TestResolverScan:
     @pytest.fixture(scope="class")
     def mtnl_scan(self, small_world):
@@ -100,6 +123,34 @@ class TestResolverScan:
         master = small_world.blocklists.dns["mtnl"]
         for blocked in mtnl_scan.censorious.values():
             assert blocked <= master
+
+    @pytest.mark.parametrize("isp", ["mtnl", "bsnl"])
+    @pytest.mark.parametrize("space", ["pool", "scan", "overlapping"])
+    def test_sweep_matches_probing_every_address(self, small_world, isp,
+                                                 space):
+        deployment = small_world.isp(isp)
+        scan = deployment.scan_prefixes
+        host_bits = 34 - scan[0].length
+        wider = Prefix(scan[0].network >> host_bits << host_bits,
+                       scan[0].length - 2)
+        # A /32 is its own first and last address.
+        single = Prefix(ip_to_int(deployment.resolvers[-1][0]), 32)
+        prefixes = {
+            "pool": [deployment.pool],
+            "scan": scan,
+            # Out of order, nested and repeated: every prefix is swept
+            # in turn, so a resolver in two of them is listed twice.
+            "overlapping": [scan[-1], wider, single, scan[0],
+                            deployment.pool, scan[-1]],
+        }[space]
+        expected = reference_sweep(small_world, isp, prefixes)
+        kwargs = {} if space == "pool" else {"prefixes": prefixes}
+        result = sweep_open_resolvers(small_world, isp, **kwargs)
+        assert (result.swept_addresses, result.open_resolvers) == expected
+        assert result.open_resolvers
+        if space == "overlapping":
+            assert len(set(result.open_resolvers)) < \
+                len(result.open_resolvers)
 
 
 class TestCollateral:

@@ -197,6 +197,97 @@ class TestFIBInvalidation:
         assert net.topology_generation > g0
 
 
+def diamond():
+    """client - r1 - {r2a, r2b} - r3 - server, every link the same delay,
+    so r1 has two equal-cost next hops toward server."""
+    net = Network()
+    client = net.add_host("client", "10.0.0.1")
+    server = net.add_host("server", "10.9.0.1")
+    for i, name in enumerate(("r1", "r2a", "r2b", "r3"), start=1):
+        net.add_router(name, f"10.1.0.{i}")
+    for a, b in (("client", "r1"), ("r1", "r2a"), ("r1", "r2b"),
+                 ("r2a", "r3"), ("r2b", "r3"), ("r3", "server")):
+        net.link(a, b)
+    return net, client, server
+
+
+class TestLazyFIB:
+    """A build is one Dijkstra per destination; a node's candidate row
+    fills the first time that node asks, and the counters count builds
+    and later lookups exactly as the eager table did."""
+
+    @staticmethod
+    def counts(net):
+        return net.fib_builds, net.fib_hits
+
+    @staticmethod
+    def rows(net, dst_name):
+        return net._fib[dst_name][1]
+
+    def test_scripted_sequence(self):
+        net, client, server = diamond()
+        assert self.counts(net) == (0, 0)
+
+        # The first ask builds, and only the asking node gets a row;
+        # the distance map covers every node.
+        assert net.next_hop(client, server.ip).name == "r1"
+        assert self.counts(net) == (1, 0)
+        assert self.rows(net, "server") == {"client": ["r1"]}
+        assert set(net._fib["server"][0]) == set(net.nodes)
+
+        # Asking again is a hit and fills nothing.
+        assert net.next_hop(client, server.ip).name == "r1"
+        assert self.counts(net) == (1, 1)
+        assert list(self.rows(net, "server")) == ["client"]
+
+        # The ECMP node fills its own row with both branches.
+        assert net.next_hop(net.node("r1"), server.ip).name in ("r2a", "r2b")
+        assert self.counts(net) == (1, 2)
+        assert self.rows(net, "server")["r1"] == ["r2a", "r2b"]
+
+        # A walk asks once per forwarding node; the branch not taken and
+        # the destination itself never ask.
+        path = [node.name for node in net.path_to(client, server.ip)]
+        assert len(path) == 5
+        assert self.counts(net) == (1, 6)
+        assert set(self.rows(net, "server")) == \
+            {"client", "r1", path[2], "r3"}
+
+        # A cached walk, and the owner routing to itself, ask nothing.
+        net.path_to(client, server.ip)
+        assert net.next_hop(server, server.ip) is None
+        assert self.counts(net) == (1, 6)
+
+        # A new destination is a new build with its own rows.
+        assert net.next_hop(server, client.ip).name == "r3"
+        assert self.counts(net) == (2, 6)
+        assert self.rows(net, "client") == {"server": ["r3"]}
+
+    def test_unreachable_node_gets_no_row(self):
+        net, client, server = diamond()
+        island = net.add_host("island", "10.8.0.1")
+        assert net.next_hop(island, server.ip) is None
+        assert self.counts(net) == (1, 0)
+        assert self.rows(net, "server") == {}
+        # Linking it clears the table; the next ask rebuilds.
+        net.link("island", "r3")
+        assert net.next_hop(island, server.ip).name == "r3"
+        assert self.counts(net) == (2, 0)
+        assert self.rows(net, "server") == {"island": ["r3"]}
+
+    def test_rows_asked_by_every_node_match_the_oracle(self):
+        net, client, server = diamond()
+        oracle = ReferenceRouter(net)
+        for node in net.nodes.values():
+            net.next_hop(node, server.ip)
+        dist = oracle.distances_to("server")
+        assert self.rows(net, "server") == {
+            name: oracle._ecmp_candidates(name, dist)
+            for name in net.nodes if name != "server"
+        }
+        assert self.counts(net) == (1, len(net.nodes) - 2)
+
+
 class TestExpressCacheInvalidation:
     def test_boxes_recomputed_after_attach(self):
         from repro.core.measure.fastprobe import middleboxes_along
