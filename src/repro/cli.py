@@ -114,11 +114,15 @@ def build_parser() -> argparse.ArgumentParser:
                           help="wall-clock budget for the whole campaign")
     campaign.add_argument("--unit-deadline", type=float, default=None,
                           metavar="SECONDS",
-                          help="wall-clock budget per measurement unit")
+                          help="wall-clock budget per measurement unit, "
+                               "from dispatch; the supervisor kills a "
+                               "worker still busy 2 s past it and "
+                               "journals a timeout")
     campaign.add_argument("--unit-steps", type=int, default=None,
                           metavar="N",
-                          help="simulated-event budget per unit "
-                               "(deterministic timeout)")
+                          help="simulated-event budget per unit: the "
+                               "event past N ends the unit as a "
+                               "deterministic timeout")
     campaign.add_argument("--workers", type=int, default=1, metavar="N",
                           help="execute units in N worker processes; "
                                "results are committed to the journal "

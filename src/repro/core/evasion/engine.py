@@ -53,10 +53,6 @@ class EvasionMatrix:
             return 0.0
         return cell[0] / cell[1]
 
-    def working_strategies(self, threshold: float = 0.8) -> List[str]:
-        return sorted(name for name in self.cells
-                      if self.success_rate(name) >= threshold)
-
 
 def attempt_strategy(
     world,

@@ -51,18 +51,12 @@ class ClientFirewall:
     rules: List[FirewallRule] = field(default_factory=list)
     dropped: List[Packet] = field(default_factory=list)
 
-    def add_rule(self, rule: FirewallRule) -> None:
-        self.rules.append(rule)
-
     def allows(self, packet: Packet) -> bool:
         for rule in self.rules:
             if rule.matches(packet):
                 self.dropped.append(packet)
                 return False
         return True
-
-    def clear_log(self) -> None:
-        self.dropped.clear()
 
 
 def drop_fin_rst_from(server_ip: str) -> FirewallRule:

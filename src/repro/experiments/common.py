@@ -185,7 +185,9 @@ def run_degradable(degradation: Degradation, unit: str,
     :mod:`repro.runner.errors`: *transient* errors earn an immediate
     retry (the fault-injector streams advance between attempts),
     *degradable* ones are recorded, and *fatal* ones — programming
-    errors — are re-raised.
+    errors, and a spent event budget
+    (:class:`~repro.netsim.errors.EventLimitExceeded`), which ends the
+    whole campaign unit — are re-raised.
     """
     attempts = 0
     while True:

@@ -90,10 +90,6 @@ class PopulationScaleResult:
     corpus_size: int = DEFAULT_SYNTHETIC_SIZE
     degradation: Degradation = field(default_factory=Degradation)
 
-    @property
-    def sessions_total(self) -> int:
-        return sum(outcome.sessions for outcome in self.outcomes.values())
-
     def render(self) -> str:
         rows: List[List[str]] = []
         for isp in POPULATION_ISPS:

@@ -71,10 +71,6 @@ class GetRequestSpec:
         raw = CRLF.join(lines).encode("latin-1") + b"\r\n\r\n"
         return raw + self.trailing_raw
 
-    def with_domain(self, domain: str) -> "GetRequestSpec":
-        """Same formatting, different requested domain."""
-        return replace(self, domain=domain)
-
 
 def plain_get(domain: str, path: str = "/") -> GetRequestSpec:
     """The request a stock browser would send."""

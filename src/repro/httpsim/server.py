@@ -49,9 +49,6 @@ class OriginServer:
     def add_domain(self, domain: str, handler: DomainHandler) -> None:
         self.domains[domain] = handler
 
-    def remove_domain(self, domain: str) -> None:
-        self.domains.pop(domain, None)
-
     def install(self, host: Host, port: int = 80) -> None:
         """Start accepting connections on *host*:*port*."""
         host.stack.listen(port, lambda: _ServerConnectionApp(self))

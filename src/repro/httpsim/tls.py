@@ -61,10 +61,6 @@ def server_hello_bytes(key: int) -> bytes:
     return _SERVER_MAGIC + bytes([key & 0xFF])
 
 
-def is_server_hello(raw: bytes) -> bool:
-    return raw.startswith(_SERVER_MAGIC)
-
-
 def seal(plaintext: bytes, key: int) -> bytes:
     """'Encrypt' application data (XOR mask + record header)."""
     masked = bytes(b ^ (key & 0xFF) for b in plaintext)

@@ -99,15 +99,6 @@ class World:
             boxes.extend(deployment.peering_boxes.values())
         return boxes
 
-    def all_resolver_ips(self) -> List[str]:
-        """Every recursive-resolver address, across all ISPs plus the
-        external estate — the scope fault plans target."""
-        ips: List[str] = []
-        for deployment in self.isps.values():
-            ips.extend(deployment.resolver_ips)
-        ips.append(self.google_dns.ip)
-        return ips
-
     def reset_qids(self, start: int = 1) -> None:
         """Restart the DNS query-id sequence this world's lookups draw
         from.  ``build_world`` already calls this, so a freshly built

@@ -95,10 +95,6 @@ class Middlebox:
         segment = packet.tcp
         return bool(segment.payload) and self.spec.inspects_port(segment.dst_port)
 
-    def would_trigger(self, payload: bytes) -> Optional[str]:
-        """Pure trigger check (used by the express probing layer)."""
-        return self.spec.matched_domain(payload)
-
     def express_profile(self, client_ip: str, dst_port: int = 80):
         """This box's precompiled express-probe view, or None.
 

@@ -99,9 +99,6 @@ class TriggerSpec:
                     return bare
         return None
 
-    def triggers_on(self, payload: bytes) -> bool:
-        return self.matched_domain(payload) is not None
-
 
 def browser_canonical_line(domain: str) -> bytes:
     """The Host line every stock browser sends — what all boxes match."""

@@ -182,10 +182,6 @@ class PrefixAllocator:
     pool: Prefix
     _cursor: int = field(default=0, init=False)
 
-    @classmethod
-    def from_text(cls, text: str) -> "PrefixAllocator":
-        return cls(pool=Prefix.parse(text))
-
     def allocate(self, length: int) -> Prefix:
         """Allocate the next free prefix of the given *length*."""
         return Prefix(self._claim(length), length)

@@ -167,9 +167,6 @@ class Host(Node):
             raise PortInUseError(f"{self.name}: UDP port {port} already bound")
         self.udp_services[port] = handler
 
-    def unbind_udp(self, port: int) -> None:
-        self.udp_services.pop(port, None)
-
     def add_sniffer(self, sniffer: Callable[[float, Packet], None]) -> None:
         """Attach a live packet observer (pre-firewall, like libpcap)."""
         self.sniffers.append(sniffer)

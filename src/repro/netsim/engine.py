@@ -29,7 +29,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, no import cycle
     from ..obs.trace import TraceBus
 
 from .devices import Host, Node, Router
-from .errors import RoutingError, SimulationError, UnknownNodeError
+from .errors import (EventLimitExceeded, RoutingError, SimulationError,
+                     UnknownNodeError)
 from .faults import (
     DEFAULT_HARDENING,
     DUPLICATE_GAP,
@@ -169,11 +170,11 @@ class Network:
         #: Stays at seed-repo single-shot behaviour until faults are
         #: installed.
         self.hardening: HardeningPolicy = NO_HARDENING
-        #: Cooperative deadline hook: when set, called (no args) after
-        #: every processed event.  The campaign watchdog uses it to
-        #: convert runaway units into recorded timeouts; exceptions it
-        #: raises propagate out of :meth:`run`.
-        self.step_hook: Optional[Callable[[], None]] = None
+        #: Lifetime cap on :attr:`events_processed`: the event that
+        #: takes the count past it raises :class:`EventLimitExceeded`
+        #: after it has run.  Campaign workers set it per unit from
+        #: ``--unit-steps``; ``None`` means no cap.
+        self.event_limit: Optional[int] = None
         #: Structured trace bus (``repro.obs.trace``); ``None`` — the
         #: default — costs one attribute test per emit site, an
         #: attached-but-unsubscribed bus one extra ``active`` test.
@@ -319,35 +320,35 @@ class Network:
         Returns the number of events processed by this call.  At most
         *max_events* events execute: the budget check runs *before*
         each event, so a blown budget raises with exactly *max_events*
-        executed, never one more.
+        executed, never one more.  :attr:`event_limit` is checked
+        *after* each event instead, against the lifetime count, so the
+        event that crosses it has run and counts.
         """
         processed = 0
         # Hot loop: hoist attribute lookups that are invariant across
-        # the run (the step hook is armed/disarmed only between runs).
+        # the run (the event limit is set only between runs).
         queue = self._queue
         pop = heappop
-        hook = self.step_hook
-        try:
-            while queue:
-                when = queue[0][0]
-                if until is not None and when > until:
-                    break
-                if processed >= max_events:
-                    raise SimulationError(
-                        f"event budget exceeded ({max_events}); "
-                        f"likely a packet loop"
-                    )
-                when, _, fn, args = pop(queue)
-                if when > self.now:
-                    self.now = when
-                fn(*args)
-                processed += 1
-                if hook is not None:
-                    hook()
-        finally:
-            # Partial progress counts even when the budget, a callback
-            # or the step hook (a campaign deadline) raised.
-            self._events_processed += processed
+        limit = self.event_limit
+        while queue:
+            when = queue[0][0]
+            if until is not None and when > until:
+                break
+            if processed >= max_events:
+                raise SimulationError(
+                    f"event budget exceeded ({max_events}); "
+                    f"likely a packet loop"
+                )
+            when, _, fn, args = pop(queue)
+            if when > self.now:
+                self.now = when
+            fn(*args)
+            processed += 1
+            # Counted live: a fused transit chain in :meth:`_dispatch`
+            # adds to the same count and checks the same limit mid-run.
+            self._events_processed += 1
+            if limit is not None and self._events_processed > limit:
+                raise EventLimitExceeded(limit)
         if until is not None and self.now < until:
             self.now = until
         return processed
@@ -594,15 +595,14 @@ class Network:
                 for delay in plan[2]:
                     when += delay
                 packet.ttl -= plan[3]
-                # The skipped transit arrivals still count as steps, so
-                # ``events_processed`` — and the journal's per-unit
-                # "steps" — matches the per-hop path (e.g. the same
-                # unit run under --trace).
+                # The skipped transit arrivals still count as events,
+                # and against the limit, so ``events_processed`` — and
+                # the journal's per-unit "steps" — matches the per-hop
+                # path (e.g. the same unit run under --trace).
                 self._events_processed += plan[3]
-                hook = self.step_hook
-                if hook is not None:
-                    for _ in range(plan[3]):
-                        hook()
+                limit = self.event_limit
+                if limit is not None and self._events_processed > limit:
+                    raise EventLimitExceeded(limit)
                 heappush(self._queue, (when, next(self._seq),
                                        self._arrive, (plan[1], packet)))
             else:
@@ -770,18 +770,3 @@ class Network:
                        flow=_flow_id(packet), proto=packet.flow_key()[0],
                        src=packet.src)
         self.transmit(router, packet)
-
-    def middleboxes_on_path(self, from_node: Node, dst_ip: str,
-                            src_ip: Optional[str] = None) -> List[tuple]:
-        """All middleboxes a packet to *dst_ip* would traverse.
-
-        Returns ``(hop_index, router, middlebox)`` tuples, hop_index
-        counting the first router as 1.  Express probing uses this.
-        """
-        found = []
-        path = self.path_to(from_node, dst_ip, src_ip=src_ip)
-        for index, node in enumerate(path[1:-1], start=1):
-            if isinstance(node, Router):
-                for box in node.middleboxes:
-                    found.append((index, node, box))
-        return found

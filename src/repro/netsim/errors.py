@@ -41,3 +41,18 @@ class ConnectionError_(NetSimError):
 
 class SimulationError(NetSimError):
     """The discrete-event engine reached an inconsistent state."""
+
+
+class EventLimitExceeded(Exception):
+    """A network processed more events than its ``event_limit`` allows.
+
+    Raised after the event that takes :attr:`Network.events_processed
+    <repro.netsim.engine.Network.events_processed>` past the limit has
+    run.  Deliberately not a :class:`NetSimError`: measurement code
+    that survives simulator failures site by site must not swallow a
+    spent budget, which ends the whole campaign unit.
+    """
+
+    def __init__(self, limit: int) -> None:
+        super().__init__(f"exceeded {limit} simulated events")
+        self.limit = limit

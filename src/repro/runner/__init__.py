@@ -3,12 +3,12 @@
 The layer above individual experiments: decompose every experiment
 into named measurement units, run each unit in a supervised worker
 process, journal it durably, resume from the journal after a crash,
-and guard runaway units with deadlines.  See ``docs/CAMPAIGNS.md`` for
+and guard runaway units with budgets.  See ``docs/CAMPAIGNS.md`` for
 the full model.
 
 Public surface::
 
-    from repro.runner import Campaign, Journal, Watchdog
+    from repro.runner import Campaign, Journal, Supervisor
 
 :class:`Campaign` is imported lazily (module ``__getattr__``) so that
 ``repro.experiments.common`` can import the error taxonomy from this
@@ -21,23 +21,19 @@ from .errors import (
     POISON,
     QUARANTINED,
     TRANSIENT,
-    CampaignDeadline,
     CampaignError,
     JournalError,
     ResumeMismatch,
     SimulatedCrash,
     TimeoutDegradation,
     TransientUnitError,
-    UnitTimeout,
     classify_error,
 )
 from .journal import Journal
 from .units import TableSpec, Unit, campaign_payload
-from .watchdog import Watchdog
 
 __all__ = [
     "Campaign",
-    "CampaignDeadline",
     "CampaignError",
     "CampaignReport",
     "DEGRADABLE",
@@ -54,8 +50,6 @@ __all__ = [
     "TimeoutDegradation",
     "TransientUnitError",
     "Unit",
-    "UnitTimeout",
-    "Watchdog",
     "campaign_payload",
     "classify_error",
 ]

@@ -26,13 +26,12 @@ directory's ``timings.jsonl`` sidecar.  See ``docs/PERFORMANCE.md``
 for the determinism argument.  To step through a unit in a debugger,
 run its experiment in-process with ``repro experiment <name>``.
 
-Runaway units are bounded twice: each worker's cooperative
-:class:`~repro.runner.watchdog.Watchdog` turns a blown simulated-event
-or wall budget into a recorded
-:class:`~repro.runner.errors.TimeoutDegradation`, and the supervisor
-kills a worker that outlives the wall budget anyway (a pure-Python
-spin).  The campaign-wide ``deadline`` is checked here, between
-commits.
+Each budget has one owner.  ``unit_steps`` is the unit world's
+:attr:`~repro.netsim.engine.Network.event_limit`, which the worker
+journals as a deterministic ``sim-steps`` timeout; ``unit_wall`` is
+the supervisor's, which kills a worker still busy past it plus
+:data:`~repro.runner.supervise.HARD_GRACE`; the campaign-wide
+``deadline`` is checked here, between commits, on :attr:`clock`.
 
 A worker lost to the OS is respawned and its unit retried with
 bounded backoff; a unit that repeatedly crashes its worker is
@@ -54,7 +53,6 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import (
     QUARANTINED,
-    CampaignDeadline,
     CampaignError,
     ResumeMismatch,
     SimulatedCrash,
@@ -63,7 +61,6 @@ from .errors import (
 from .journal import Journal
 from .parallel import UnitSettings
 from .units import Unit
-from .watchdog import Watchdog
 
 #: Journal schema version (bump on incompatible record changes).
 JOURNAL_VERSION = 1
@@ -173,7 +170,6 @@ class Campaign:
                  workers: int = 1,
                  trace: bool = False,
                  max_worker_crashes: int = 2,
-                 hard_grace: float = 2.0,
                  memory_limit_mb: Optional[int] = None,
                  stop_event=None,
                  on_event: Optional[Callable[[Dict], None]] = None,
@@ -211,7 +207,6 @@ class Campaign:
             raise CampaignError(f"max_worker_crashes must be >= 1, "
                                 f"got {max_worker_crashes}")
         self.max_worker_crashes = max_worker_crashes
-        self.hard_grace = hard_grace
         self.memory_limit_mb = memory_limit_mb
         #: Graceful-drain hook: any object with ``is_set()`` (e.g. a
         #: ``threading.Event``).  Once set, the campaign finishes the
@@ -235,9 +230,10 @@ class Campaign:
         #: ``--seed 9`` against a seed-7 journal) still errors.
         self._adopt_settings = frozenset(adopt_settings or ())
         self.unit_wall = unit_wall
-        #: Campaign scope only: each worker arms its own unit-scope
-        #: watchdog from :meth:`_settings`.
-        self.watchdog = Watchdog(campaign_wall=deadline, clock=clock)
+        #: Campaign wall budget (seconds), measured on :attr:`clock`
+        #: from the start of :meth:`run` and checked between commits.
+        self.deadline = deadline
+        self.clock = clock
 
     # ------------------------------------------------------------------
     # Journal plumbing
@@ -335,7 +331,6 @@ class Campaign:
             seed=self.seed, scale=self.scale, fraction=self.fraction,
             loss=self.loss, fault_seed=self.fault_seed,
             retries=self.retries, unit_steps=self.unit_steps,
-            unit_wall=self.unit_wall,
             trace=self.trace,
             memory_limit_mb=self.memory_limit_mb,
         )
@@ -471,7 +466,7 @@ class Campaign:
                     resumed += 1
                 else:
                     pending.append((key, unit))
-        self.watchdog.start_campaign()
+        self._started = self.clock()
         self._drained = False
         self._emit_live("campaign-start", run_dir=self.run_dir,
                         pending=len(pending), resumed=resumed)
@@ -526,10 +521,9 @@ class Campaign:
 
     def _deadline_hit(self) -> Optional[str]:
         """Between commits: why the campaign budget is spent, if it is."""
-        try:
-            self.watchdog.check_campaign()
-        except CampaignDeadline as exc:
-            return str(exc)
+        if (self.deadline is not None
+                and self.clock() - self._started > self.deadline):
+            return f"campaign wall budget {self.deadline:g}s exhausted"
         return None
 
     def _crash_if_injected(self, executed: int) -> None:
@@ -565,7 +559,6 @@ class Campaign:
             self._settings(), self.workers, specs=self._specs,
             unit_wall=self.unit_wall,
             max_crashes=self.max_worker_crashes,
-            hard_grace=self.hard_grace,
             events=self._supervision_bus,
             stop_check=self._stop_requested)
         units = {(key, unit.name): unit for key, unit in pending}

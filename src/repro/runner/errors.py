@@ -13,11 +13,14 @@ categories, unifying the ad-hoc handling that used to live in
     A simulator failure the campaign survives by recording a partial
     entry — the experiment-level analogue of a vantage that died
     mid-campaign.  Only :class:`~repro.netsim.errors.NetSimError`
-    (and unit timeouts) qualify.
+    qualifies.
 
 ``fatal``
     Everything else — programming errors must still crash, loudly, so
-    a journal never papers over a broken experiment.
+    a journal never papers over a broken experiment.  A spent event
+    budget (:class:`~repro.netsim.errors.EventLimitExceeded`) lands
+    here too, so :func:`~repro.experiments.common.run_degradable`
+    re-raises it; the worker then journals the unit as a ``timeout``.
 
 ``poison``
     A resource failure (today: ``MemoryError``) that poisons the
@@ -69,26 +72,6 @@ class ResumeMismatch(CampaignError):
     incompatible measurements."""
 
 
-class CampaignDeadline(Exception):
-    """The per-campaign wall-clock budget is exhausted; remaining units
-    stay un-run (and resumable) rather than half-measured."""
-
-
-class UnitTimeout(Exception):
-    """A measurement unit exceeded its deadline budget.
-
-    Raised cooperatively from inside the discrete-event loop by the
-    :class:`~repro.runner.watchdog.Watchdog`; the campaign converts it
-    into a recorded :class:`TimeoutDegradation` entry instead of a
-    stuck process.
-    """
-
-    def __init__(self, kind: str, detail: str) -> None:
-        super().__init__(detail)
-        self.kind = kind
-        self.detail = detail
-
-
 class TransientUnitError(Exception):
     """Raisable by measurement code to mark a failure explicitly
     retryable at the unit level."""
@@ -107,9 +90,10 @@ class SimulatedCrash(RuntimeError):
 class TimeoutDegradation:
     """A hang converted into data: one unit's blown deadline budget.
 
-    ``kind`` is ``"sim-steps"`` or ``"unit-wall"``;
-    ``detail`` is deterministic (it names the budget, never the elapsed
-    time) so resumed and uninterrupted runs render identical tables.
+    ``kind`` is ``"sim-steps"`` (the worker's event limit) or
+    ``"unit-wall"`` (the supervisor's kill); ``detail`` is
+    deterministic (it names the budget, never the elapsed time) so
+    resumed and uninterrupted runs render identical tables.
     """
 
     unit: str
@@ -132,8 +116,6 @@ def classify_error(exc: BaseException) -> str:
     ones with hostile ``__str__``/``__getattr__`` — classifies without
     raising (a hypothesis property in ``tests/runner`` holds this).
     """
-    if isinstance(exc, UnitTimeout):
-        return DEGRADABLE
     if isinstance(exc, TRANSIENT_ERRORS):
         return TRANSIENT
     if isinstance(exc, NetSimError):

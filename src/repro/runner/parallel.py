@@ -16,7 +16,7 @@ The pieces here are the worker's side of that:
 
 * :class:`UnitSettings` — the picklable subset of campaign
   configuration a unit's execution depends on;
-* :func:`execute_unit` — build world, arm watchdog, run one unit,
+* :func:`execute_unit` — build world, cap its events, run one unit,
   classify the outcome into a journal record and an outcome kind;
 * :func:`worker_initializer` / :func:`run_unit_task` — the worker
   entry points.  Workers receive only ``(experiment, unit name,
@@ -40,10 +40,9 @@ import time
 import traceback
 from typing import Dict, Mapping, Optional, Tuple
 
-from .errors import (FATAL, POISON, CampaignError, UnitTimeout,
-                     classify_error)
+from ..netsim.errors import EventLimitExceeded
+from .errors import FATAL, POISON, CampaignError, classify_error
 from .units import Unit
-from .watchdog import Watchdog
 
 #: Chaos hook: SIGKILL the worker at specific ``experiment/unit:attempt``
 #: points (comma-separated; omit ``:attempt`` to kill every attempt).
@@ -51,9 +50,9 @@ from .watchdog import Watchdog
 #: deterministic worker deaths.
 KILL_ENV = "REPRO_CAMPAIGN_WORKER_KILL"
 
-#: Chaos hook: spin in **pure Python** (no simulated events, so the
-#: cooperative watchdog is blind) at matching ``experiment/unit``
-#: points — the documented hole hard deadline enforcement closes.
+#: Chaos hook: spin in **pure Python** (no simulated events, so no
+#: event limit) at matching ``experiment/unit`` points — a hang only
+#: the supervisor's hard deadline ends.
 HANG_ENV = "REPRO_CAMPAIGN_WORKER_HANG"
 
 #: Safety net on the chaos hang: never spin longer than this, so a
@@ -71,8 +70,9 @@ class UnitSettings:
     loss: float = 0.0
     fault_seed: int = 0
     retries: Optional[int] = None
+    #: Simulated-event budget per unit (``--unit-steps``), enforced by
+    #: the unit world's :attr:`~repro.netsim.engine.Network.event_limit`.
     unit_steps: Optional[int] = None
-    unit_wall: Optional[float] = None
     #: Attach a trace bus to every unit world and return the buffered
     #: events through the result channel (``--trace``).
     trace: bool = False
@@ -104,8 +104,7 @@ def build_unit_world(settings: UnitSettings):
     return world
 
 
-def execute_unit(settings: UnitSettings, experiment: str, unit: Unit,
-                 watchdog: Watchdog
+def execute_unit(settings: UnitSettings, experiment: str, unit: Unit
                  ) -> Tuple[Dict, float, Dict, Optional[str]]:
     """Run one unit; returns ``(journal record, wall seconds, extras,
     kind)``.
@@ -128,6 +127,12 @@ def execute_unit(settings: UnitSettings, experiment: str, unit: Unit,
     through retry and quarantine.  Neither carries metrics or trace;
     a fatal outcome's ``extras["traceback"]`` holds the formatted
     traceback for stderr, while the journal keeps the one-line reason.
+
+    ``steps`` is the unit's change in the world's
+    :attr:`~repro.netsim.engine.Network.events_processed`.  With
+    ``settings.unit_steps`` set, the world's ``event_limit`` caps it:
+    the unit that crosses the cap is journaled as a ``sim-steps``
+    timeout with ``steps`` one past the budget.
     """
     from ..experiments.common import domain_sample
     from ..obs.metrics import (MetricsRegistry, STEP_BUCKETS,
@@ -153,12 +158,23 @@ def execute_unit(settings: UnitSettings, experiment: str, unit: Unit,
         bus.emit("unit-start", world.network.now,
                  experiment=experiment, unit=unit.name)
     domains = domain_sample(world, settings.fraction)
-    watchdog.begin_unit(world.network)
+    network = world.network
+    events_before = network.events_processed
+    if settings.unit_steps is not None:
+        network.event_limit = events_before + settings.unit_steps
+    steps: Optional[int] = None
     try:
         payload = unit.fn(world, domains)
-    except UnitTimeout as exc:
+    except EventLimitExceeded:
+        # The count stops at the crossing event, even where a fused
+        # transit chain carried ``events_processed`` further.
+        steps = settings.unit_steps + 1
         record["status"] = "timeout"
-        record["timeout"] = {"kind": exc.kind, "detail": exc.detail}
+        record["timeout"] = {
+            "kind": "sim-steps",
+            "detail": f"unit exceeded {settings.unit_steps} "
+                      f"simulated events",
+        }
     except Exception as exc:
         category = classify_error(exc)
         record["status"] = "failed"
@@ -183,8 +199,8 @@ def execute_unit(settings: UnitSettings, experiment: str, unit: Unit,
             else None
         record["status"] = "degraded" if errors else "ok"
         record["payload"] = payload
-    finally:
-        steps = watchdog.end_unit()
+    if steps is None:
+        steps = network.events_processed - events_before
     record["steps"] = steps
     if kind is not None:
         return record, time.monotonic() - start, extras, kind
@@ -192,9 +208,8 @@ def execute_unit(settings: UnitSettings, experiment: str, unit: Unit,
     collect_world_metrics(registry, world, experiment=experiment)
     if obs_snapshot:
         registry.merge(obs_snapshot)
-    if steps is not None:
-        registry.histogram("campaign_unit_steps", STEP_BUCKETS,
-                           experiment=experiment).observe(steps)
+    registry.histogram("campaign_unit_steps", STEP_BUCKETS,
+                       experiment=experiment).observe(steps)
     extras["metrics"] = registry.snapshot()
     if sink is not None:
         extras["trace"] = sink.lines()
@@ -297,8 +312,8 @@ def _maybe_chaos(experiment: str, unit_name: str, attempt: int) -> None:
     if _chaos_match(KILL_ENV, experiment, unit_name, attempt):
         os.kill(os.getpid(), getattr(signal, "SIGKILL", signal.SIGTERM))
     if _chaos_match(HANG_ENV, experiment, unit_name, attempt):
-        # Pure-Python spin: no simulated events, so the cooperative
-        # watchdog cannot interrupt it — only a hard deadline kill can.
+        # Pure-Python spin: no simulated events, so no event limit
+        # can interrupt it — only a hard deadline kill can.
         deadline = time.monotonic() + HANG_SPIN_LIMIT
         while time.monotonic() < deadline:
             pass
@@ -335,9 +350,4 @@ def run_unit_task(experiment: str, unit_name: str, attempt: int = 1
     settings: UnitSettings = _WORKER["settings"]
     _maybe_chaos(experiment, unit_name, attempt)
     unit = _resolve_unit(experiment, unit_name)
-    # Each worker arms its own unit-scope watchdog; the campaign-wide
-    # wall budget stays with the parent, which checks it between
-    # journal commits.
-    watchdog = Watchdog(unit_steps=settings.unit_steps,
-                        unit_wall=settings.unit_wall)
-    return execute_unit(settings, experiment, unit, watchdog)
+    return execute_unit(settings, experiment, unit)

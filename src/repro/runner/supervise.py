@@ -21,13 +21,12 @@ degrades instead of dying, so the pool is built for that:
   units are never re-run on resume; they render as explicit rows in
   the tables and the run report.
 
-* **Hard deadline enforcement.**  Because every unit runs in an
-  expendable worker, ``unit_wall`` is enforced *non-cooperatively*:
-  a worker that exceeds the budget (plus a grace allowance for world
-  builds) is SIGKILLed and the unit journaled as a ``timeout`` with
-  the same deterministic detail text the cooperative watchdog writes.
-  This closes the pure-Python-spin hole documented in
-  :mod:`repro.runner.watchdog`.
+* **Hard deadline enforcement.**  The supervisor alone enforces
+  ``unit_wall`` (``--unit-deadline``).  Because every unit runs in an
+  expendable worker, it does so *non-cooperatively*: a worker still
+  busy :data:`HARD_GRACE` seconds past the budget is SIGKILLed and the
+  unit journaled as a ``timeout`` — whether it was simulating or
+  spinning in pure Python.
 
 * **Determinism.**  Records are produced by deterministic unit
   executions and committed by the campaign in canonical order, so a
@@ -40,7 +39,9 @@ degrades instead of dying, so the pool is built for that:
 A respawn budget bounds pathological crash loops (a broken
 ``worker_initializer`` would otherwise respawn forever); exceeding it
 raises :class:`~repro.runner.errors.CampaignError` with the crash
-history intact in the sidecars.
+history intact in the sidecars.  Deadline kills do not draw on it: a
+hard timeout is a final outcome, so they are bounded by the number of
+units.
 """
 
 from __future__ import annotations
@@ -83,10 +84,10 @@ DEFAULT_MAX_CRASHES = 2
 DEFAULT_BACKOFF_BASE = 0.05
 DEFAULT_BACKOFF_CAP = 2.0
 
-#: Grace added to ``unit_wall`` before the hard kill: the cooperative
-#: watchdog budget excludes the world build, the hard deadline cannot,
-#: and the cooperative guard deserves first shot at a clean timeout.
-DEFAULT_HARD_GRACE = 2.0
+#: Grace added to ``unit_wall`` before the hard kill: the clock starts
+#: at dispatch, before the worker has imported the experiments and
+#: built the unit's world.
+HARD_GRACE = 2.0
 
 #: How long to wait for a worker to die after ``kill()``.
 JOIN_TIMEOUT = 5.0
@@ -116,11 +117,9 @@ def hard_timeout_record(experiment: str, unit_name: str,
                         unit_wall: float) -> Dict:
     """The journal record for a hard (worker-killed) unit timeout.
 
-    Carries the exact detail text the cooperative watchdog uses, so a
-    hang converts to the same row whether the unit was interruptible
-    or had to be killed; ``steps`` is ``None`` because a SIGKILLed
-    worker cannot report its event count (forensics live in the
-    supervision sidecar).
+    The detail names the budget, never the elapsed time; ``steps`` is
+    ``None`` because a SIGKILLed worker cannot report its event count
+    (forensics live in the supervision sidecar).
     """
     return {
         "type": "unit", "experiment": experiment, "unit": unit_name,
@@ -277,7 +276,6 @@ class Supervisor:
                  max_crashes: int = DEFAULT_MAX_CRASHES,
                  backoff_base: float = DEFAULT_BACKOFF_BASE,
                  backoff_cap: float = DEFAULT_BACKOFF_CAP,
-                 hard_grace: float = DEFAULT_HARD_GRACE,
                  max_respawns: Optional[int] = None,
                  events=None,
                  stop_check=None,
@@ -294,7 +292,6 @@ class Supervisor:
         self.max_crashes = max_crashes
         self.backoff_base = backoff_base
         self.backoff_cap = backoff_cap
-        self.hard_grace = hard_grace
         self.max_spawns = workers + (
             max_respawns if max_respawns is not None
             else max(8, 4 * workers))
@@ -514,7 +511,7 @@ class Supervisor:
         if self.unit_wall is None:
             return
         now = self._clock()
-        limit = self.unit_wall + self.hard_grace
+        limit = self.unit_wall + HARD_GRACE
         for slot in list(self._slots):
             if slot.task is None:
                 continue
@@ -524,6 +521,9 @@ class Supervisor:
             worker_id = slot.worker_id
             slot.task = None  # consumed: a late result is stale
             self._retire(slot)
+            # A hard timeout is final, not a crash: its respawn does
+            # not draw on the crash-loop budget.
+            self.max_spawns += 1
             self._spawn()
             experiment, unit_name = self._tasks[index]
             self._done[index] = TaskOutcome(

@@ -58,9 +58,5 @@ def category_names() -> Sequence[str]:
     return tuple(CATEGORIES.keys())
 
 
-def category_weight(category: str) -> float:
-    return CATEGORIES[category][0]
-
-
 def category_words(category: str) -> Sequence[str]:
     return CATEGORIES[category][1]

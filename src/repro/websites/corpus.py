@@ -193,6 +193,3 @@ class Corpus:
 
     def in_category(self, category: str) -> List[Website]:
         return [site for site in self.sites if site.category == category]
-
-    def living_sites(self) -> List[Website]:
-        return [site for site in self.sites if not site.is_dead]

@@ -139,13 +139,6 @@ def _build_parking(network, deployment, attach_router, allocator, delay):
 # Per-site hosting
 # ---------------------------------------------------------------------------
 
-def _region_of_host(host: Host) -> str:
-    name = host.name
-    if name.startswith("cdn-"):
-        return name.split("-", 1)[1]
-    return "us"
-
-
 def _normal_handler(site: Website, region: str):
     serial = {"n": 0}
 

@@ -10,6 +10,7 @@ import pytest
 
 from repro.netsim import Network, SimulationError, make_udp_packet
 from repro.netsim import engine as engine_module
+from repro.netsim.errors import EventLimitExceeded
 
 from .reference_router import ReferenceRouter
 
@@ -60,15 +61,14 @@ class TestEventBudgetExact:
         # The raising callback itself does not count.
         assert net.events_processed == 3
 
-        def deadline():
-            raise TimeoutError("hook")
-
         net.call_later(0.0, lambda: None)
-        net.step_hook = deadline
-        with pytest.raises(TimeoutError, match="hook"):
+        net.call_later(0.0, lambda: None)
+        net.event_limit = 3
+        with pytest.raises(EventLimitExceeded):
             net.run_until_idle()
-        # The hook runs after its event, so that event counts.
+        # The limit is checked after its event, so that event counts.
         assert net.events_processed == 4
+        assert net.pending_events == 1
 
     def test_zero_budget_with_pending_events_raises_immediately(self):
         net = Network()

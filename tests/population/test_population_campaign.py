@@ -9,7 +9,6 @@ from repro.population.engine import POPULATION_SCALE_ENV
 from repro.runner.campaign import Campaign
 from repro.runner.parallel import (UnitSettings, build_unit_world,
                                    execute_unit)
-from repro.runner.watchdog import Watchdog
 
 
 @pytest.fixture(autouse=True)
@@ -54,7 +53,7 @@ class TestMetricsLift:
     def test_execute_unit_routes_obs_metrics_sidecar(self):
         unit = next(iter(population_scale.units(("idea",))))
         record, _wall, extras, kind = execute_unit(
-            SETTINGS, "population-scale", unit, Watchdog())
+            SETTINGS, "population-scale", unit)
         assert kind is None
         assert record["status"] == "ok"
         # The snapshot is lifted out of the journaled payload...

@@ -218,6 +218,46 @@ class TestDeadlines:
         assert "(not run)" in report.tables
         assert not report.complete
 
+    def test_campaign_deadline_stops_between_commits(self, tmp_path):
+        # Start, then one read per delivered outcome: two units commit
+        # inside the 30 s budget, the third finds it spent.
+        reads = iter([0.0, 10.0, 20.0, 31.0])
+        report = _campaign(tmp_path / "run", deadline=30.0,
+                           clock=lambda: next(reads)).run()
+        assert report.deadline_hit == "campaign wall budget 30s exhausted"
+        assert report.counts["ok"] == 2
+        assert report.counts["missing"] == report.counts["total"] - 2
+        assert "deadline: campaign wall budget 30s exhausted" \
+            in report.render()
+        with open(report.journal_path, encoding="utf-8") as fh:
+            last = fh.read().splitlines()[-1]
+        assert '"status":"deadline"' in last
+
+    def test_campaign_deadline_never_times_out_a_unit(self, tmp_path):
+        # A spent campaign budget leaves the rest missing, never
+        # journaled as timeouts, so a resume finishes the straight run.
+        straight = _campaign(tmp_path / "straight").run()
+        reads = iter([0.0, 10.0, 31.0])
+        run_dir = tmp_path / "run"
+        report = _campaign(run_dir, deadline=30.0,
+                           clock=lambda: next(reads)).run()
+        assert report.counts["timeout"] == 0
+        assert report.counts["ok"] == 1
+        resumed = _campaign(run_dir, resume=True).run()
+        assert resumed.complete
+        assert _read(resumed.tables_path) == _read(straight.tables_path)
+
+    def test_no_campaign_deadline_never_fires(self, tmp_path):
+        clock_value = [0.0]
+
+        def clock():
+            clock_value[0] += 1e9
+            return clock_value[0]
+
+        report = _campaign(tmp_path / "run", clock=clock).run()
+        assert report.deadline_hit is None
+        assert report.complete
+
 
 class TestCli:
     def test_campaign_command_and_resume(self, tmp_path, capsys,

@@ -19,6 +19,7 @@ from hypothesis import given, strategies as st
 from repro.experiments.common import TableSpec, Unit, campaign_payload
 from repro.netsim.errors import (
     ConnectionError_,
+    EventLimitExceeded,
     NetSimError,
     PortInUseError,
 )
@@ -29,7 +30,6 @@ from repro.runner.errors import (
     POISON,
     TRANSIENT,
     TransientUnitError,
-    UnitTimeout,
     classify_error,
 )
 
@@ -57,7 +57,7 @@ def _instances():
         RecursionError("deep"),
         OSError(24, "too many open files"),
         UnicodeDecodeError("utf-8", b"\xff", 0, 1, "bad byte"),
-        UnitTimeout("unit-wall", "unit exceeded 1s wall budget"),
+        EventLimitExceeded(1000),
         TransientUnitError("flap"),
         ConnectionError_("refused"),
         PortInUseError("port 80 in use"),
@@ -82,8 +82,10 @@ class TestClassifyTotal:
         assert classify_error(TransientUnitError("x")) == TRANSIENT
         assert classify_error(ConnectionError_("x")) == TRANSIENT
         assert classify_error(PortInUseError("x")) == TRANSIENT
-        assert classify_error(UnitTimeout("k", "d")) == DEGRADABLE
         assert classify_error(NetSimError("x")) == DEGRADABLE
+        # A spent event budget passes through run_degradable; the
+        # worker journals the unit as a timeout.
+        assert classify_error(EventLimitExceeded(5)) == FATAL
         assert classify_error(MemoryError("x")) == POISON
         assert classify_error(ValueError("x")) == FATAL
         assert classify_error(KeyboardInterrupt()) == FATAL

@@ -12,10 +12,11 @@ import types
 
 import pytest
 
+from repro.netsim import make_udp_packet
 from repro.runner import CampaignError, SimulatedCrash
 from repro.runner.campaign import Campaign
-from repro.runner.parallel import UnitSettings, run_unit_task, \
-    worker_initializer
+from repro.runner.parallel import UnitSettings, build_unit_world, \
+    execute_unit, run_unit_task, worker_initializer
 from repro.runner.units import TableSpec, Unit, campaign_payload
 
 #: Cheap-but-real experiment subset (same as the resume suite).
@@ -192,6 +193,74 @@ class TestWorkerTask:
         assert kind == "poison"
         assert record["error"]["category"] == "poison"
         assert wall >= 0.0
+
+
+class TestUnitBudgets:
+    """``steps`` is read off the unit world's event count, and
+    ``unit_steps`` caps it through the world's ``event_limit``."""
+
+    def _unit(self, experiment, name):
+        from repro.experiments import EXPERIMENT_MODULES
+
+        return next(unit for unit in EXPERIMENT_MODULES[experiment].units()
+                    if unit.name == name)
+
+    def test_steps_are_the_units_event_count(self):
+        settings = UnitSettings(seed=1808, scale=SCALE, fraction=1.0)
+        unit = self._unit("tcpip", "mtnl")
+        record, _wall, _extras, kind = execute_unit(settings, "tcpip", unit)
+        assert kind is None and record["status"] == "ok"
+        world = build_unit_world(settings)
+        unit.fn(world, world.corpus.domains())
+        assert record["steps"] == world.network.events_processed > 0
+
+    def test_step_budget_inside_an_experiment_journals_a_timeout(self):
+        # table1 wraps each ISP's OONI run in run_degradable; a spent
+        # budget must pass through it rather than degrade the unit.
+        settings = UnitSettings(seed=1808, scale=SCALE, fraction=1.0,
+                                unit_steps=3000)
+        unit = self._unit("table1", "mtnl")
+        runs = [execute_unit(settings, "table1", unit) for _ in range(2)]
+        assert runs[0][0] == runs[1][0]  # same budget, same record
+        record, _wall, extras, kind = runs[0]
+        assert kind is None
+        assert record["status"] == "timeout"
+        assert record["payload"] is None and record["error"] is None
+        assert record["timeout"] == {
+            "kind": "sim-steps",
+            "detail": "unit exceeded 3000 simulated events"}
+        assert record["steps"] == 3001
+        # The crossing event ran and counts in the world's metrics.
+        assert extras["metrics"]["counters"][
+            "netsim_events_total{experiment=table1}"] == 3001
+
+    def test_budget_spent_inside_a_fused_chain(self):
+        # One send crosses six pure-transit routers as a fused chain,
+        # which adds six events at once: the world's count passes the
+        # budget of 3 by more than one, the journaled steps stop at 4.
+        def chain(world, domains):
+            net = world.network
+            a = net.add_host("budget-a", "198.51.100.1")
+            b = net.add_host("budget-b", "198.51.100.2")
+            prev = "budget-a"
+            for i in range(6):
+                net.add_router(f"budget-r{i}", f"198.51.100.{10 + i}")
+                net.link(prev, f"budget-r{i}")
+                prev = f"budget-r{i}"
+            net.link(prev, "budget-b")
+            net.call_later(0.0, a.send_packet,
+                           make_udp_packet(a.ip, b.ip, 1000, 53, b"p"))
+            net.run_until_idle()
+            return campaign_payload([["chain", "delivered"]])
+
+        settings = UnitSettings(seed=1808, scale=SCALE, fraction=1.0,
+                                unit_steps=3)
+        record, _wall, extras, _kind = execute_unit(
+            settings, "chain-exp", Unit("chain", chain))
+        assert record["status"] == "timeout"
+        assert record["steps"] == 4
+        assert extras["metrics"]["counters"][
+            "netsim_events_total{experiment=chain-exp}"] == 6
 
 
 class TestCliWorkers:

@@ -19,6 +19,7 @@ import time
 
 import pytest
 
+from repro.runner import supervise
 from repro.runner.campaign import Campaign
 from repro.runner.errors import CampaignError
 from repro.runner.parallel import HANG_ENV, KILL_ENV, UnitSettings
@@ -151,12 +152,12 @@ class TestHardDeadline:
                                                       monkeypatch,
                                                       workers):
         monkeypatch.setenv(HANG_ENV, "tcpip/mtnl")
+        monkeypatch.setattr(supervise, "HARD_GRACE", 0.5)
         report = _campaign(tmp_path / "run", experiments=("tcpip",),
-                           workers=workers, unit_wall=0.5,
-                           hard_grace=0.5).run()
+                           workers=workers, unit_wall=0.5).run()
         assert report.counts["timeout"] == 1
         assert report.counts["ok"] == report.counts["total"] - 1
-        # Same deterministic detail text as the cooperative watchdog.
+        # The detail names the budget, never the elapsed time.
         assert "(timeout: unit exceeded 0.5s wall budget)" \
             in report.tables
         events = _jsonl(os.path.join(report.run_dir,
@@ -167,6 +168,24 @@ class TestHardDeadline:
                     if rec.get("status") == "timeout"]
         assert timeouts[0]["timeout"]["kind"] == "unit-wall"
         assert timeouts[0]["steps"] is None  # SIGKILL leaves no count
+
+    def test_deadline_kills_do_not_spend_the_respawn_budget(
+            self, monkeypatch):
+        # Each kill respawns the worker, but a hard timeout is a final
+        # outcome: kills are bounded by the units, not by max_respawns.
+        monkeypatch.setenv(HANG_ENV, "tcpip/mtnl,tcpip/airtel")
+        monkeypatch.setattr(supervise, "HARD_GRACE", 0.2)
+        supervisor = Supervisor(
+            UnitSettings(seed=1808, scale=SCALE, fraction=1.0),
+            workers=1, unit_wall=0.2, max_respawns=1)
+        outcomes = list(supervisor.run([("tcpip", "mtnl"),
+                                        ("tcpip", "airtel")]))
+        assert [o.record["status"] for o in outcomes] == ["timeout"] * 2
+        assert [o.record["timeout"]["kind"] for o in outcomes] \
+            == ["unit-wall"] * 2
+        # Killed at unit_wall + the patched grace, not the default 2 s.
+        assert all(o.wall < 2.0 for o in outcomes)
+        assert not supervisor._slots  # pool torn down on the way out
 
 
 class TestSupervisorUnit:
