@@ -50,6 +50,39 @@ def test_packet_level_fetch_throughput(benchmark, perf_world):
     assert ok == len(targets)
 
 
+def test_web_connectivity_throughput(benchmark, perf_world):
+    """OONI web_connectivity from every tested ISP: each vantage tests
+    every second corpus site, 750 packet-level tests a round.
+
+    Each test resolves the site twice (control and ISP resolver) and
+    fetches it over TCP through the middleboxes, so a round carries
+    tens of thousands of packets through hosts whose captures no
+    reader holds open.  One warm-up round fills the FIB and plan
+    caches first.  CI's --min-speedup keeps this case at least 1.3x
+    faster than when every host cloned and kept every packet (its
+    median is kept under previous_cases)."""
+    from repro.core.measure import web_connectivity
+    from repro.core.vantage import VantagePoint
+    from repro.isps.profiles import OONI_TESTED_ISPS
+
+    world = perf_world
+    vantages = [VantagePoint.inside(world, isp) for isp in OONI_TESTED_ISPS]
+    domains = world.corpus.domains()[::2]
+
+    def web_test_all():
+        anomalous = 0
+        for vantage in vantages:
+            for domain in domains:
+                anomalous += web_connectivity(world, vantage,
+                                              domain).anomalous
+        return anomalous
+
+    anomalous = benchmark.pedantic(web_test_all, rounds=5, iterations=1,
+                                   warmup_rounds=1)
+    assert len(vantages) * len(domains) == 750
+    assert anomalous > 0
+
+
 def test_population_session_throughput(benchmark):
     """Population-engine day: 50k sessions over a 100k-domain corpus.
 

@@ -60,12 +60,14 @@ def annotate(entry, client_ip, server_ip):
 def show_exchange(title, net, client, server_host, attach):
     print(f"\n{'=' * 78}\n{title}\n{'=' * 78}")
     attach(net)
-    result = fetch_url(net, client, server_host.ip, BLOCKED)
-    net.run_until_idle()
+    # Hosts record packets only while a reader holds their captures open.
+    with client.capture.armed(), server_host.capture.armed():
+        result = fetch_url(net, client, server_host.ip, BLOCKED)
+        net.run_until_idle()
+        entries = sorted(
+            list(client.capture) + list(server_host.capture),
+            key=lambda e: (e.time, e.direction == "tx"))
     print("\nClient + server wire view:")
-    entries = sorted(
-        list(client.capture) + list(server_host.capture),
-        key=lambda e: (e.time, e.direction == "tx"))
     for entry in entries:
         print(annotate(entry, client.ip, server_host.ip))
     response = result.first_response

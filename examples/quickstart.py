@@ -38,22 +38,24 @@ def main() -> None:
     assert blocked_domain is not None
     print(f"Fetching http://{blocked_domain}/ from inside Airtel...")
 
-    result = vantage.fetch_domain(blocked_domain)
-    response = result.first_response
-    if response is not None and looks_like_block_page(response.body):
-        print("  -> HTTP 200 OK ... but it is a censorship notification:")
-        body_text = response.body.decode("latin-1")
-        print(f"     {body_text[:110]}...")
-        print(f"     (got FIN: {result.got_fin} — the injected packet "
-              f"tears the connection down)")
-    else:
-        print("  -> the wiretap box lost the race this time; "
-              "the real page rendered. Reload and it will usually lose.")
+    # The host records packets only while a reader holds its capture
+    # open, so arm it around the fetch whose wire we want to see.
+    with vantage.host.capture.armed() as capture:
+        result = vantage.fetch_domain(blocked_domain)
+        response = result.first_response
+        if response is not None and looks_like_block_page(response.body):
+            print("  -> HTTP 200 OK ... but it is a censorship notification:")
+            body_text = response.body.decode("latin-1")
+            print(f"     {body_text[:110]}...")
+            print(f"     (got FIN: {result.got_fin} — the injected packet "
+                  f"tears the connection down)")
+        else:
+            print("  -> the wiretap box lost the race this time; "
+                  "the real page rendered. Reload and it will usually lose.")
 
-    print("\nWhat the wire shows (last packets from the 'server'):")
-    for entry in vantage.host.capture.filter(direction="rx",
-                                             tcp_only=True)[-4:]:
-        print(f"  {entry.describe()[:100]}")
+        print("\nWhat the wire shows (last packets from the 'server'):")
+        for entry in capture.filter(direction="rx", tcp_only=True)[-4:]:
+            print(f"  {entry.describe()[:100]}")
 
     print("\nNow evading with the Host-keyword case fudge "
           "(\"HOst:\" instead of \"Host:\")...")

@@ -355,8 +355,8 @@ def _cmd_campaign(args, raw=()) -> int:
     from .runner.campaign import Campaign
 
     if args.workers < 1:
-        raise SystemExit(
-            f"repro: error: --workers must be >= 1, got {args.workers}")
+        return _campaign_trouble(
+            f"--workers must be >= 1, got {args.workers}")
     cores = os.cpu_count()
     if cores is not None and args.workers > cores:
         print(f"repro: warning: --workers {args.workers} exceeds "
@@ -404,7 +404,7 @@ def _cmd_campaign(args, raw=()) -> int:
         )
         report = campaign.run()
     except CampaignError as exc:
-        raise SystemExit(f"repro: error: {exc}")
+        return _campaign_trouble(str(exc))
     finally:
         for signum, handler in restore.items():
             try:
@@ -416,6 +416,14 @@ def _cmd_campaign(args, raw=()) -> int:
         print(f"repro campaign --resume {run_dir}", file=sys.stderr)
         return 130
     return 0 if report.complete else 1
+
+
+def _campaign_trouble(message: str) -> int:
+    """Report *message*; status 2 says the campaign did not run or
+    aborted.  As with grep and diff, 2 means trouble, while 1 means
+    the campaign finished with units missing."""
+    print(f"repro: error: {message}", file=sys.stderr)
+    return 2
 
 
 def _cmd_serve(args) -> int:

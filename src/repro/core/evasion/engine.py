@@ -99,19 +99,21 @@ def attempt_strategy(
         return _judge(strategy, domain, result, reference)
 
     spec = strategy.spec_for(domain)
-    capture_mark = len(vantage.host.capture)
-    result = vantage.fetch_domain(domain, ip=dst_ip, spec=spec,
-                                  segment_size=strategy.segment_size)
-    attempt = _judge(strategy, domain, result, reference)
-    if attempt.success:
-        # A wiretap box that *did* trigger may simply have lost the
-        # race this time; its injection still shows up (late) on the
-        # wire.  A request-crafting strategy only counts as working
-        # when no censorship artifact ever appears.
-        vantage.settle(2.6)
-        if _late_injection_observed(vantage.host, capture_mark, dst_ip):
-            return EvasionAttempt(strategy.name, domain, False,
-                                  "late injected notification observed")
+    with vantage.host.capture.armed() as capture:
+        capture_mark = len(capture)
+        result = vantage.fetch_domain(domain, ip=dst_ip, spec=spec,
+                                      segment_size=strategy.segment_size)
+        attempt = _judge(strategy, domain, result, reference)
+        if attempt.success:
+            # A wiretap box that *did* trigger may simply have lost the
+            # race this time; its injection still shows up (late) on
+            # the wire.  A request-crafting strategy only counts as
+            # working when no censorship artifact ever appears.
+            vantage.settle(2.6)
+            if _late_injection_observed(vantage.host, capture_mark,
+                                        dst_ip):
+                return EvasionAttempt(strategy.name, domain, False,
+                                      "late injected notification observed")
     return attempt
 
 

@@ -90,43 +90,48 @@ def classify_middlebox(
     attempts: int = 10,
     server_host=None,
 ) -> MiddleboxClassification:
-    """Run the controlled-remote-server experiment from *isp_name*."""
+    """Run the controlled-remote-server experiment from *isp_name*.
+
+    The client's and the server's captures are armed for the whole
+    call, so every capture read below sees this classification's
+    packets and none of the traffic the world carried before it.
+    """
     vantage = VantagePoint.inside(world, isp_name)
     client = vantage.host
     if server_host is None:
         server_host = world.remote_server
     result = MiddleboxClassification(isp=isp_name,
                                      blocked_domain=blocked_domain)
+    with client.capture.armed(), server_host.capture.armed():
+        for _ in range(attempts):
+            result.attempts += 1
+            capture_mark = len(server_host.capture)
+            client_mark = len(client.capture)
+            flow = CraftedFlow(world, client, server_host.ip)
+            if not flow.open():
+                continue
+            client_seqs_before = _client_tx_seqs(client, server_host.ip)
+            observation = flow.probe_and_observe(blocked_domain, duration=1.2)
+            world.network.run(until=world.network.now + 2.5)
+            flow.close()
 
-    for _ in range(attempts):
-        result.attempts += 1
-        capture_mark = len(server_host.capture)
-        client_mark = len(client.capture)
-        flow = CraftedFlow(world, client, server_host.ip)
-        if not flow.open():
-            continue
-        client_seqs_before = _client_tx_seqs(client, server_host.ip)
-        observation = flow.probe_and_observe(blocked_domain, duration=1.2)
-        world.network.run(until=world.network.now + 2.5)
-        flow.close()
-
-        if observation.censored:
-            result.censorship_observed = True
-            result.censored_attempts += 1
-            if observation.notification:
-                result.notification_seen = True
-            elif observation.rst_from_target:
-                result.bare_rst_only = True
-            result.injected_ip_ids |= _injected_ip_ids(
-                client, server_host.ip, client_mark)
-            if _server_saw_payload(server_host, capture_mark,
-                                   client.ip, blocked_domain):
-                result.server_saw_request = True
-            if _server_got_foreign_rst(server_host, capture_mark,
-                                       client, client_seqs_before):
-                result.server_got_foreign_rst = True
-        elif observation.real_content or observation.payload_bytes:
-            result.rendered_despite_censorship += 1
+            if observation.censored:
+                result.censorship_observed = True
+                result.censored_attempts += 1
+                if observation.notification:
+                    result.notification_seen = True
+                elif observation.rst_from_target:
+                    result.bare_rst_only = True
+                result.injected_ip_ids |= _injected_ip_ids(
+                    client, server_host.ip, client_mark)
+                if _server_saw_payload(server_host, capture_mark,
+                                       client.ip, blocked_domain):
+                    result.server_saw_request = True
+                if _server_got_foreign_rst(server_host, capture_mark,
+                                           client, client_seqs_before):
+                    result.server_got_foreign_rst = True
+            elif observation.real_content or observation.payload_bytes:
+                result.rendered_despite_censorship += 1
     return result
 
 

@@ -17,9 +17,8 @@ tests in ``tests/measure/test_fastprobe_equivalence.py``.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ...dnssim.message import DNSQuery, DNSResponse
 from ...dnssim.resolver import ResolverService
@@ -56,12 +55,18 @@ class ExpressVerdict:
 NOT_CENSORED = ExpressVerdict(censored=False)
 
 
-#: Per-network memo of :func:`middleboxes_along`:
-#: network -> (topology_generation, {(client, dst_ip, src_ip): boxes}).
-#: Weakly keyed so discarded worlds release their cache, and stamped
-#: with the generation so any topology/middlebox change retires it.
-_BOX_CACHE: "weakref.WeakKeyDictionary[Network, Tuple[int, Dict]]" = \
-    weakref.WeakKeyDictionary()
+def _memo(network: Network, name: str) -> Dict:
+    """The network's *name* memo (see ``Network.express_memos``).
+
+    Stamped with the topology generation, so any topology or
+    middlebox change retires it.
+    """
+    generation = network.topology_generation
+    entry = network.express_memos.get(name)
+    if entry is None or entry[0] != generation:
+        entry = (generation, {})
+        network.express_memos[name] = entry
+    return entry[1]
 
 
 def middleboxes_along(network: Network, client: Host, dst_ip: str,
@@ -74,16 +79,12 @@ def middleboxes_along(network: Network, client: Host, dst_ip: str,
     iterate it.
     """
     client_ip = client_ip or client.ip
-    generation = network.topology_generation
-    entry = _BOX_CACHE.get(network)
-    if entry is None or entry[0] != generation:
-        entry = (generation, {})
-        _BOX_CACHE[network] = entry
+    boxes = _memo(network, "boxes")
     key = (client.name, dst_ip, client_ip)
-    found = entry[1].get(key)
+    found = boxes.get(key)
     if found is None:
         found = _walk_middleboxes(network, client, dst_ip, client_ip)
-        entry[1][key] = found
+        boxes[key] = found
     return found
 
 
@@ -107,25 +108,12 @@ def _walk_middleboxes(network: Network, client: Host, dst_ip: str,
 # Precompiled delivery plans
 # ---------------------------------------------------------------------------
 
-#: Per-network memo of compiled delivery plans, generation-stamped like
-#: :data:`_BOX_CACHE` and weakly keyed so discarded worlds release it.
-#: Keys inside the per-network dict: ``(client, dst_ip, client_ip,
-#: dst_port)`` for HTTP plans and ``("dns", client, resolver_ip)`` for
-#: DNS plans.
-_PLAN_CACHE: "weakref.WeakKeyDictionary[Network, Tuple[int, Dict]]" = \
-    weakref.WeakKeyDictionary()
+# Compiled delivery plans live in the network's "plans" memo, keyed
+# (client, dst_ip, client_ip, dst_port) for HTTP plans and
+# ("dns", client, resolver_ip) for DNS plans.
 
 #: DNS-plan sentinel for unroutable resolvers (a miss we also memoize).
 _UNROUTABLE = ("unroutable", ())
-
-
-def _plan_slot(network: Network) -> Dict:
-    generation = network.topology_generation
-    entry = _PLAN_CACHE.get(network)
-    if entry is None or entry[0] != generation:
-        entry = (generation, {})
-        _PLAN_CACHE[network] = entry
-    return entry[1]
 
 
 def _http_plan(network: Network, client: Host, dst_ip: str,
@@ -138,7 +126,7 @@ def _http_plan(network: Network, client: Host, dst_ip: str,
     or a trigger spec (e.g. the DNS injector) compile to nothing, same
     as the seed loop's ``spec is None`` skip.
     """
-    plans = _plan_slot(network)
+    plans = _memo(network, "plans")
     key = (client.name, dst_ip, client_ip, dst_port)
     plan = plans.get(key)
     if plan is not None:
@@ -171,7 +159,7 @@ def _dns_plan(network: Network, client: Host, resolver_ip: str) -> tuple:
     flip those at runtime, neither of which moves the topology
     generation.
     """
-    plans = _plan_slot(network)
+    plans = _memo(network, "plans")
     key = ("dns", client.name, resolver_ip)
     plan = plans.get(key)
     if plan is not None:

@@ -30,7 +30,6 @@ from ..core.measure.fastprobe import (
 )
 from ..isps.world import World, build_world
 from ..netsim.addressing import is_bogon
-from ..netsim.errors import NetSimError
 from ..runner.errors import (
     FATAL,
     TRANSIENT,
@@ -107,13 +106,6 @@ def domain_sample(world: World, fraction: Optional[float] = None
 # ---------------------------------------------------------------------------
 # Graceful degradation
 # ---------------------------------------------------------------------------
-
-#: Errors an experiment survives by recording a partial entry.  Only
-#: simulator failures qualify — programming errors must still crash.
-#: (Kept for backward compatibility; the full taxonomy lives in
-#: :mod:`repro.runner.errors` and is what :func:`run_degradable` uses.)
-DEGRADABLE_ERRORS = (NetSimError,)
-
 
 @dataclass
 class Degradation:

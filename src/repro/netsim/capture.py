@@ -1,14 +1,17 @@
 """pcap-style packet capture.
 
-Hosts (and optionally routers) record every packet they send and
-receive.  The measurement code inspects captures exactly the way the
-paper inspects pcap traces: looking for injected FINs, forged RSTs,
-fixed IP-ID values and sequence-number mismatches.
+A host records the packets it sends and receives only while a
+measurement that reads them holds its capture open
+(:meth:`Capture.armed`).  The measurement code inspects captures
+exactly the way the paper inspects pcap traces: looking for injected
+FINs, forged RSTs, fixed IP-ID values and sequence-number mismatches.
+A capture nobody holds open records nothing, so a world keeps no
+packets a reader did not ask for.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from contextlib import contextmanager
 from typing import Callable, Iterator, List, NamedTuple, Optional
 
 from .packets import Packet, TCPFlags
@@ -17,9 +20,9 @@ from .packets import Packet, TCPFlags
 class CaptureEntry(NamedTuple):
     """One captured packet: when, where, which direction.
 
-    A NamedTuple rather than a frozen dataclass: captures record every
-    packet at every host, and a frozen dataclass pays an
-    ``object.__setattr__`` per field on construction.
+    A NamedTuple rather than a frozen dataclass: an armed capture
+    records every packet its host sends or receives, and a frozen
+    dataclass pays an ``object.__setattr__`` per field on construction.
     """
 
     time: float
@@ -32,16 +35,38 @@ class CaptureEntry(NamedTuple):
         return f"[{self.time:9.4f}] {self.node} {arrow} {self.packet.describe()}"
 
 
-@dataclass
 class Capture:
-    """An append-only list of :class:`CaptureEntry` with filter helpers."""
+    """A host's packet log, recording only inside a reader's window.
 
-    entries: List[CaptureEntry] = field(default_factory=list)
-    enabled: bool = True
+    A capture starts disarmed.  A reader opens a window with
+    :meth:`armed`; while at least one window is open, the host records
+    every packet it sends (``tx``) and receives (``rx``).  Windows nest,
+    and when the outermost one closes, on an exception too, the entries
+    are dropped: a disarmed capture is always empty.
+    """
+
+    __slots__ = ("entries", "windows")
+
+    def __init__(self) -> None:
+        self.entries: List[CaptureEntry] = []
+        #: Open windows; the host records while this is non-zero.
+        self.windows = 0
+
+    @contextmanager
+    def armed(self) -> Iterator["Capture"]:
+        """Record for the duration of the ``with`` block."""
+        self.windows += 1
+        try:
+            yield self
+        finally:
+            self.windows -= 1
+            if not self.windows:
+                self.entries.clear()
 
     def record(self, time: float, node: str, direction: str, packet: Packet) -> None:
-        """Append an entry (packets are cloned so later mutation is safe)."""
-        if self.enabled:
+        """Append an entry while armed (packets are cloned so later
+        mutation is safe)."""
+        if self.windows:
             self.entries.append(
                 CaptureEntry(time=time, node=node, direction=direction,
                              packet=packet.clone())

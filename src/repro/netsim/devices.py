@@ -2,12 +2,12 @@
 
 A :class:`Host` terminates traffic: it owns a TCP stack, UDP services,
 an optional client-side firewall (the anti-censorship iptables rules of
-section 5) and a pcap-style capture.  A :class:`Router` forwards traffic
-and may carry censorship middleboxes, either *inline* (interceptive) or
-attached to a *tap* (wiretap).  Routers may be *anonymized*: they never
-send ICMP Time-Exceeded and therefore show up as asterisks in
-traceroute, exactly as the paper reports for middlebox routers
-(section 6.1).
+section 5) and a pcap-style capture that records while a reader holds
+it open.  A :class:`Router` forwards traffic and may carry censorship
+middleboxes, either *inline* (interceptive) or attached to a *tap*
+(wiretap).  Routers may be *anonymized*: they never send ICMP
+Time-Exceeded and therefore show up as asterisks in traceroute,
+exactly as the paper reports for middlebox routers (section 6.1).
 """
 
 from __future__ import annotations
@@ -131,7 +131,8 @@ class Host(Node):
             trace.emit("send", self.network.now, node=self.name,
                        flow=flow_id(packet), proto=packet.flow_key()[0],
                        dst=packet.dst, ttl=packet.ttl)
-        self.capture.record(self.network.now, self.name, "tx", packet)
+        if self.capture.windows:
+            self.capture.record(self.network.now, self.name, "tx", packet)
         self.network.transmit(self, packet)
 
     # -- receiving ------------------------------------------------------
@@ -139,11 +140,13 @@ class Host(Node):
     def deliver(self, packet: Packet, now: float) -> None:
         """Called by the engine when a packet arrives at this host.
 
-        Order mirrors Linux: the capture and sniffers see the packet
-        first (pcap observes pre-netfilter), then the firewall may drop
-        it, then it is demultiplexed to TCP / UDP / ICMP handlers.
+        Order mirrors Linux: the capture (while armed) and sniffers see
+        the packet first (pcap observes pre-netfilter), then the firewall
+        may drop it, then it is demultiplexed to TCP / UDP / ICMP
+        handlers.
         """
-        self.capture.record(now, self.name, "rx", packet)
+        if self.capture.windows:
+            self.capture.record(now, self.name, "rx", packet)
         for sniffer in self.sniffers:
             sniffer(now, packet)
         if self.firewall is not None and not self.firewall.allows(packet):

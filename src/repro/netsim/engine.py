@@ -196,6 +196,10 @@ class Network:
         #: covers the whole forwarding fast path).
         self.express_plan_hits = 0
         self.express_plan_builds = 0
+        #: The express-probe memos of ``repro.core.measure.fastprobe``:
+        #: memo name -> (topology generation, {key: value}).  They live
+        #: on the network they describe, so they die with it.
+        self.express_memos: Dict[str, Tuple[int, Dict]] = {}
         #: Hardened-client retry accounting: ``layer -> count``
         #: (clients bump it; same pattern as the drop counter).
         self.client_retries: Counter = Counter()

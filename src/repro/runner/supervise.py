@@ -11,8 +11,9 @@ degrades instead of dying, so the pool is built for that:
   own command pipe; the :class:`Supervisor` knows exactly which unit
   (and which attempt) every worker is running.  A worker that dies is
   detected (``is_alive``/exitcode — the loss is contained to that one
-  worker), its slot is respawned, and its unit is re-dispatched with
-  bounded exponential backoff.
+  worker), its unit is re-dispatched with bounded exponential backoff,
+  and the pool is topped back up while some unit still waits for a
+  worker.
 
 * **Poison-unit quarantine.**  A unit that crashes its worker
   :attr:`~Supervisor.max_crashes` times (default 2) — or repeatedly
@@ -392,6 +393,7 @@ class Supervisor:
     def _dispatch(self) -> None:
         if self._draining:
             return
+        self._top_up()
         for slot in self._slots:
             if not self._ready:
                 return
@@ -403,7 +405,7 @@ class Supervisor:
                 slot.conn.send((index, experiment, unit_name, attempt))
             except (BrokenPipeError, OSError):
                 # Worker died between liveness check and send; requeue
-                # and let _reap_dead respawn the slot.
+                # and let _reap_dead retire the slot.
                 self._ready.appendleft((index, attempt))
                 continue
             slot.task = (index, attempt, self._clock())
@@ -444,10 +446,9 @@ class Supervisor:
         slot.task = None
         if kind == "poison":
             # The worker survived, but a MemoryError mid-unit leaves
-            # its heap suspect — recycle the process and route the
+            # its heap suspect — retire the process and route the
             # unit through the same retry/quarantine path as a death.
             self._retire(slot)
-            self._spawn()
             self._record_crash(index, attempt,
                                reason=record["error"]["reason"])
             return
@@ -462,14 +463,13 @@ class Supervisor:
     # ------------------------------------------------------------------
 
     def _reap_dead(self) -> None:
-        """Detect dead workers, attribute crashes, respawn slots."""
+        """Detect dead workers and attribute their crashes."""
         for slot in list(self._slots):
             if slot.process.is_alive():
                 continue
             task = slot.task
             exitcode = slot.process.exitcode
             self._retire(slot, kill=False)
-            self._spawn()
             if task is None:
                 continue  # died idle: nothing to attribute
             index, attempt, dispatched_at = task
@@ -521,10 +521,9 @@ class Supervisor:
             worker_id = slot.worker_id
             slot.task = None  # consumed: a late result is stale
             self._retire(slot)
-            # A hard timeout is final, not a crash: its respawn does
-            # not draw on the crash-loop budget.
+            # A hard timeout is final, not a crash: the respawn it may
+            # cause does not draw on the crash-loop budget.
             self.max_spawns += 1
-            self._spawn()
             experiment, unit_name = self._tasks[index]
             self._done[index] = TaskOutcome(
                 index=index, experiment=experiment, unit_name=unit_name,
@@ -539,6 +538,18 @@ class Supervisor:
     # ------------------------------------------------------------------
     # Pool plumbing
     # ------------------------------------------------------------------
+
+    def _top_up(self) -> None:
+        """Replace lost workers while some unit still needs one.
+
+        A unit needs a worker while it is queued or waiting out a
+        backoff; once neither holds, a dead or killed worker is not
+        replaced, so no process starts only to be shut down.
+        """
+        if not (self._ready or self._waiting):
+            return
+        while len(self._slots) < min(self.workers, len(self._tasks)):
+            self._spawn()
 
     def _spawn(self, initial: bool = False) -> _Slot:
         if self._spawned >= self.max_spawns:

@@ -23,20 +23,22 @@ def engine_observes_censorship(world, client, ip, domain,
                                attempts=6) -> bool:
     """Packet-level fetch, retried to defeat wiretap races."""
     for _ in range(attempts):
-        result = fetch_url(world.network, client, ip, domain)
-        world.network.run(until=world.network.now + 2.6)
-        response = result.first_response
-        if response is not None and looks_like_block_page(response.body):
-            return True
-        if result.got_rst and not result.ok:
-            return True
-        # A late (lost-race) injection still proves the trigger fired.
-        if _late_block_page(client, ip):
-            return True
+        with client.capture.armed():
+            result = fetch_url(world.network, client, ip, domain)
+            world.network.run(until=world.network.now + 2.6)
+            response = result.first_response
+            if response is not None and looks_like_block_page(response.body):
+                return True
+            if result.got_rst and not result.ok:
+                return True
+            # A late (lost-race) injection still proves the trigger fired.
+            if _late_block_page(client, ip):
+                return True
     return False
 
 
 def _late_block_page(client, ip) -> bool:
+    assert client.capture.windows, "an unarmed capture records nothing"
     for entry in client.capture.entries[-40:]:
         packet = entry.packet
         if (entry.direction == "rx" and packet.is_tcp

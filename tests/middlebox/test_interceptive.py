@@ -47,10 +47,12 @@ class TestOvertCensorship:
             assert looks_like_block_page(result.first_response.body)
             world.net.run_until_idle()
 
-    def test_server_receives_forged_rst_with_foreign_seq(self, world, spec):
+    def test_server_receives_forged_rst_with_foreign_seq(self, world, spec,
+                                                         armed):
         """The RST reaching the server was crafted by the box: its
         sequence number is one the client never used."""
         world.attach_inline(make_im(spec))
+        armed(world.client, world.server_host)
         fetch_url(world.net, world.client, world.server_host.ip, BLOCKED)
         world.net.run_until_idle()
         server_rx_rsts = [
@@ -78,8 +80,10 @@ class TestOvertCensorship:
         assert any(kind == "teardown-timeout"
                    for _, kind, _ in result.conn_events)
 
-    def test_server_only_ever_sees_handshake_and_forged_rst(self, world, spec):
+    def test_server_only_ever_sees_handshake_and_forged_rst(self, world, spec,
+                                                            armed):
         world.attach_inline(make_im(spec))
+        armed(world.server_host)
         fetch_url(world.net, world.client, world.server_host.ip, BLOCKED)
         world.net.run_until_idle()
         from_client = [
@@ -99,6 +103,7 @@ class TestOvertCensorship:
                 kinds.add("ack")
         assert "data" not in kinds
         assert kinds <= {"syn", "ack", "rst"}
+        assert {"syn", "rst"} <= kinds
 
     def test_uncensored_traffic_forwarded(self, world, spec):
         world.attach_inline(make_im(spec))
@@ -169,8 +174,10 @@ class TestTTLSemantics:
         app = self._connect_then_send_with_ttl(world, BLOCKED, ttl=2)
         assert b"blocked" in app.data.lower() or looks_like_block_page(app.data)
 
-    def test_censored_get_beyond_box_still_notification_no_icmp(self, world, spec):
+    def test_censored_get_beyond_box_still_notification_no_icmp(self, world,
+                                                                spec, armed):
         world.attach_inline(make_im(spec))
+        armed(world.client)
         before = len(world.client.capture.filter(
             predicate=lambda e: e.packet.is_icmp))
         app = self._connect_then_send_with_ttl(world, BLOCKED, ttl=3)
@@ -180,9 +187,12 @@ class TestTTLSemantics:
         ]
         assert looks_like_block_page(app.data)
         assert len(icmp_after) == before
+        assert world.client.capture.filter(direction="rx", tcp_only=True)
 
-    def test_uncensored_get_expiring_past_box_yields_icmp(self, world, spec):
+    def test_uncensored_get_expiring_past_box_yields_icmp(self, world, spec,
+                                                          armed):
         world.attach_inline(make_im(spec))
+        armed(world.client)
         self._connect_then_send_with_ttl(world, ALLOWED, ttl=3)
         icmp = [
             e for e in world.client.capture.filter(direction="rx")
@@ -192,9 +202,11 @@ class TestTTLSemantics:
         assert icmp, "expected ICMP Time-Exceeded for the uncensored probe"
         assert icmp[-1].packet.src == world.r3.ip
 
-    def test_censored_get_expiring_before_box_yields_icmp(self, world, spec):
+    def test_censored_get_expiring_before_box_yields_icmp(self, world, spec,
+                                                          armed):
         """TTL dying *before* the middlebox hop behaves normally."""
         world.attach_inline(make_im(spec))
+        armed(world.client)
         self._connect_then_send_with_ttl(world, BLOCKED, ttl=1)
         icmp = [
             e for e in world.client.capture.filter(direction="rx")

@@ -42,10 +42,11 @@ class TestCensoredFetch:
         assert any(req.host == BLOCKED
                    for _, _, req in world.server.request_log)
 
-    def test_real_response_discarded_and_rst_sent(self, world, spec):
+    def test_real_response_discarded_and_rst_sent(self, world, spec, armed):
         """The genuine response arrives after teardown; the client
         answers it with RST (section 4.2.1)."""
         world.attach_tap(make_wm(spec))
+        armed(world.client)
         result = fetch_url(world.net, world.client, world.server_host.ip,
                            BLOCKED)
         world.net.run_until_idle()
@@ -69,8 +70,9 @@ class TestCensoredFetch:
 
 
 class TestAirtelIpIdQuirk:
-    def test_injected_packets_carry_fixed_ip_id(self, world, spec):
+    def test_injected_packets_carry_fixed_ip_id(self, world, spec, armed):
         world.attach_tap(make_wm(spec, fixed_ip_id=242))
+        armed(world.client)
         fetch_url(world.net, world.client, world.server_host.ip, BLOCKED)
         injected = world.client.capture.filter(
             direction="rx", src=world.server_host.ip,
@@ -80,8 +82,9 @@ class TestAirtelIpIdQuirk:
         assert any(f & TCPFlags.FIN for f in flags)
         assert any(f & TCPFlags.RST for f in flags)
 
-    def test_genuine_traffic_does_not_carry_242(self, world, spec):
+    def test_genuine_traffic_does_not_carry_242(self, world, spec, armed):
         world.attach_tap(make_wm(spec, fixed_ip_id=242))
+        armed(world.client)
         fetch_url(world.net, world.client, world.server_host.ip, ALLOWED)
         data_packets = world.client.capture.filter(
             direction="rx", src=world.server_host.ip, tcp_only=True,

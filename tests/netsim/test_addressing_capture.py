@@ -4,6 +4,7 @@ import pytest
 
 from repro.netsim import (
     Capture,
+    Network,
     Prefix,
     PrefixAllocator,
     TCPFlags,
@@ -113,64 +114,120 @@ class TestAddressing:
 
 
 class TestCapture:
-    def make_capture(self):
+    @pytest.fixture
+    def capture(self):
         capture = Capture()
-        capture.record(0.0, "h", "tx",
-                       make_tcp_packet("1.1.1.1", "2.2.2.2", 1000, 80,
-                                       flags=TCPFlags.SYN))
-        capture.record(0.1, "h", "rx",
-                       make_tcp_packet("2.2.2.2", "1.1.1.1", 80, 1000,
-                                       flags=TCPFlags.SYN | TCPFlags.ACK))
-        capture.record(0.2, "h", "rx",
-                       make_udp_packet("3.3.3.3", "1.1.1.1", 53, 999, b"x"))
-        capture.record(0.3, "h", "rx",
-                       make_tcp_packet("2.2.2.2", "1.1.1.1", 80, 1000,
-                                       seq=7, flags=TCPFlags.RST))
-        return capture
+        with capture.armed():
+            capture.record(0.0, "h", "tx",
+                           make_tcp_packet("1.1.1.1", "2.2.2.2", 1000, 80,
+                                           flags=TCPFlags.SYN))
+            capture.record(0.1, "h", "rx",
+                           make_tcp_packet("2.2.2.2", "1.1.1.1", 80, 1000,
+                                           flags=TCPFlags.SYN | TCPFlags.ACK))
+            capture.record(0.2, "h", "rx",
+                           make_udp_packet("3.3.3.3", "1.1.1.1", 53, 999,
+                                           b"x"))
+            capture.record(0.3, "h", "rx",
+                           make_tcp_packet("2.2.2.2", "1.1.1.1", 80, 1000,
+                                           seq=7, flags=TCPFlags.RST))
+            yield capture
 
-    def test_direction_filter(self):
-        capture = self.make_capture()
+    def test_direction_filter(self, capture):
         assert len(capture.filter(direction="tx")) == 1
         assert len(capture.filter(direction="rx")) == 3
 
-    def test_flag_filter(self):
-        capture = self.make_capture()
+    def test_flag_filter(self, capture):
         assert len(capture.filter(with_flag=TCPFlags.RST)) == 1
         assert len(capture.filter(with_flag=TCPFlags.SYN)) == 2
 
-    def test_src_and_since_filters(self):
-        capture = self.make_capture()
+    def test_src_and_since_filters(self, capture):
         assert len(capture.filter(src="2.2.2.2")) == 2
         assert len(capture.filter(since=0.15)) == 2
 
-    def test_tcp_only(self):
-        capture = self.make_capture()
+    def test_tcp_only(self, capture):
         assert len(capture.filter(tcp_only=True)) == 3
 
     def test_disabled_capture_records_nothing(self):
-        capture = Capture(enabled=False)
+        capture = Capture()  # disarmed until a reader opens a window
         capture.record(0.0, "h", "tx",
                        make_udp_packet("1.1.1.1", "2.2.2.2", 1, 2, b""))
+        assert capture.windows == 0
         assert len(capture) == 0
 
     def test_payload_stream_reassembly(self):
         capture = Capture()
-        for seq, chunk in [(100, b"hello "), (106, b"world"),
-                           (100, b"hello ")]:  # duplicate ignored
-            capture.record(0.0, "h", "rx",
-                           make_tcp_packet("2.2.2.2", "1.1.1.1", 80, 1000,
-                                           seq=seq, flags=TCPFlags.ACK,
-                                           payload=chunk))
-        stream = capture.tcp_payload_stream("2.2.2.2", "1.1.1.1")
+        with capture.armed():
+            for seq, chunk in [(100, b"hello "), (106, b"world"),
+                               (100, b"hello ")]:  # duplicate ignored
+                capture.record(0.0, "h", "rx",
+                               make_tcp_packet("2.2.2.2", "1.1.1.1", 80,
+                                               1000, seq=seq,
+                                               flags=TCPFlags.ACK,
+                                               payload=chunk))
+            stream = capture.tcp_payload_stream("2.2.2.2", "1.1.1.1")
         assert stream == b"hello world"
 
-    def test_describe_output(self):
-        capture = self.make_capture()
+    def test_describe_output(self, capture):
         text = capture.describe()
         assert "1.1.1.1" in text
         assert "SYN" in text
 
-    def test_clear(self):
-        capture = self.make_capture()
+    def test_clear(self, capture):
         capture.clear()
         assert len(capture) == 0
+
+
+class TestCaptureWindows:
+    """A host records the packets it sends and receives only while a
+    reader holds its capture open."""
+
+    @pytest.fixture
+    def pair(self):
+        net = Network()
+        a = net.add_host("a", "10.0.0.1")
+        b = net.add_host("b", "10.0.0.2")
+        net.link("a", "b")
+
+        def ping():
+            a.send_packet(make_udp_packet(a.ip, b.ip, 1, 2, b"x"))
+            net.run_until_idle()
+
+        return a, b, ping
+
+    def test_nothing_recorded_unarmed(self, pair):
+        a, b, ping = pair
+        ping()
+        assert a.capture.windows == b.capture.windows == 0
+        assert len(a.capture) == len(b.capture) == 0
+
+    def test_armed_capture_records_tx_and_rx(self, pair):
+        a, b, ping = pair
+        with a.capture.armed(), b.capture.armed():
+            ping()
+            assert a.capture.filter(direction="tx", dst=b.ip)
+            assert b.capture.filter(direction="rx", src=a.ip)
+
+    def test_nested_windows_keep_entries_until_the_outermost_closes(
+            self, pair):
+        a, _, ping = pair
+        with a.capture.armed():
+            with a.capture.armed():
+                ping()
+            kept = len(a.capture)
+            assert kept
+            ping()
+            assert len(a.capture) > kept
+        assert a.capture.windows == 0
+        assert len(a.capture) == 0
+
+    def test_exception_disarms_and_empties(self, pair):
+        a, _, ping = pair
+        with pytest.raises(RuntimeError, match="reader failed"):
+            with a.capture.armed():
+                ping()
+                assert len(a.capture)
+                raise RuntimeError("reader failed")
+        assert a.capture.windows == 0
+        assert len(a.capture) == 0
+        ping()
+        assert len(a.capture) == 0

@@ -29,8 +29,9 @@ def build_chain(n_routers=3, anonymize=()):
 
 
 class TestForwarding:
-    def test_udp_packet_reaches_destination(self):
+    def test_udp_packet_reaches_destination(self, armed):
         net, client, server = build_chain()
+        armed(server)
         packet = make_udp_packet(client.ip, server.ip, 1234, 5678, b"hello")
         client.send_packet(packet)
         net.run_until_idle()
@@ -40,8 +41,9 @@ class TestForwarding:
             for e in received
         )
 
-    def test_ttl_decremented_per_router(self):
+    def test_ttl_decremented_per_router(self, armed):
         net, client, server = build_chain(n_routers=3)
+        armed(server)
         packet = make_udp_packet(client.ip, server.ip, 1234, 5678, b"x", ttl=64)
         client.send_packet(packet)
         net.run_until_idle()
@@ -67,8 +69,9 @@ class TestForwarding:
 
 
 class TestTTLExpiry:
-    def test_expiry_generates_time_exceeded(self):
+    def test_expiry_generates_time_exceeded(self, armed):
         net, client, server = build_chain(n_routers=3)
+        armed(client)
         packet = make_udp_packet(client.ip, server.ip, 1234, 5678, b"x", ttl=2)
         client.send_packet(packet)
         net.run_until_idle()
@@ -81,8 +84,9 @@ class TestTTLExpiry:
         # TTL=2 expires at the second router.
         assert icmp_rx[0].packet.src == "10.1.0.2"
 
-    def test_anonymized_router_stays_silent(self):
+    def test_anonymized_router_stays_silent(self, armed):
         net, client, server = build_chain(n_routers=3, anonymize={2})
+        armed(client)
         packet = make_udp_packet(client.ip, server.ip, 1234, 5678, b"x", ttl=2)
         client.send_packet(packet)
         net.run_until_idle()
@@ -90,9 +94,11 @@ class TestTTLExpiry:
             e for e in client.capture.filter(direction="rx") if e.packet.is_icmp
         ]
         assert icmp_rx == []
+        assert client.capture.filter(direction="tx")
 
-    def test_packet_with_ttl_longer_than_path_arrives(self):
+    def test_packet_with_ttl_longer_than_path_arrives(self, armed):
         net, client, server = build_chain(n_routers=3)
+        armed(server)
         packet = make_udp_packet(client.ip, server.ip, 1, 2, b"x", ttl=4)
         client.send_packet(packet)
         net.run_until_idle()
@@ -158,8 +164,9 @@ class TestECMP:
         again = [n.name for n in net.path_to(client, "198.200.0.17")]
         assert first == again
 
-    def test_forwarding_follows_computed_path(self):
+    def test_forwarding_follows_computed_path(self, armed):
         net, client, farm = self.build_diamond()
+        armed(farm)
         for ip in list(farm.ips)[:10]:
             expected_hops = len(net.path_to(client, ip)) - 1
             probe = make_udp_packet(client.ip, ip, 5, 6, b"x", ttl=64)

@@ -150,25 +150,30 @@ class TestMiddleboxVerdicts:
         router.attach_inline(box)
         return net, client, server, box
 
-    def test_forward(self):
+    def test_forward(self, armed):
         net, client, server, box = self.build(FORWARD)
+        armed(server)
         client.send_packet(make_udp_packet(client.ip, server.ip, 1, 2, b"x"))
         net.run_until_idle()
         # The probe plus the server's ICMP port-unreachable reply.
         assert box.seen >= 1
         assert server.capture.filter(direction="rx")
 
-    def test_drop(self):
+    def test_drop(self, armed):
         net, client, server, box = self.build(DROP)
+        armed(client, server)
         client.send_packet(make_udp_packet(client.ip, server.ip, 1, 2, b"x"))
         net.run_until_idle()
+        assert client.capture.filter(direction="tx")
         assert not server.capture.filter(direction="rx")
         assert any("inline-drop" in reason for _, reason, _ in net.drops)
 
-    def test_consumed(self):
+    def test_consumed(self, armed):
         net, client, server, box = self.build(CONSUMED)
+        armed(client, server)
         client.send_packet(make_udp_packet(client.ip, server.ip, 1, 2, b"x"))
         net.run_until_idle()
+        assert client.capture.filter(direction="tx")
         assert not server.capture.filter(direction="rx")
 
     def test_bad_verdict_raises(self):

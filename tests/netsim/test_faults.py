@@ -131,27 +131,31 @@ class TestDeterminism:
 
 
 class TestEngineWiring:
-    def test_total_loss_drops_everything(self):
+    def test_total_loss_drops_everything(self, armed):
         net, client, server = build_chain()
+        armed(client, server)
         net.install_faults(FaultPlan.uniform_loss(1.0, seed=1))
         client.send_packet(make_udp_packet(client.ip, server.ip, 1, 2, b"x"))
         net.run_until_idle()
+        assert client.capture.filter(direction="tx")
         assert not server.capture.filter(direction="rx")
         assert net.drop_stats()["fault-loss"] == 1
         # Uncollapsed stats retain the per-link suffix.
         raw = net.drop_stats(collapse=False)
         assert any(key.startswith("fault-loss:client->") for key in raw)
 
-    def test_zero_loss_changes_nothing(self):
+    def test_zero_loss_changes_nothing(self, armed):
         net, client, server = build_chain()
+        armed(server)
         net.install_faults(FaultPlan.uniform_loss(0.0, seed=1))
         client.send_packet(make_udp_packet(client.ip, server.ip, 1, 2, b"x"))
         net.run_until_idle()
         assert server.capture.filter(direction="rx")
         assert not net.drop_stats()
 
-    def test_duplication_delivers_two_copies(self):
+    def test_duplication_delivers_two_copies(self, armed):
         net, client, server = build_chain(n_routers=1)
+        armed(server)
         net.install_faults(FaultPlan(
             seed=1, default_link=LinkFaults(duplicate=1.0)))
         client.send_packet(make_udp_packet(client.ip, server.ip, 1, 2, b"x"))
@@ -181,11 +185,12 @@ class TestEngineWiring:
             net, client, server = build_chain(n_routers=1)
             if plan is not None:
                 net.install_faults(plan)
-            client.send_packet(
-                make_udp_packet(client.ip, server.ip, 1, 2, b"x"))
-            net.run_until_idle()
-            rx = [e for e in server.capture.filter(direction="rx")
-                  if e.packet.is_udp]
+            with server.capture.armed():
+                client.send_packet(
+                    make_udp_packet(client.ip, server.ip, 1, 2, b"x"))
+                net.run_until_idle()
+                rx = [e for e in server.capture.filter(direction="rx")
+                      if e.packet.is_udp]
             return rx[0].time
 
         baseline = arrival(None)
@@ -193,13 +198,15 @@ class TestEngineWiring:
             seed=3, default_link=LinkFaults(jitter=0.2)))
         assert jittered > baseline
 
-    def test_flap_window_blackholes_then_recovers(self):
+    def test_flap_window_blackholes_then_recovers(self, armed):
         net, client, server = build_chain(n_routers=1)
+        armed(client, server)
         net.install_faults(FaultPlan(
             seed=1, default_link=LinkFaults(flaps=((0.0, 1.0),))))
         client.send_packet(make_udp_packet(client.ip, server.ip, 1, 2, b"a"))
         net.run_until_idle()
         assert net.drop_stats()["fault-flap"] >= 1
+        assert client.capture.filter(direction="tx")
         assert not server.capture.filter(direction="rx")
         net.run(until=1.5)  # outage over
         client.send_packet(make_udp_packet(client.ip, server.ip, 1, 2, b"b"))

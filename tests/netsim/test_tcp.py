@@ -271,8 +271,9 @@ class TestInjectionAcceptance:
         a.deliver(stale, net.now)
         assert conn.state == ESTABLISHED
 
-    def test_data_to_closed_connection_draws_rst(self, pair):
+    def test_data_to_closed_connection_draws_rst(self, pair, armed):
         net, a, b = pair
+        armed(a)
         b.stack.listen(80, EchoServer)
         conn = a.stack.connect(b.ip, 80, Recorder())
         net.run_until_idle()
@@ -322,8 +323,9 @@ def echo_exchange(net, a, b, payload):
 class TestObservers:
     """Observers that outlive a delivery keep exactly what they saw."""
 
-    def test_capture_snapshots_unchanged_by_later_traffic(self, pair):
+    def test_capture_snapshots_unchanged_by_later_traffic(self, pair, armed):
         net, a, b = pair
+        armed(b)
         b.stack.listen(80, EchoServer)
         assert echo_exchange(net, a, b, b"FIRST") == b"echo:FIRST"
         before = [(entry.describe(), entry.packet.tcp.payload)

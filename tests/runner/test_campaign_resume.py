@@ -284,6 +284,6 @@ class TestCli:
         assert main(["campaign", "tcpip", "--scale", str(SCALE),
                      "--run-dir", run_dir]) == 0
         capsys.readouterr()
-        with pytest.raises(SystemExit, match="already exists"):
-            main(["campaign", "tcpip", "--scale", str(SCALE),
-                  "--run-dir", run_dir])
+        assert main(["campaign", "tcpip", "--scale", str(SCALE),
+                     "--run-dir", run_dir]) == 2
+        assert "already exists" in capsys.readouterr().err

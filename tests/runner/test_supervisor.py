@@ -187,6 +187,26 @@ class TestHardDeadline:
         assert all(o.wall < 2.0 for o in outcomes)
         assert not supervisor._slots  # pool torn down on the way out
 
+    def test_no_respawn_once_no_unit_needs_a_worker(self, monkeypatch):
+        # The last unit hangs and is killed: nothing is left to run,
+        # so no replacement worker starts only to be shut down.
+        from repro.obs.trace import BufferSink, TraceBus
+
+        monkeypatch.setenv(HANG_ENV, "tcpip/airtel")
+        monkeypatch.setattr(supervise, "HARD_GRACE", 0.5)
+        bus = TraceBus()
+        sink = BufferSink()
+        bus.subscribe(sink)
+        supervisor = Supervisor(
+            UnitSettings(seed=1808, scale=SCALE, fraction=1.0),
+            workers=1, unit_wall=0.5, events=bus)
+        outcomes = list(supervisor.run([("tcpip", "mtnl"),
+                                        ("tcpip", "airtel")]))
+        assert [o.record["status"] for o in outcomes] == ["ok", "timeout"]
+        kinds = [event["kind"] for event in sink.events]
+        assert kinds == ["unit-hard-timeout"]
+        assert supervisor._spawned == 1
+
 
 class TestSupervisorUnit:
     """The Supervisor driven directly, without a campaign."""

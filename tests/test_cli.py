@@ -106,9 +106,9 @@ class TestCampaignCli:
         monkeypatch.setenv("REPRO_BENCH_FRACTION", "1.0")
         run_dir = str(tmp_path / "run")
         assert self._run(run_dir) == 0
-        with pytest.raises(SystemExit) as exc:
-            self._run(run_dir)
-        message = str(exc.value)
+        capsys.readouterr()
+        assert self._run(run_dir) == 2
+        message = capsys.readouterr().err
         assert (f"continue it with repro campaign --resume {run_dir}"
                 in message)
         assert "or choose a fresh run directory" in message
@@ -132,9 +132,24 @@ class TestCampaignCli:
         monkeypatch.setenv("REPRO_BENCH_FRACTION", "1.0")
         run_dir = str(tmp_path / "run")
         assert self._run(run_dir) == 0
-        with pytest.raises(SystemExit) as exc:
-            main(["campaign", "--resume", run_dir, "--seed", "8"])
-        assert "seed" in str(exc.value)
+        capsys.readouterr()
+        assert main(["campaign", "--resume", run_dir, "--seed", "8"]) == 2
+        assert "seed" in capsys.readouterr().err
+
+    def test_unknown_experiment_exits_2(self, capsys, tmp_path):
+        """2 means the campaign did not run or aborted."""
+        assert main(["campaign", "no-such-experiment",
+                     "--run-dir", str(tmp_path / "run")]) == 2
+        assert "unknown experiment 'no-such-experiment'" \
+            in capsys.readouterr().err
+
+    def test_finished_with_missing_units_exits_1(self, capsys, tmp_path):
+        """1 means the campaign finished, but not every unit has a
+        result: here the step budget times units out."""
+        assert main(["campaign", "table1", "--scale", "0.05",
+                     "--unit-steps", "3000",
+                     "--run-dir", str(tmp_path / "run")]) == 1
+        assert "timeout" in capsys.readouterr().out
 
 
 class TestServeParser:
