@@ -32,6 +32,7 @@ from ..isps.world import World, build_world
 from ..netsim.addressing import is_bogon
 from ..runner.errors import (
     FATAL,
+    POISON,
     TRANSIENT,
     TRANSIENT_RETRIES,
     TimeoutDegradation,
@@ -179,7 +180,9 @@ def run_degradable(degradation: Degradation, unit: str,
     *degradable* ones are recorded, and *fatal* ones — programming
     errors, and a spent event budget
     (:class:`~repro.netsim.errors.EventLimitExceeded`), which ends the
-    whole campaign unit — are re-raised.
+    whole campaign unit — are re-raised, as are *poison* ones (a
+    failed allocation), which the campaign retries in a fresh worker
+    and never journals as a measurement.
     """
     attempts = 0
     while True:
@@ -188,7 +191,7 @@ def run_degradable(degradation: Degradation, unit: str,
             return True, fn(*args, **kwargs)
         except Exception as exc:
             category = classify_error(exc)
-            if category == FATAL:
+            if category in (FATAL, POISON):
                 raise
             if category == TRANSIENT and attempts <= TRANSIENT_RETRIES:
                 continue

@@ -10,7 +10,8 @@ is:
   the fault-injection summary, trace-event counts — identical between
   a serial and a ``--workers N`` run of the same campaign;
 * a **wall** half — slowest units, total wall time, simulated events
-  per second — which varies run to run and machine to machine.
+  per second, the workers' peak RSS — which varies run to run and
+  machine to machine.
 
 Tests compare two runs' reports with the wall half stripped.
 
@@ -216,6 +217,7 @@ def _wall_half(run: Dict) -> Dict:
         supervision[kind] = supervision.get(kind, 0) + 1
     return {
         "total_wall_seconds": total_wall,
+        "peak_rss": _peak_rss(timings),
         "slowest_units": slowest,
         "metrics": metrics.get("wall") or {},
         "session_counters": _session_counter_totals(run),
@@ -223,6 +225,19 @@ def _wall_half(run: Dict) -> Dict:
         "sidecar_notes": _sidecar_notes(
             run, ("timings", "supervision")),
     }
+
+
+def _peak_rss(timings: List[Dict]) -> Optional[Dict]:
+    """The largest worker peak RSS a unit ended at, and the unit that
+    first reached it; ``None`` when no timings line carries one (runs
+    from before the field)."""
+    peak: Optional[Dict] = None
+    for timing in timings:
+        mb = timing.get("peak_rss_mb")
+        if mb is not None and (peak is None or mb > peak["mb"]):
+            peak = {"mb": mb, "unit": f"{timing.get('experiment')}:"
+                                      f"{timing.get('unit')}"}
+    return peak
 
 
 def _coverage_deltas(run: Dict) -> List[Dict]:
@@ -564,6 +579,10 @@ def render_markdown(data: Dict, run_dir: str = "") -> str:
     lines += ["## Wall (nondeterministic)", ""]
     lines += [f"- {note}" for note in wall.get("sidecar_notes") or ()]
     lines.append(f"- total unit wall: {wall['total_wall_seconds']} s")
+    peak = wall.get("peak_rss")
+    if peak:
+        lines.append(f"- worker peak RSS: {peak['mb']} MB, first "
+                     f"reached by {peak['unit']}")
     gauges = (wall.get("metrics") or {}).get("gauges") or {}
     eps = gauges.get("campaign_events_per_second")
     if eps is not None:

@@ -404,6 +404,7 @@ class Campaign:
                     "wall": round(wall, 3),
                     "attempts": attempts,
                     "worker": worker,
+                    "peak_rss_mb": extras.get("peak_rss_mb"),
                 }) + "\n")
         except OSError as exc:
             self._sidecar_error("timings", exc)

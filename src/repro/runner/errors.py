@@ -23,8 +23,11 @@ categories, unifying the ad-hoc handling that used to live in
     re-raises it; the worker then journals the unit as a ``timeout``.
 
 ``poison``
-    A resource failure (today: ``MemoryError``) that poisons the
-    process it runs in rather than just the measurement.  Poison
+    A resource failure (``MemoryError``; under a memory budget also
+    ``SystemError``, which only the worker, knowing the budget, can
+    tell — see :func:`repro.runner.parallel.out_of_memory`) that
+    poisons the process it runs in rather than just the measurement.
+    :func:`~repro.experiments.common.run_degradable` re-raises it.  Poison
     failures are retried in a fresh worker process and — when they
     repeat — journaled with the durable ``quarantined`` status so the
     campaign can proceed without a babysitter.  The same status is

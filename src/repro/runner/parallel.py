@@ -36,6 +36,7 @@ from __future__ import annotations
 import dataclasses
 import os
 import signal
+import sys
 import time
 import traceback
 from typing import Dict, Mapping, Optional, Tuple
@@ -84,6 +85,32 @@ class UnitSettings:
     memory_limit_mb: Optional[int] = None
 
 
+def out_of_memory(exc: BaseException, settings: UnitSettings) -> bool:
+    """Is *exc* a failed allocation?
+
+    Under a memory budget (``settings.memory_limit_mb``) an allocation
+    the address-space limit refuses can surface as ``SystemError``
+    ("error return without exception set") instead of ``MemoryError``,
+    so a ``SystemError`` counts as one there.  Without a budget it
+    stays a programming error; :func:`classify_error` knows no budgets.
+    """
+    return isinstance(exc, MemoryError) or (
+        bool(settings.memory_limit_mb) and isinstance(exc, SystemError))
+
+
+def _peak_rss_mb() -> Optional[float]:
+    """This process's peak resident set so far, in MB (``None``
+    without the POSIX ``resource`` module)."""
+    try:
+        import resource
+    except ImportError:  # pragma: no cover - non-POSIX
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    # ``ru_maxrss`` is in KiB on Linux and in bytes on macOS.
+    unit = 1024 * 1024 if sys.platform == "darwin" else 1024
+    return round(peak / unit, 1)
+
+
 def build_unit_world(settings: UnitSettings):
     """A pristine world per unit: resume- and order-independence."""
     from ..isps.world import build_world
@@ -119,12 +146,15 @@ def execute_unit(settings: UnitSettings, experiment: str, unit: Unit
       unit's world (cache hit rates, drops by reason, middlebox and
       DNS counters), merged by the campaign in canonical commit order;
     * ``extras["trace"]`` — when ``settings.trace`` is set, the unit's
-      buffered trace events as canonical JSON lines (else ``None``).
+      buffered trace events as canonical JSON lines (else ``None``);
+    * ``extras["peak_rss_mb"]`` — the executing process's peak RSS in
+      MB, read when the unit ends.
 
     ``kind`` is ``None`` for a committable record, ``"fatal"`` for a
     programming error (the campaign journals the record and aborts)
     or ``"poison"`` for a resource failure the supervisor routes
-    through retry and quarantine.  Neither carries metrics or trace;
+    through retry and quarantine (:func:`out_of_memory` decides what
+    counts as one).  Neither carries metrics or trace;
     a fatal outcome's ``extras["traceback"]`` holds the formatted
     traceback for stderr, while the journal keeps the one-line reason.
 
@@ -176,7 +206,8 @@ def execute_unit(settings: UnitSettings, experiment: str, unit: Unit
                       f"simulated events",
         }
     except Exception as exc:
-        category = classify_error(exc)
+        category = (POISON if out_of_memory(exc, settings)
+                    else classify_error(exc))
         record["status"] = "failed"
         record["error"] = {
             "category": category,
@@ -202,18 +233,18 @@ def execute_unit(settings: UnitSettings, experiment: str, unit: Unit
     if steps is None:
         steps = network.events_processed - events_before
     record["steps"] = steps
-    if kind is not None:
-        return record, time.monotonic() - start, extras, kind
-    registry = MetricsRegistry()
-    collect_world_metrics(registry, world, experiment=experiment)
-    if obs_snapshot:
-        registry.merge(obs_snapshot)
-    registry.histogram("campaign_unit_steps", STEP_BUCKETS,
-                       experiment=experiment).observe(steps)
-    extras["metrics"] = registry.snapshot()
-    if sink is not None:
-        extras["trace"] = sink.lines()
-    return record, time.monotonic() - start, extras, None
+    if kind is None:
+        registry = MetricsRegistry()
+        collect_world_metrics(registry, world, experiment=experiment)
+        if obs_snapshot:
+            registry.merge(obs_snapshot)
+        registry.histogram("campaign_unit_steps", STEP_BUCKETS,
+                           experiment=experiment).observe(steps)
+        extras["metrics"] = registry.snapshot()
+        if sink is not None:
+            extras["trace"] = sink.lines()
+    extras["peak_rss_mb"] = _peak_rss_mb()
+    return record, time.monotonic() - start, extras, kind
 
 
 # ---------------------------------------------------------------------------

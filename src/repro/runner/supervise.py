@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import collections
 import dataclasses
+import gc
 import multiprocessing
 import os
 import signal
@@ -60,13 +61,13 @@ from typing import (Deque, Dict, Iterator, List, Mapping, Optional,
                     Sequence, Tuple)
 
 from .errors import POISON, QUARANTINED, CampaignError
-from .parallel import run_unit_task, worker_initializer
+from .parallel import out_of_memory, run_unit_task, worker_initializer
 
 #: How long the commit loop blocks waiting for results per iteration;
 #: also the granularity of death/deadline checks.
 POLL_INTERVAL = 0.05
 
-#: Worker exit code for "died of MemoryError outside a unit" (e.g. a
+#: Worker exit code for "ran out of memory outside a unit" (e.g. a
 #: world build under a memory budget); distinguishable from signals.
 EXIT_MEMORY = 43
 
@@ -206,9 +207,16 @@ def _worker_main(settings, conn, specs=None) -> None:
     which the supervisor already treats as a crash.
 
     Anything escaping :func:`run_unit_task` is folded into an in-band
-    fatal result — except ``MemoryError`` outside a unit, where the
+    fatal result — except a failed allocation outside a unit
+    (:func:`~repro.runner.parallel.out_of_memory`), where the
     interpreter's heap can no longer be trusted, so the worker dies
     with :data:`EXIT_MEMORY` and lets the supervisor attribute it.
+
+    One unit's world at a time: a finished unit's world is cyclic
+    garbage, so once its result is down the pipe the worker collects
+    it before taking the next task.  The heap the worker starts with,
+    the imported program, is frozen first (``gc.freeze``), so neither
+    these collections nor the automatic ones rescan it.
 
     SIGINT is ignored: Ctrl-C reaches the terminal's whole process
     group, and the parent owns the drain — it stops dispatching and
@@ -218,6 +226,7 @@ def _worker_main(settings, conn, specs=None) -> None:
     threading.Thread(target=_exit_with_parent, args=(os.getppid(),),
                      daemon=True, name="repro-parent-watch").start()
     worker_initializer(settings, specs)
+    gc.freeze()
     while True:
         try:
             task = conn.recv()
@@ -229,9 +238,9 @@ def _worker_main(settings, conn, specs=None) -> None:
         try:
             record, wall, extras, kind = run_unit_task(
                 experiment, unit_name, attempt=attempt)
-        except MemoryError:
-            os._exit(EXIT_MEMORY)
         except BaseException as exc:
+            if out_of_memory(exc, settings):
+                os._exit(EXIT_MEMORY)
             record = {
                 "type": "unit", "experiment": experiment,
                 "unit": unit_name, "payload": None,
@@ -246,6 +255,8 @@ def _worker_main(settings, conn, specs=None) -> None:
             conn.send((index, attempt, record, wall, extras, kind))
         except (BrokenPipeError, OSError):
             break
+        del record, extras
+        gc.collect()
     try:
         conn.close()
     except OSError:  # pragma: no cover - teardown race
@@ -445,8 +456,8 @@ class Supervisor:
             return
         slot.task = None
         if kind == "poison":
-            # The worker survived, but a MemoryError mid-unit leaves
-            # its heap suspect — retire the process and route the
+            # The worker survived, but a failed allocation mid-unit
+            # leaves its heap suspect — retire the process and route the
             # unit through the same retry/quarantine path as a death.
             self._retire(slot)
             self._record_crash(index, attempt,

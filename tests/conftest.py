@@ -1,4 +1,5 @@
-"""Shared fixtures: session-scoped simulated worlds, armed captures.
+"""Shared fixtures: session-scoped simulated worlds, armed captures,
+the start method a campaign's workers use.
 
 Building a world is cheap (~0.3 s) and fetching through it mutates no
 structural state, so one small world serves most tests.  Tests that
@@ -9,6 +10,7 @@ the ``armed`` fixture or ``host.capture.armed()``.
 """
 
 import contextlib
+import multiprocessing
 
 import pytest
 
@@ -39,3 +41,14 @@ def armed():
                 windows.enter_context(host.capture.armed())
 
         yield arm
+
+
+@pytest.fixture
+def start_method(request):
+    """Make ``request.param`` the default start method for one test, so
+    a campaign's supervisor starts its workers with it; parametrize
+    with ``indirect=True``."""
+    previous = multiprocessing.get_start_method(allow_none=True)
+    multiprocessing.set_start_method(request.param, force=True)
+    yield request.param
+    multiprocessing.set_start_method(previous, force=True)

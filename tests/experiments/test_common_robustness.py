@@ -103,6 +103,18 @@ class TestRunDegradable:
             run_degradable(degradation, "u", broken)
         assert not degradation.errors
 
+    def test_poison_reraised(self):
+        """A failed allocation is the worker's to retry, never a
+        degraded measurement."""
+        degradation = Degradation()
+
+        def balloon():
+            raise MemoryError("out of memory")
+
+        with pytest.raises(MemoryError):
+            run_degradable(degradation, "u", balloon)
+        assert not degradation.errors
+
     def test_transient_retried_once_then_recorded(self):
         degradation = Degradation()
         calls = []

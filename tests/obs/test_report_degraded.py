@@ -133,6 +133,46 @@ class TestDegradedRendering:
                                    "supervision": "ok"}
 
 
+def _rewrite_timings(run_dir, edit):
+    path = run_dir / "timings.jsonl"
+    with open(path, encoding="utf-8") as fh:
+        timings = [json.loads(line) for line in fh]
+    with open(path, "w", encoding="utf-8") as fh:
+        for index, timing in enumerate(timings):
+            edit(index, timing)
+            fh.write(json.dumps(timing) + "\n")
+
+
+class TestWorkerPeakRss:
+    def test_largest_peak_and_the_unit_that_first_reached_it(
+            self, pristine, tmp_path):
+        run_dir = _damaged_copy(pristine, tmp_path)
+        planted = [20.5, 31.25, 25.0, 31.25, 30.0]
+        units = []
+
+        def plant(index, timing):
+            timing["peak_rss_mb"] = planted[index]
+            units.append(f"{timing['experiment']}:{timing['unit']}")
+
+        _rewrite_timings(run_dir, plant)
+        data = generate_report(str(run_dir))
+        assert data["wall"]["peak_rss"] == {"mb": 31.25, "unit": units[1]}
+        assert (f"- worker peak RSS: 31.25 MB, first reached by "
+                f"{units[1]}") in render_markdown(data)
+
+    def test_timings_from_before_the_field_still_render(self, pristine,
+                                                        tmp_path):
+        run_dir = _damaged_copy(pristine, tmp_path)
+        _rewrite_timings(run_dir,
+                         lambda index, timing: timing.pop("peak_rss_mb"))
+        data = generate_report(str(run_dir))
+        assert data["wall"]["peak_rss"] is None
+        assert data["wall"]["sidecar_notes"] == []
+        assert "peak RSS" not in render_markdown(data)
+        assert data["deterministic"] == \
+            generate_report(str(pristine))["deterministic"]
+
+
 class TestAtomicReportWrites:
     def test_no_tmp_residue(self, pristine):
         write_report(str(pristine))

@@ -7,10 +7,14 @@ grab-bag of exception types, including ones with hostile ``__str__``.
 The quarantine round-trip lives here too: a unit that raises
 ``MemoryError`` repeatedly must end up durably ``quarantined``, and a
 fatal error must reach stderr with its traceback while the journal
-keeps only the one-line reason.
+keeps only the one-line reason.  Under a memory budget a refused
+allocation can surface as ``SystemError``; there, and only there, it
+is routed like ``MemoryError``.
 """
 
 import json
+import multiprocessing
+import os
 import types
 
 import pytest
@@ -23,6 +27,7 @@ from repro.netsim.errors import (
     NetSimError,
     PortInUseError,
 )
+from repro.runner import parallel
 from repro.runner.campaign import Campaign
 from repro.runner.errors import (
     DEGRADABLE,
@@ -147,6 +152,79 @@ class TestSerialQuarantine:
 
         with pytest.raises(CampaignError, match="max_worker_crashes"):
             Campaign(run_dir=str(tmp_path / "run"), max_worker_crashes=0)
+
+
+def _quick(world, domains):
+    return campaign_payload([["quick", "done"]])
+
+
+def _refused_allocation(world, domains):
+    raise SystemError("error return without exception set")
+
+
+def _refused_units():
+    yield Unit("quick", _quick)
+    yield Unit("refused", _refused_allocation)
+    yield Unit("after", _quick)
+
+
+#: A unit whose allocation the interpreter reports as ``SystemError``,
+#: as it can under an address-space limit.
+REFUSED = {"refused-exp": types.SimpleNamespace(
+    CAMPAIGN=TableSpec(title="Refused test", headers=("unit", "note")),
+    units=_refused_units)}
+
+#: A budget no unit comes near, so only the injected failure trips it.
+AMPLE_BUDGET_MB = 16384
+
+
+class TestSystemErrorUnderABudget:
+    def _campaign(self, run_dir, **kwargs):
+        return Campaign(seed=1808, scale=0.05, fraction=1.0,
+                        run_dir=str(run_dir), specs=REFUSED, **kwargs)
+
+    def test_quarantined_when_a_budget_is_set(self, tmp_path):
+        report = self._campaign(tmp_path / "run",
+                                memory_limit_mb=AMPLE_BUDGET_MB).run()
+        assert report.counts["quarantined"] == 1
+        assert report.counts["ok"] == 2  # the campaign moved on
+        with open(report.journal_path, encoding="utf-8") as fh:
+            records = [json.loads(line) for line in fh]
+        statuses = {rec["unit"]: rec["status"] for rec in records
+                    if rec["type"] == "unit"}
+        assert statuses == {"quick": "ok", "refused": "quarantined",
+                            "after": "ok"}
+        assert records[-1]["type"] == "end"
+
+    def test_fatal_without_a_budget(self, tmp_path):
+        from repro.runner.errors import CampaignError
+
+        with pytest.raises(CampaignError, match="fatal error in unit "
+                           "refused-exp:refused: SystemError"):
+            self._campaign(tmp_path / "run").run()
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="the patch reaches workers only by fork")
+    @pytest.mark.parametrize("start_method", ["fork"], indirect=True)
+    def test_escaping_a_unit_is_a_memory_crash(self, tmp_path,
+                                               monkeypatch, start_method):
+        """A ``SystemError`` from the world build escapes the unit: the
+        worker exits with its out-of-memory status and the supervisor
+        says so."""
+        def refused_build(settings):
+            raise SystemError("error return without exception set")
+
+        monkeypatch.setattr(parallel, "build_unit_world", refused_build)
+        report = self._campaign(tmp_path / "run",
+                                memory_limit_mb=AMPLE_BUDGET_MB).run()
+        assert report.counts["quarantined"] == 3
+        with open(os.path.join(report.run_dir, "supervision.jsonl"),
+                  encoding="utf-8") as fh:
+            crashes = [event for event in map(json.loads, fh)
+                       if event["kind"] == "worker-crash"]
+        assert len(crashes) == 6
+        assert {event["reason"] for event in crashes} == {
+            "memory budget exceeded"}
 
 
 def _explode_helper():

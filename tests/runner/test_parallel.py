@@ -70,6 +70,11 @@ class TestWorkerInvariance:
         # Wall clock is the one nondeterministic observable: it must
         # never reach the hash-chained journal.
         assert b'"wall"' not in _read(report.journal_path)
+        # Nor must the workers' peak RSS, which rides beside it.
+        with open(sidecar, encoding="utf-8") as fh:
+            peaks = [json.loads(line)["peak_rss_mb"] for line in fh]
+        assert peaks and all(peak > 0 for peak in peaks)
+        assert b"peak_rss" not in _read(report.journal_path)
 
 
 class TestWorkerValidation:

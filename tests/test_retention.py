@@ -6,11 +6,17 @@ log likewise, resolvers count their queries instead of logging them,
 and the express-probe memos live on the network they describe.  So a
 probed world holds no capture entries once its readers are done, a
 warm world does not grow round after round, and a finished unit's
-world is garbage once its last reference goes.
+world is garbage once its last reference goes.  A campaign worker
+collects that garbage before it takes its next unit, with the
+program's own heap frozen, so a worker holds one unit's world at a
+time, under every start method and at every worker count.
 """
 
 import gc
+import json
+import multiprocessing
 import tracemalloc
+import types
 import weakref
 
 import pytest
@@ -38,7 +44,9 @@ from repro.isps.profiles import OONI_TESTED_ISPS
 from repro.netsim import Host, Network, make_udp_packet
 from repro.netsim.faults import NO_HARDENING, FaultPlan, ResolverFaults
 from repro.runner import parallel
+from repro.runner.campaign import Campaign
 from repro.runner.parallel import UnitSettings, execute_unit
+from repro.runner.units import TableSpec, Unit, campaign_payload
 
 SEED = 1808
 SCALE = 0.05
@@ -71,7 +79,47 @@ def express_probe_once(world):
                       world.isp("airtel").default_resolver_ip, domain)
 
 
+#: The networks of the unit worlds this process has run, weakly held.
+_UNIT_NETWORKS = []
+
+
+def _earlier_worlds_alive(world, domains):
+    """How many earlier unit worlds of this worker are still alive, and
+    whether the worker's heap is frozen."""
+    alive = sum(ref() is not None for ref in _UNIT_NETWORKS)
+    _UNIT_NETWORKS.append(weakref.ref(world.network))
+    return campaign_payload([[alive, gc.get_freeze_count() > 0]])
+
+
+def _six_units():
+    for index in range(6):
+        yield Unit(f"unit{index}", _earlier_worlds_alive)
+
+
+#: An ad-hoc spec built from module-level functions, so it pickles
+#: under every start method.
+WORLD_COUNTER = {"worlds": types.SimpleNamespace(
+    CAMPAIGN=TableSpec(title="Worlds alive", headers=("alive", "frozen")),
+    units=_six_units)}
+
+
 class TestWorldsDie:
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("start_method",
+                             multiprocessing.get_all_start_methods(),
+                             indirect=True)
+    def test_a_worker_frees_each_unit_world_before_the_next(
+            self, tmp_path, start_method, workers):
+        report = Campaign(seed=SEED, scale=SCALE, fraction=1.0,
+                          run_dir=str(tmp_path / "run"), workers=workers,
+                          specs=WORLD_COUNTER).run()
+        assert report.complete
+        with open(report.journal_path, encoding="utf-8") as fh:
+            rows = [row for record in map(json.loads, fh)
+                    if record["type"] == "unit"
+                    for row in record["payload"]["rows"]]
+        assert rows == [[0, True]] * 6
+
     def test_unit_worlds_are_collected_after_execute_unit(self,
                                                           monkeypatch):
         networks = []
