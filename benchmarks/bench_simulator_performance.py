@@ -184,10 +184,12 @@ def test_fib_speedup_express_probe(perf_world):
 
     The same sweep as the throughput bench, timed once through the
     engine's warm forwarding caches and once walking every probe with
-    the seed router (``tests/netsim/reference_router.py``): no FIB,
+    the seed router (``tests/netsim/reference_router.py``) and the
+    seed express walk (``tests/netsim/reference_delivery.py``): no FIB,
     path cache, box memo or compiled plan, only its per-destination
     distance maps, which the first of its two timed rounds fills.
     """
+    from tests.netsim.reference_delivery import http_verdict
     from tests.netsim.reference_router import ReferenceRouter
 
     world = perf_world
@@ -209,15 +211,9 @@ def test_fib_speedup_express_probe(perf_world):
     def oracle_sweep():
         censored = []
         for ip, payload in payloads:
-            for hop, box in oracle.boxes_along(client, ip, client.ip):
-                spec = getattr(box, "spec", None)
-                if (spec is None or not spec.inspects_port(80)
-                        or not box.in_scope(client.ip)):
-                    continue
-                domain = spec.matched_domain(payload)
-                if domain is not None:
-                    censored.append((ip, domain, hop))
-                    break
+            verdict = http_verdict(oracle, client, ip, payload)
+            if verdict.censored:
+                censored.append((ip, verdict.domain, verdict.hop))
         return censored
 
     def timed(run):
@@ -240,17 +236,20 @@ def test_event_core_speedup_fetch(perf_world):
     """Acceptance check: the event-core fast paths buy >=1.5x on fetches.
 
     The same batch as the fetch throughput bench, timed once with the
-    defaults (delivery plans, content memo) and once with both escape
-    hatches pulled — ``delivery_plans_enabled = False``, content cache
-    off — while the routing caches stay ON, so the ratio isolates these
-    two from the FIB (which has its own gate above).  Twelve runs of
-    this file on a shared 2-core Xeon (``PYTHONHASHSEED=0``) measured
-    2.04-3.06x, median 2.25x, quartiles 2.19-2.47x; the gate sits at
-    1.5x to absorb shared-runner jitter (the full >=2x-versus-seed gate
-    runs in CI via ``perf_trajectory check``, where the baseline
-    predates the FIB too).
+    defaults (delivery plans, content memo) and once through the two
+    test-only oracles that stand for neither — the hop-by-hop
+    forwarder (``tests/netsim/reference_delivery.py``) and content
+    from the generators alone (``tests/websites/reference_content.py``)
+    — while the routing caches stay ON, so the ratio isolates these
+    two from the FIB (which has its own gate above).  Three runs of
+    this measurement on a shared 2-core Xeon (``PYTHONHASHSEED=0``)
+    read 2.66-2.99x; the gate sits at 1.5x to absorb shared-runner
+    jitter (the full >=2x-versus-seed gate runs in CI via
+    ``perf_trajectory check``, where the baseline predates the FIB
+    too).
     """
-    from repro.websites.content import set_content_cache
+    from tests.netsim.reference_delivery import hop_by_hop
+    from tests.websites.reference_content import generated_content
 
     world = perf_world
     network = world.network
@@ -276,19 +275,15 @@ def test_event_core_speedup_fetch(perf_world):
 
     fetch_batch()  # warm the FIB and plan caches
     fast = min(timed() for _ in range(3))
-    try:
-        network.delivery_plans_enabled = False
-        set_content_cache(False)
+    # Both oracles undo themselves on exit: perf_world is shared.
+    with hop_by_hop(network), generated_content():
         slow = min(timed() for _ in range(2))
-    finally:  # perf_world is shared
-        network.delivery_plans_enabled = True
-        set_content_cache(True)
     assert fast[1] == slow[1] == len(targets), \
         "event core changed fetch outcomes"
     speedup = slow[0] / fast[0]
     assert speedup >= 1.5, (
         f"event-core fast paths only {speedup:.2f}x over the seed core "
-        f"(defaults {fast[0] * 1e3:.1f} ms vs escape hatches "
+        f"(defaults {fast[0] * 1e3:.1f} ms vs oracles "
         f"{slow[0] * 1e3:.1f} ms)")
 
 

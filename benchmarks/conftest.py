@@ -11,14 +11,15 @@ import pathlib
 
 import pytest
 
-from repro.experiments.common import domain_sample, get_world
+from repro.experiments.common import domain_sample
+from repro.isps import build_world
 
 OUT_DIR = pathlib.Path(__file__).parent / "out"
 
 
 @pytest.fixture(scope="session")
 def world():
-    return get_world(seed=1808, scale=1.0)
+    return build_world(seed=1808, scale=1.0)
 
 
 @pytest.fixture(scope="session")

@@ -131,9 +131,9 @@ def build_parser() -> argparse.ArgumentParser:
                                "(default: 1)")
     campaign.add_argument("--worker-memory-mb", type=int, default=None,
                           metavar="MB",
-                          help="address-space budget per worker process "
-                               "(resource.setrlimit); a unit blowing it "
-                               "is retried in a fresh worker and "
+                          help="memory budget per worker process (its "
+                               "data limit, RLIMIT_DATA); a unit blowing "
+                               "it is retried in a fresh worker and "
                                "quarantined on repeat")
     campaign.add_argument("--max-worker-crashes", type=int, default=2,
                           metavar="N",
@@ -313,7 +313,7 @@ def _cmd_experiment(args) -> int:
     from . import experiments
 
     module = experiments.EXPERIMENT_MODULES[args.name]
-    world = experiments.get_world(seed=args.seed, scale=args.scale)
+    world = build_world(seed=args.seed, scale=args.scale)
     _install_faults(world, args)
     result = module.run(world)
     print(result.render())

@@ -123,8 +123,7 @@ def _http_plan(network: Network, client: Host, dst_ip: str,
     The per-box port and scope gates run once at compile time
     (:meth:`Middlebox.express_profile`); probing a payload is then one
     bound-method call per surviving box.  Boxes without a profile hook
-    or a trigger spec (e.g. the DNS injector) compile to nothing, same
-    as the seed loop's ``spec is None`` skip.
+    (e.g. the DNS injector) compile to nothing.
     """
     plans = _memo(network, "plans")
     key = (client.name, dst_ip, client_ip, dst_port)
@@ -140,11 +139,6 @@ def _http_plan(network: Network, client: Host, dst_ip: str,
             view = profile(client_ip, dst_port)
             if view is not None:
                 compiled.append((hop, box, view[0], view[1]))
-            continue
-        spec = getattr(box, "spec", None)
-        if (spec is not None and spec.inspects_port(dst_port)
-                and box.in_scope(client_ip)):
-            compiled.append((hop, box, spec.matched_domain, spec.blocklist))
     plan = tuple(compiled)
     plans[key] = plan
     return plan
@@ -194,26 +188,13 @@ def express_http_probe(
     """Would this request payload be censored en route?"""
     client_ip = client_ip or client.ip
     verdict = NOT_CENSORED
-    if network.delivery_plans_enabled:
-        for hop, box, matcher, _blocklist in _http_plan(
-                network, client, dst_ip, client_ip, dst_port):
-            domain = matcher(payload)
-            if domain is not None:
-                verdict = ExpressVerdict(censored=True, domain=domain,
-                                         box=box, hop=hop)
-                break
-    else:
-        for hop, box in middleboxes_along(network, client, dst_ip, client_ip):
-            spec = getattr(box, "spec", None)
-            if spec is None or not spec.inspects_port(dst_port):
-                continue
-            if not box.in_scope(client_ip):
-                continue
-            domain = spec.matched_domain(payload)
-            if domain is not None:
-                verdict = ExpressVerdict(censored=True, domain=domain,
-                                         box=box, hop=hop)
-                break
+    for hop, box, matcher, _blocklist in _http_plan(
+            network, client, dst_ip, client_ip, dst_port):
+        domain = matcher(payload)
+        if domain is not None:
+            verdict = ExpressVerdict(censored=True, domain=domain,
+                                     box=box, hop=hop)
+            break
     trace = network.trace
     if trace is not None and trace.active:
         trace.emit("probe", network.now, client=client.name, dst=dst_ip,
@@ -242,14 +223,12 @@ def express_canonical_probe(
     client_ip = client_ip or client.ip
     wanted = domain.lower()
     if boxes is None:
-        if network.delivery_plans_enabled:
-            for hop, box, _matcher, blocklist in _http_plan(
-                    network, client, dst_ip, client_ip, 80):
-                if wanted in blocklist:
-                    return ExpressVerdict(censored=True, domain=wanted,
-                                          box=box, hop=hop)
-            return NOT_CENSORED
-        boxes = middleboxes_along(network, client, dst_ip, client_ip)
+        for hop, box, _matcher, blocklist in _http_plan(
+                network, client, dst_ip, client_ip, 80):
+            if wanted in blocklist:
+                return ExpressVerdict(censored=True, domain=wanted,
+                                      box=box, hop=hop)
+        return NOT_CENSORED
     for hop, box in boxes:
         spec = getattr(box, "spec", None)
         if spec is None or not spec.inspects_port(80):
@@ -315,36 +294,18 @@ def express_dns_probe(
     Walks the path for inline DNS injectors first (they answer from
     mid-path), then consults the resolver service itself.
     """
-    if network.delivery_plans_enabled:
-        kind, injectors = _dns_plan(network, client, resolver_ip)
-        if kind == "unroutable":
-            return NO_ANSWER
-        bare = qname[4:] if qname.startswith("www.") else qname
-        for box in injectors:
-            if qname in box.blocklist or bare in box.blocklist:
-                return ExpressDNSAnswer(
-                    responded=True,
-                    ips=(box.poison_strategy(qname),),
-                    rcode="NOERROR", injected=True, injector=box,
-                )
-        service = resolver_service_at(network, resolver_ip)
-    else:
-        try:
-            path = network.path_to(client, resolver_ip)
-        except RoutingError:
-            return NO_ANSWER
-        for node in path[1:-1]:
-            if isinstance(node, Router) and node.inline_middlebox is not None:
-                box = node.inline_middlebox
-                if isinstance(box, DNSInjectorMiddlebox):
-                    bare = qname[4:] if qname.startswith("www.") else qname
-                    if qname in box.blocklist or bare in box.blocklist:
-                        return ExpressDNSAnswer(
-                            responded=True,
-                            ips=(box.poison_strategy(qname),),
-                            rcode="NOERROR", injected=True, injector=box,
-                        )
-        service = resolver_service_at(network, resolver_ip)
+    kind, injectors = _dns_plan(network, client, resolver_ip)
+    if kind == "unroutable":
+        return NO_ANSWER
+    bare = qname[4:] if qname.startswith("www.") else qname
+    for box in injectors:
+        if qname in box.blocklist or bare in box.blocklist:
+            return ExpressDNSAnswer(
+                responded=True,
+                ips=(box.poison_strategy(qname),),
+                rcode="NOERROR", injected=True, injector=box,
+            )
+    service = resolver_service_at(network, resolver_ip)
     if service is None:
         return NO_ANSWER
     config = service.config

@@ -1,9 +1,12 @@
 """repro.experiments — one module per paper table/figure/finding.
 
-Each module exposes ``run(world=None, ...)`` returning a result object
-with a ``render()`` method, plus ``PAPER_*`` constants carrying the
-published values for side-by-side comparison.  The benchmark harness
-under ``benchmarks/`` and the examples call straight into these.
+Each module exposes ``run(world, ...)``, which measures a built
+:class:`~repro.isps.world.World` and returns a result object with a
+``render()`` method, plus ``PAPER_*`` constants carrying the published
+values for side-by-side comparison.  ``repro experiment`` builds the
+world with ``build_world``; the benchmark harness under
+``benchmarks/`` and the examples build their own and call straight
+into these.
 
 | Module              | Reproduces                                     |
 |---------------------|------------------------------------------------|
@@ -40,12 +43,7 @@ from . import (
     tcpip_filtering,
     trigger_analysis,
 )
-from .common import (
-    clear_world_cache,
-    domain_sample,
-    format_table,
-    get_world,
-)
+from .common import domain_sample, format_table
 
 #: CLI/campaign experiment key -> module.  The campaign runner walks
 #: this registry; every module exposes ``units()`` and ``CAMPAIGN``.
@@ -69,7 +67,6 @@ EXPERIMENT_MODULES = {
 
 __all__ = [
     "EXPERIMENT_MODULES",
-    "clear_world_cache",
     "common",
     "dns_mechanism",
     "domain_sample",
@@ -79,7 +76,6 @@ __all__ = [
     "format_table",
     "https_filtering",
     "idiosyncrasies",
-    "get_world",
     "ooni_failures",
     "population_scale",
     "session_dynamics",

@@ -1,8 +1,10 @@
-"""Shared experiment machinery: cached worlds, ground truth, rendering.
+"""Shared experiment machinery: corpus sampling, graceful degradation,
+ground truth, rendering.
 
-Every experiment module exposes ``run(world=None, ...) -> Result`` where
-the result carries the measured numbers plus a ``render()`` producing
-the paper-style table, and module-level ``PAPER_*`` constants with the
+Every experiment module exposes ``run(world, ...) -> Result``, where
+*world* is a built :class:`~repro.isps.world.World` and the result
+carries the measured numbers plus a ``render()`` producing the
+paper-style table, and module-level ``PAPER_*`` constants with the
 published values for side-by-side comparison.
 """
 
@@ -10,7 +12,6 @@ from __future__ import annotations
 
 import os
 import warnings
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import (
     Callable,
@@ -28,7 +29,7 @@ from ..core.measure.fastprobe import (
     express_dns_probe,
     express_http_probe,
 )
-from ..isps.world import World, build_world
+from ..isps.world import World
 from ..netsim.addressing import is_bogon
 from ..runner.errors import (
     FATAL,
@@ -40,35 +41,9 @@ from ..runner.errors import (
 )
 from ..runner.units import TableSpec, Unit, campaign_payload  # noqa: F401
 
-#: LRU of built worlds, keyed by ``(seed, scale)``.  Bounded so long
-#: campaigns sweeping many seeds/scales don't grow memory without
-#: limit; evictions rebuild on the next request (~cheap, determinstic).
-_WORLD_CACHE: "OrderedDict[Tuple[int, float], World]" = OrderedDict()
-
-#: Maximum number of worlds kept alive in :data:`_WORLD_CACHE`.
-WORLD_CACHE_MAX = 4
-
 #: Environment knob: fraction of the PBW corpus experiment runs sweep.
 #: 1.0 regenerates the full tables; smaller values give quick looks.
 BENCH_FRACTION_ENV = "REPRO_BENCH_FRACTION"
-
-
-def get_world(seed: int = 1808, scale: float = 1.0) -> World:
-    """A cached full world for experiment runs (bounded LRU)."""
-    key = (seed, scale)
-    if key in _WORLD_CACHE:
-        _WORLD_CACHE.move_to_end(key)
-        return _WORLD_CACHE[key]
-    world = build_world(seed=seed, scale=scale)
-    _WORLD_CACHE[key] = world
-    while len(_WORLD_CACHE) > WORLD_CACHE_MAX:
-        _WORLD_CACHE.popitem(last=False)
-    return world
-
-
-def clear_world_cache() -> None:
-    """Drop every cached world (tests; memory-sensitive campaigns)."""
-    _WORLD_CACHE.clear()
 
 
 def bench_fraction(default: float = 1.0) -> float:

@@ -25,7 +25,6 @@ from .common import (
     Unit,
     campaign_payload,
     format_table,
-    get_world,
 )
 
 
@@ -95,12 +94,10 @@ def _campaign_unit_injector(world, domains):
     return campaign_payload([_injector_row(trace)])
 
 
-def run(world=None, isps=DNS_FILTERING_ISPS,
+def run(world, isps=DNS_FILTERING_ISPS,
         resolvers_per_isp: int = 5,
         with_injector: bool = True) -> DNSMechanismResult:
     """Trace censorious resolvers; contrast with a synthetic injector."""
-    if world is None:
-        world = get_world()
     result = DNSMechanismResult()
     for isp in isps:
         deployment = world.isp(isp)
@@ -147,7 +144,3 @@ def _synthetic_injector_trace() -> DNSTraceResult:
     mini = _MiniWorld()
     mini.network = network
     return trace_fn(mini, client, resolver_host.ip, "blocked.example")
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run().render())

@@ -21,7 +21,6 @@ from .common import (
     campaign_payload,
     fmt_cell,
     format_table,
-    get_world,
 )
 
 #: The strategy the paper highlights per middlebox family.
@@ -106,11 +105,9 @@ def censored_sample(world, isp: str, limit: int) -> List[str]:
     return found
 
 
-def run(world=None, isps=HTTP_FILTERING_ISPS,
+def run(world, isps=HTTP_FILTERING_ISPS,
         sites_per_isp: int = 5) -> EvasionExperimentResult:
     """Build the evasion matrix for every censoring ISP."""
-    if world is None:
-        world = get_world()
     result = EvasionExperimentResult()
     for isp in isps:
         sample = censored_sample(world, isp, sites_per_isp)
@@ -120,7 +117,3 @@ def run(world=None, isps=HTTP_FILTERING_ISPS,
         result.matrices[isp] = evaluate_matrix(world, isp, sample)
         result.winners[isp] = evade_all(world, isp, sample)
     return result
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run().render())

@@ -23,7 +23,6 @@ from .common import (
     domain_sample,
     fmt_cell,
     format_table,
-    get_world,
     run_degradable,
 )
 
@@ -91,11 +90,9 @@ def _campaign_unit(isp: str):
     return unit_fn
 
 
-def run(world=None, domains: Optional[List[str]] = None,
+def run(world, domains: Optional[List[str]] = None,
         isps=DNS_FILTERING_ISPS) -> Fig2Result:
     """Regenerate Figure 2."""
-    if world is None:
-        world = get_world()
     if domains is None:
         domains = domain_sample(world)
     site_ids = {site.domain: site.site_id for site in world.corpus}
@@ -111,11 +108,3 @@ def run(world=None, domains: Optional[List[str]] = None,
         result.consistency[isp] = consistency(per_resolver)
         result.series[isp] = blocking_series(per_resolver, site_ids)
     return result
-
-
-if __name__ == "__main__":  # pragma: no cover
-    outcome = run()
-    print(outcome.render())
-    for isp in outcome.scans:
-        print()
-        print(outcome.render_series(isp))

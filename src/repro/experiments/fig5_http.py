@@ -21,7 +21,6 @@ from .common import (
     domain_sample,
     fmt_cell,
     format_table,
-    get_world,
     run_degradable,
 )
 
@@ -87,11 +86,9 @@ def _campaign_unit(isp: str):
     return unit_fn
 
 
-def run(world=None, domains: Optional[List[str]] = None,
+def run(world, domains: Optional[List[str]] = None,
         isps=FIG5_ISPS) -> Fig5Result:
     """Regenerate Figure 5."""
-    if world is None:
-        world = get_world()
     if domains is None:
         domains = domain_sample(world)
     site_ids = {site.domain: site.site_id for site in world.corpus}
@@ -107,11 +104,3 @@ def run(world=None, domains: Optional[List[str]] = None,
         result.series[isp] = blocking_series(campaign.per_path_blocked(),
                                              site_ids)
     return result
-
-
-if __name__ == "__main__":  # pragma: no cover
-    outcome = run()
-    print(outcome.render())
-    for isp in outcome.campaigns:
-        print()
-        print(outcome.render_series(isp))

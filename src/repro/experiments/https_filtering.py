@@ -25,7 +25,6 @@ from .common import (
     Unit,
     campaign_payload,
     format_table,
-    get_world,
 )
 
 
@@ -87,10 +86,8 @@ def _campaign_unit(isp: str):
     return unit_fn
 
 
-def run(world=None, isps=OONI_TESTED_ISPS) -> HTTPSFilteringResult:
+def run(world, isps=OONI_TESTED_ISPS) -> HTTPSFilteringResult:
     """Fetch every HTTPS PBW from inside each ISP."""
-    if world is None:
-        world = get_world()
     https_sites = [site for site in world.corpus if site.https]
     result = HTTPSFilteringResult()
     for isp in isps:
@@ -116,7 +113,3 @@ def run(world=None, isps=OONI_TESTED_ISPS) -> HTTPSFilteringResult:
         result.per_isp[isp] = instances
         result.tested[isp] = len(https_sites)
     return result
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run().render())

@@ -30,7 +30,6 @@ from .common import (
     campaign_payload,
     fmt_cell,
     format_table,
-    get_world,
 )
 
 
@@ -98,9 +97,7 @@ def _campaign_unit(isp: str):
     return unit_fn
 
 
-def run(world=None, isps=HTTP_FILTERING_ISPS) -> IdiosyncrasiesResult:
-    if world is None:
-        world = get_world()
+def run(world, isps=HTTP_FILTERING_ISPS) -> IdiosyncrasiesResult:
     result = IdiosyncrasiesResult()
     for isp in isps:
         report = IdiosyncrasyReport(isp=isp)
@@ -189,7 +186,3 @@ def _count_stale_blocking(world, isp, report) -> None:
                                      canonical_payload(domain))
         if verdict.censored:
             report.dead_sites_still_blocked += 1
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run().render())

@@ -23,7 +23,6 @@ from .common import (
     campaign_payload,
     domain_sample,
     format_table,
-    get_world,
     ground_truth_any,
 )
 
@@ -92,12 +91,10 @@ def _campaign_unit(isp: str):
     return unit_fn
 
 
-def run(world=None, domains: Optional[List[str]] = None,
+def run(world, domains: Optional[List[str]] = None,
         isps=OONI_FAILURE_ISPS, detector_sample: int = 60
         ) -> OONIFailureResult:
     """Break down OONI's errors by confounder for the given ISPs."""
-    if world is None:
-        world = get_world()
     if domains is None:
         domains = domain_sample(world)
     result = OONIFailureResult()
@@ -149,7 +146,3 @@ def _fn_cause(site, verdict) -> str:
     if verdict.title_match:
         return "title-match"
     return "race-or-other"
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run().render())

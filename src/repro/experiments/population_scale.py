@@ -39,7 +39,6 @@ from .common import (
     campaign_payload,
     fmt_cell,
     format_table,
-    get_world,
     run_degradable,
 )
 
@@ -219,7 +218,7 @@ def _campaign_unit(isp: str):
     return unit_fn
 
 
-def run(world=None, isps: Sequence[str] = POPULATION_ISPS,
+def run(world, isps: Sequence[str] = POPULATION_ISPS,
         sessions: Optional[int] = None,
         corpus_size: int = DEFAULT_SYNTHETIC_SIZE,
         ) -> PopulationScaleResult:
@@ -230,8 +229,6 @@ def run(world=None, isps: Sequence[str] = POPULATION_ISPS,
     world's 1,200 deployed sites, so session volume does not shrink
     with ``--scale`` (use ``REPRO_POPULATION_SCALE`` / *sessions*).
     """
-    if world is None:
-        world = get_world()
     seed = world.seed
     result = PopulationScaleResult(corpus_size=corpus_size)
     corpus = SyntheticCorpus(seed=seed, size=corpus_size)
@@ -248,7 +245,3 @@ def run(world=None, isps: Sequence[str] = POPULATION_ISPS,
         if ok:
             result.outcomes[isp] = outcome
     return result
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run().render())

@@ -60,7 +60,6 @@ from .common import (
     campaign_payload,
     fmt_cell,
     format_table,
-    get_world,
 )
 from .statefulness import _censored_site_target
 
@@ -215,10 +214,8 @@ def _campaign_unit(isp: str):
     return unit_fn
 
 
-def run(world=None, isps=HTTP_FILTERING_ISPS) -> SessionDynamicsResult:
+def run(world, isps=HTTP_FILTERING_ISPS) -> SessionDynamicsResult:
     """Run all three probe families for every requested ISP."""
-    if world is None:
-        world = get_world()
     result = SessionDynamicsResult()
     for isp in isps:
         result.recoveries[isp] = _recover_real_timeout(world, isp)
@@ -259,7 +256,3 @@ def _recover_real_timeout(world, isp: str) -> TimeoutRecovery:
     client = VantagePoint.inside(world, isp).host
     return recover_flow_timeout(world, client, dst_ip, domain, isp=isp,
                                 attempts=6)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run().render())

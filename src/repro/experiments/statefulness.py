@@ -26,7 +26,6 @@ from .common import (
     campaign_payload,
     fmt_cell,
     format_table,
-    get_world,
 )
 
 #: Idle durations used to bracket the 150 s purge.
@@ -87,11 +86,9 @@ def _campaign_unit(isp: str):
     return unit_fn
 
 
-def run(world=None, isps=HTTP_FILTERING_ISPS,
+def run(world, isps=HTTP_FILTERING_ISPS,
         with_timeout: bool = True) -> StatefulnessResult:
     """Run statefulness probing for every HTTP-censoring ISP."""
-    if world is None:
-        world = get_world()
     result = StatefulnessResult()
     for isp in isps:
         candidates = sorted(world.blocklists.http.get(isp, ()))
@@ -130,7 +127,3 @@ def _censored_site_target(world, isp: str, candidates):
         if verdict.censored:
             return domain, dst_ip
     return None, None
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run().render())

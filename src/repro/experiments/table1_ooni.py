@@ -28,7 +28,6 @@ from .common import (
     domain_sample,
     fmt_cell,
     format_table,
-    get_world,
     ground_truth_any,
     run_degradable,
 )
@@ -117,11 +116,9 @@ def _campaign_unit(isp: str):
     return unit_fn
 
 
-def run(world=None, domains: Optional[List[str]] = None,
+def run(world, domains: Optional[List[str]] = None,
         isps=OONI_TESTED_ISPS) -> Table1Result:
     """Regenerate Table 1."""
-    if world is None:
-        world = get_world()
     if domains is None:
         domains = domain_sample(world)
     result = Table1Result()
@@ -153,7 +150,3 @@ def run(world=None, domains: Optional[List[str]] = None,
         )
         result.rows.append(row)
     return result
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run().render())

@@ -31,7 +31,6 @@ from .common import (
     domain_sample,
     fmt_cell,
     format_table,
-    get_world,
     run_degradable,
 )
 
@@ -108,11 +107,9 @@ def _campaign_unit(isp: str):
     return unit_fn
 
 
-def run(world=None, domains: Optional[List[str]] = None,
+def run(world, domains: Optional[List[str]] = None,
         isps=HTTP_FILTERING_ISPS, classify: bool = True) -> Table2Result:
     """Regenerate Table 2."""
-    if world is None:
-        world = get_world()
     if domains is None:
         domains = domain_sample(world)
     result = Table2Result()
@@ -168,7 +165,3 @@ def _classify(world, isp: str) -> Optional[str]:
                                                 dst_ip, attempts=8)
             return _KIND_ABBREV.get(behavioural.kind, behavioural.kind)
     return None
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run().render())

@@ -23,7 +23,6 @@ from .common import (
     campaign_payload,
     domain_sample,
     format_table,
-    get_world,
     run_degradable,
 )
 
@@ -92,11 +91,9 @@ def _campaign_unit(stub: str):
     return unit_fn
 
 
-def run(world=None, domains: Optional[List[str]] = None,
+def run(world, domains: Optional[List[str]] = None,
         stubs=COLLATERAL_ISPS) -> Table3Result:
     """Regenerate Table 3."""
-    if world is None:
-        world = get_world()
     if domains is None:
         domains = domain_sample(world)
     result = Table3Result()
@@ -108,7 +105,3 @@ def run(world=None, domains: Optional[List[str]] = None,
         if ok:
             result.reports[stub] = report
     return result
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run().render())

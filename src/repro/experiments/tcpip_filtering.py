@@ -19,7 +19,6 @@ from .common import (
     campaign_payload,
     domain_sample,
     format_table,
-    get_world,
 )
 
 
@@ -67,12 +66,10 @@ def _campaign_unit(isp: str):
     return unit_fn
 
 
-def run(world=None, domains: Optional[List[str]] = None,
+def run(world, domains: Optional[List[str]] = None,
         isps=OONI_TESTED_ISPS, sites_per_isp: int = 25
         ) -> TCPIPExperimentResult:
     """Run the five-handshake test in every ISP."""
-    if world is None:
-        world = get_world()
     if domains is None:
         domains = domain_sample(world, fraction=None)
     result = TCPIPExperimentResult()
@@ -80,7 +77,3 @@ def run(world=None, domains: Optional[List[str]] = None,
         result.reports[isp] = detect_tcpip_filtering(
             world, isp, domains[:sites_per_isp])
     return result
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run().render())

@@ -21,7 +21,6 @@ from .common import (
     campaign_payload,
     fmt_cell,
     format_table,
-    get_world,
 )
 
 
@@ -86,10 +85,8 @@ def _censored_target(world, isp: str):
     return None, None
 
 
-def run(world=None, isps=HTTP_FILTERING_ISPS) -> TriggerExperimentResult:
+def run(world, isps=HTTP_FILTERING_ISPS) -> TriggerExperimentResult:
     """Run the trigger analysis for every HTTP-censoring ISP."""
-    if world is None:
-        world = get_world()
     result = TriggerExperimentResult()
     for isp in isps:
         domain, dst_ip = _censored_target(world, isp)
@@ -99,7 +96,3 @@ def run(world=None, isps=HTTP_FILTERING_ISPS) -> TriggerExperimentResult:
         result.analyses[isp] = analyze_trigger(world, isp, domain,
                                                dst_ip=dst_ip)
     return result
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run().render())

@@ -152,13 +152,6 @@ class Network:
         #: lazily from :meth:`next_hop` (so equivalence is by
         #: construction), invalidated with the other routing caches.
         self._fwd_plans: Dict[Tuple[str, str, Optional[str]], tuple] = {}
-        #: Escape hatch for precompiled delivery plans at *both*
-        #: layers: the engine's per-(node, dst, src) forwarding plans
-        #: (including transit-hop fusion) and the express-probe plans
-        #: compiled by ``repro.core.measure.fastprobe``.  When False,
-        #: packets forward hop by hop over the cached FIB and express
-        #: probes re-walk the middlebox chain per call.
-        self.delivery_plans_enabled = True
         #: Installed by :meth:`install_faults`; ``None`` means a perfect
         #: network — the seed repo's behaviour, byte for byte.
         self.faults: Optional[FaultInjector] = None
@@ -499,9 +492,11 @@ class Network:
                   src_ip: Optional[str]) -> tuple:
         """The compiled delivery plan from *from_node* for this flow.
 
-        Built once per (node, dst, src) from the same :meth:`next_hop`
-        the per-packet path uses, then served as two dict lookups — the
-        delivery-plan analogue of PR 4's FIB, one level higher.  Shapes:
+        Built once per (node, dst, src) from :meth:`next_hop`, then
+        served as two dict lookups — the delivery-plan analogue of the
+        FIB, one level higher.  ``tests/netsim/reference_delivery.py``
+        forwards hop by hop from :meth:`next_hop` alone, and the plans
+        must agree with it.  Shapes:
 
         * ``(_PLAN_LINK, next_node, delay)`` — single forwarding step.
         * ``(_PLAN_EXPRESS, final_node, delays, n_transit, next_node,
@@ -573,19 +568,10 @@ class Network:
     def _dispatch(self, node: Node, packet: Packet, transit: bool) -> None:
         """Send *packet* onward from *node* by its delivery plan.
 
-        With delivery plans off, each call derives a one-hop plan from
-        the FIB instead of the compiled, cached one.  *transit* marks a
-        packet routed through *node* rather than sent by it: its
-        no-route drop then names the router.
+        *transit* marks a packet routed through *node* rather than sent
+        by it: its no-route drop then names the router.
         """
-        if self.delivery_plans_enabled:
-            plan = self._plan_for(node, packet.dst, packet.src)
-        elif self.ip_owner.get(packet.dst) is node:
-            plan = (_PLAN_LOCAL, node, 0.0)
-        else:
-            nxt = self.next_hop(node, packet.dst, packet.src)
-            plan = _NO_ROUTE_PLAN if nxt is None else (
-                _PLAN_LINK, nxt, self.adjacency[node.name][nxt.name])
+        plan = self._plan_for(node, packet.dst, packet.src)
         kind = plan[0]
         if kind == _PLAN_EXPRESS:
             trace = self.trace

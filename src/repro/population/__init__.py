@@ -28,7 +28,6 @@ from .engine import (
     population_scale,
     zipf_mix,
 )
-from .reference import ReferenceSession, simulate_reference
 from .sketches import BottomKReservoir, CountMinSketch
 
 __all__ = [
@@ -42,10 +41,8 @@ __all__ = [
     "PopulationConfig",
     "PopulationEngine",
     "PopulationOutcome",
-    "ReferenceSession",
     "apportion",
     "hourly_sessions",
     "population_scale",
-    "simulate_reference",
     "zipf_mix",
 ]

@@ -18,8 +18,8 @@ counts.  Per session the draw order is fixed: two uniforms for the
 Zipf rank, then (only if the domain is on the ISP's master list — a
 hash property, not a draw) one uniform against the ISP's enforcement
 probability.  ``tests/population/test_engine.py`` pins the engine
-against the per-session reference implementation in
-:mod:`repro.population.reference`, which replays the same draws one
+against the test-only per-session reference in
+``tests/population/reference.py``, which replays the same draws one
 session object at a time.
 """
 

@@ -60,6 +60,10 @@ HANG_ENV = "REPRO_CAMPAIGN_WORKER_HANG"
 #: test that forgot a unit wall cannot wedge CI forever.
 HANG_SPIN_LIMIT = 600.0
 
+#: Per-unit trace event cap under ``--trace`` (fixed, so truncation is
+#: deterministic).
+TRACE_LIMIT = 100_000
+
 
 @dataclasses.dataclass(frozen=True)
 class UnitSettings:
@@ -75,12 +79,11 @@ class UnitSettings:
     #: the unit world's :attr:`~repro.netsim.engine.Network.event_limit`.
     unit_steps: Optional[int] = None
     #: Attach a trace bus to every unit world and return the buffered
-    #: events through the result channel (``--trace``).
+    #: events through the result channel (``--trace``), at most
+    #: :data:`TRACE_LIMIT` per unit.
     trace: bool = False
-    #: Per-unit event cap (fixed so truncation is deterministic).
-    trace_limit: int = 100_000
-    #: Per-worker address-space budget (MiB), applied via
-    #: ``resource.setrlimit`` in :func:`worker_initializer` so one
+    #: Per-worker memory budget (MiB): the data limit
+    #: (``RLIMIT_DATA``) that :func:`worker_initializer` sets, so one
     #: pathological world build cannot OOM the host.  ``None`` = off.
     memory_limit_mb: Optional[int] = None
 
@@ -89,9 +92,9 @@ def out_of_memory(exc: BaseException, settings: UnitSettings) -> bool:
     """Is *exc* a failed allocation?
 
     Under a memory budget (``settings.memory_limit_mb``) an allocation
-    the address-space limit refuses can surface as ``SystemError``
-    ("error return without exception set") instead of ``MemoryError``,
-    so a ``SystemError`` counts as one there.  Without a budget it
+    the data limit refuses can surface as ``SystemError`` ("error
+    return without exception set") instead of ``MemoryError``, so a
+    ``SystemError`` counts as one there.  Without a budget it
     stays a programming error; :func:`classify_error` knows no budgets.
     """
     return isinstance(exc, MemoryError) or (
@@ -181,7 +184,7 @@ def execute_unit(settings: UnitSettings, experiment: str, unit: Unit
         from ..obs.trace import BufferSink, TraceBus
 
         bus = TraceBus()
-        sink = BufferSink(limit=settings.trace_limit)
+        sink = BufferSink(limit=TRACE_LIMIT)
         bus.subscribe(sink)
         bus.corr = f"{experiment}/{unit.name}"
         world.network.trace = bus
@@ -269,7 +272,15 @@ def worker_initializer(settings: UnitSettings,
 
 
 def _apply_memory_limit(limit_mb: Optional[int]) -> None:
-    """Cap this process's address space (best effort, POSIX only).
+    """Cap this process's data memory (best effort, POSIX only).
+
+    ``RLIMIT_DATA`` bounds the heap and the private writable mappings,
+    which is what a unit's allocations grow; since Linux 4.7 it covers
+    anonymous ``mmap`` too.  Address space (``RLIMIT_AS``) would also
+    count what the worker only reserves — the 64 MB malloc arena and
+    8 MB stack its parent-watch thread maps before the limit applies —
+    so a 70 MB budget would leave almost nothing for a worker whose
+    resident set stays near 26 MB.
 
     Meant for worker processes — applying it to the campaign parent
     (or a test process) would cap *that* process too, which is why the
@@ -283,8 +294,8 @@ def _apply_memory_limit(limit_mb: Optional[int]) -> None:
         return
     limit = int(limit_mb) * 1024 * 1024
     try:
-        _, hard = resource.getrlimit(resource.RLIMIT_AS)
-        resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+        _, hard = resource.getrlimit(resource.RLIMIT_DATA)
+        resource.setrlimit(resource.RLIMIT_DATA, (limit, hard))
     except (ValueError, OSError):  # pragma: no cover - platform quirk
         pass
 

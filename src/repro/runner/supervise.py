@@ -82,9 +82,9 @@ PARENT_POLL = 0.5
 DEFAULT_MAX_CRASHES = 2
 
 #: Exponential backoff before re-dispatching a crashed unit:
-#: ``min(cap, base * 2**(crashes-1))`` seconds.
+#: ``min(BACKOFF_CAP, base * 2**(crashes-1))`` seconds.
 DEFAULT_BACKOFF_BASE = 0.05
-DEFAULT_BACKOFF_CAP = 2.0
+BACKOFF_CAP = 2.0
 
 #: Grace added to ``unit_wall`` before the hard kill: the clock starts
 #: at dispatch, before the worker has imported the experiments and
@@ -211,6 +211,8 @@ def _worker_main(settings, conn, specs=None) -> None:
     (:func:`~repro.runner.parallel.out_of_memory`), where the
     interpreter's heap can no longer be trusted, so the worker dies
     with :data:`EXIT_MEMORY` and lets the supervisor attribute it.
+    A failed allocation while the result is pickled onto the pipe
+    ends the worker the same way.
 
     One unit's world at a time: a finished unit's world is cyclic
     garbage, so once its result is down the pipe the worker collects
@@ -255,6 +257,10 @@ def _worker_main(settings, conn, specs=None) -> None:
             conn.send((index, attempt, record, wall, extras, kind))
         except (BrokenPipeError, OSError):
             break
+        except Exception as exc:
+            if out_of_memory(exc, settings):
+                os._exit(EXIT_MEMORY)
+            raise
         del record, extras
         gc.collect()
     try:
@@ -287,11 +293,9 @@ class Supervisor:
                  unit_wall: Optional[float] = None,
                  max_crashes: int = DEFAULT_MAX_CRASHES,
                  backoff_base: float = DEFAULT_BACKOFF_BASE,
-                 backoff_cap: float = DEFAULT_BACKOFF_CAP,
                  max_respawns: Optional[int] = None,
                  events=None,
-                 stop_check=None,
-                 clock=time.monotonic) -> None:
+                 stop_check=None) -> None:
         if workers < 1:
             raise CampaignError(f"workers must be >= 1, got {workers}")
         if max_crashes < 1:
@@ -303,7 +307,6 @@ class Supervisor:
         self.unit_wall = unit_wall
         self.max_crashes = max_crashes
         self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
         self.max_spawns = workers + (
             max_respawns if max_respawns is not None
             else max(8, 4 * workers))
@@ -312,7 +315,6 @@ class Supervisor:
         #: supervisor drains itself (see :meth:`drain`).
         self._stop_check = stop_check
         self._draining = False
-        self._clock = clock
         self._ctx = multiprocessing.get_context()
         self._slots: List[_Slot] = []
         self._next_worker_id = 0
@@ -336,7 +338,7 @@ class Supervisor:
         self._tasks = list(tasks)
         if not self._tasks:
             return
-        self._start_time = self._clock()
+        self._start_time = time.monotonic()
         self._ready = collections.deque(
             (index, 1) for index in range(len(self._tasks)))
         try:
@@ -392,7 +394,7 @@ class Supervisor:
         """Move backoff-expired retries to the front of the queue."""
         if not self._waiting:
             return
-        now = self._clock()
+        now = time.monotonic()
         still: List[Tuple[float, int, int]] = []
         for not_before, index, attempt in self._waiting:
             if not_before <= now:
@@ -419,7 +421,7 @@ class Supervisor:
                 # and let _reap_dead retire the slot.
                 self._ready.appendleft((index, attempt))
                 continue
-            slot.task = (index, attempt, self._clock())
+            slot.task = (index, attempt, time.monotonic())
 
     def _drain(self) -> None:
         """Collect results from every worker pipe that has one.
@@ -491,7 +493,7 @@ class Supervisor:
             else:
                 reason = f"exited with status {exitcode}"
             self._record_crash(index, attempt, reason=reason,
-                               wall=self._clock() - dispatched_at)
+                               wall=time.monotonic() - dispatched_at)
 
     def _record_crash(self, index: int, attempt: int, reason: str,
                       wall: Optional[float] = None) -> None:
@@ -511,9 +513,9 @@ class Supervisor:
             self._emit("unit-quarantined", unit=unit_key,
                        crashes=crashes)
             return
-        delay = min(self.backoff_cap,
+        delay = min(BACKOFF_CAP,
                     self.backoff_base * (2 ** (crashes - 1)))
-        self._waiting.append((self._clock() + delay, index, attempt + 1))
+        self._waiting.append((time.monotonic() + delay, index, attempt + 1))
         self._emit("unit-retry", unit=unit_key, attempt=attempt + 1,
                    delay=round(delay, 3))
 
@@ -521,7 +523,7 @@ class Supervisor:
         """Hard ``unit_wall``: SIGKILL workers past the budget."""
         if self.unit_wall is None:
             return
-        now = self._clock()
+        now = time.monotonic()
         limit = self.unit_wall + HARD_GRACE
         for slot in list(self._slots):
             if slot.task is None:
@@ -619,5 +621,5 @@ class Supervisor:
 
     def _emit(self, kind: str, **fields) -> None:
         if self._events is not None:
-            self._events.emit(kind, self._clock() - self._start_time,
+            self._events.emit(kind, time.monotonic() - self._start_time,
                               **fields)

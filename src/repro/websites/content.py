@@ -18,20 +18,11 @@ from .corpus import Website
 
 #: Memoized generated content.  Generation is a pure function of the
 #: cache key (the RNGs are seeded from it), so memoization cannot
-#: change a single byte served — it only skips regeneration.  Disable
-#: with ``set_content_cache(False)`` to route through the seed
-#: generators on every call.
-_content_cache_enabled = True
+#: change a single byte served — it only skips regeneration.
+#: ``tests/websites/test_content_memo.py`` holds every memoized page
+#: equal to a fresh call of its ``_generate_*`` generator.
 _body_cache: Dict[tuple, str] = {}
 _parked_cache: Dict[tuple, str] = {}
-
-
-def set_content_cache(enabled: bool) -> None:
-    """Toggle content memoization (clears the caches either way)."""
-    global _content_cache_enabled
-    _content_cache_enabled = enabled
-    _body_cache.clear()
-    _parked_cache.clear()
 
 
 def _words(rng: random.Random, pool, count: int) -> str:
@@ -51,22 +42,21 @@ def _paragraphs(rng: random.Random, site: Website, size_target: int) -> str:
 
 def static_body(site: Website) -> str:
     """The stable portion of a site's page (same from everywhere)."""
-    if _content_cache_enabled:
-        # The key carries every attribute the output depends on (the
-        # RNG seeds on the domain alone), so two Website objects that
-        # would generate different bytes can never collide.
-        key = (site.domain, site.page_style, site.title,
-               site.body_size, site.category)
-        cached = _body_cache.get(key)
-        if cached is None:
-            cached = _generate_static_body(site)
-            _body_cache[key] = cached
-        return cached
-    return _generate_static_body(site)
+    # The key carries every attribute the output depends on (the RNG
+    # seeds on the domain alone), so two Website objects that would
+    # generate different bytes can never collide.
+    key = (site.domain, site.page_style, site.title,
+           site.body_size, site.category)
+    cached = _body_cache.get(key)
+    if cached is None:
+        cached = _generate_static_body(site)
+        _body_cache[key] = cached
+    return cached
 
 
 def _generate_static_body(site: Website) -> str:
-    """The seed generator: synthesize the body from scratch."""
+    """Synthesize a site's body from scratch (:func:`static_body`'s
+    memo miss)."""
     rng = random.Random(f"body|{site.domain}")
     if site.page_style == "redirect":
         return (
@@ -150,20 +140,18 @@ def parked_response(domain: str, provider: str, region: str) -> HTTPResponse:
     so comparing a direct fetch against a control fetch flags the site
     even though nothing is censored — OONI's GoDaddy false positive.
     """
-    if _content_cache_enabled:
-        key = (domain, provider, region)
-        body = _parked_cache.get(key)
-        if body is None:
-            body = _generate_parked_body(domain, provider, region)
-            _parked_cache[key] = body
-    else:
+    key = (domain, provider, region)
+    body = _parked_cache.get(key)
+    if body is None:
         body = _generate_parked_body(domain, provider, region)
+        _parked_cache[key] = body
     extra = (("X-Adserver", f"pool-{region}"),) if region == "in" else ()
     return make_response(200, body.encode("latin-1"), extra_headers=extra)
 
 
 def _generate_parked_body(domain: str, provider: str, region: str) -> str:
-    """The seed generator for a parking page's HTML."""
+    """A parking page's HTML from scratch (:func:`parked_response`'s
+    memo miss)."""
     rng = random.Random(f"park|{domain}|{provider}|{region}")
     # Localized parking pages differ in title, ad volume and header
     # names — enough to fail every one of OONI's similarity checks.

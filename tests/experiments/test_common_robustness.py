@@ -1,55 +1,15 @@
-"""Robustness plumbing in experiments.common: bounded world cache,
-the (ok, value) run_degradable contract, degradation accounting."""
+"""Robustness plumbing in experiments.common: the corpus fraction
+knob, the (ok, value) run_degradable contract, degradation accounting."""
 
 import pytest
 
-from repro.experiments import common
 from repro.experiments.common import (
-    WORLD_CACHE_MAX,
     Degradation,
     bench_fraction,
-    clear_world_cache,
-    get_world,
     run_degradable,
 )
 from repro.netsim.errors import ConnectionError_, NetSimError
 from repro.runner.errors import TimeoutDegradation, TransientUnitError
-
-
-@pytest.fixture(autouse=True)
-def fresh_cache():
-    clear_world_cache()
-    yield
-    clear_world_cache()
-
-
-class TestWorldCache:
-    SCALE = 0.05
-
-    def test_hit_returns_same_object(self):
-        first = get_world(seed=1, scale=self.SCALE)
-        assert get_world(seed=1, scale=self.SCALE) is first
-
-    def test_bounded_lru_evicts_oldest(self):
-        worlds = [get_world(seed=seed, scale=self.SCALE)
-                  for seed in range(WORLD_CACHE_MAX + 1)]
-        assert len(common._WORLD_CACHE) == WORLD_CACHE_MAX
-        # Seed 0 (oldest) was evicted: a fresh build, new object.
-        assert get_world(seed=0, scale=self.SCALE) is not worlds[0]
-
-    def test_recent_use_protects_from_eviction(self):
-        first = get_world(seed=0, scale=self.SCALE)
-        for seed in range(1, WORLD_CACHE_MAX):
-            get_world(seed=seed, scale=self.SCALE)
-        get_world(seed=0, scale=self.SCALE)  # refresh recency
-        get_world(seed=WORLD_CACHE_MAX, scale=self.SCALE)  # evicts seed 1
-        assert get_world(seed=0, scale=self.SCALE) is first
-        assert (1, self.SCALE) not in common._WORLD_CACHE
-
-    def test_clear_world_cache(self):
-        get_world(seed=1, scale=self.SCALE)
-        clear_world_cache()
-        assert not common._WORLD_CACHE
 
 
 class TestBenchFraction:

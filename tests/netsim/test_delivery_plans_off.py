@@ -1,12 +1,15 @@
-"""Delivery plans are pure memoization: turning them off changes nothing.
+"""Delivery plans are pure memoization: without them nothing changes.
 
-``Network.delivery_plans_enabled = False`` sends every packet hop by
-hop over the FIB and makes express probes walk the middlebox chain per
-call.  Two fresh worlds, one with the switch off, must agree on packet
+The oracles in ``reference_delivery.py`` stand for a network without
+delivery plans: a forwarder that sends every packet hop by hop from
+``next_hop``, and express walks over the seed router's path per call.
+Two fresh worlds, one forwarding hop by hop, must agree on packet
 fetches, DNS lookups and traceroutes down to the clock, the event count
-and every drop, and on every express HTTP, canonical and DNS verdict
-over the corpus.
+and every drop; and every express HTTP, canonical and DNS verdict over
+the corpus must equal the walks'.
 """
+
+from contextlib import nullcontext
 
 from repro.core.measure import canonical_payload, express_http_probe
 from repro.core.measure.fastprobe import (
@@ -16,9 +19,14 @@ from repro.core.measure.fastprobe import (
 from repro.dnssim import dns_lookup
 from repro.httpsim import fetch_url
 from repro.isps import build_world
-from repro.middlebox import DNSInjectorMiddlebox
+from repro.middlebox import (COVERT, DNSInjectorMiddlebox,
+                             InterceptiveMiddlebox, TriggerSpec)
 from repro.netsim.devices import Router
 from repro.netsim.traceroute import traceroute
+
+from .reference_delivery import (canonical_verdict, dns_answer,
+                                 hop_by_hop, http_verdict)
+from .reference_router import ReferenceRouter
 
 SEED = 1808
 SCALE = 0.15
@@ -28,18 +36,42 @@ def _box(box):
     return None if box is None else (box.kind, getattr(box, "isp", None))
 
 
-def _world(plans: bool):
+def _bare_router(path, behind_a_box=False):
+    """The first router on *path* with neither a tap nor an inline
+    box; with *behind_a_box*, the first such after one that has a box."""
+    boxed = False
+    for node in path[1:-1]:
+        if not isinstance(node, Router):
+            continue
+        bare = not node.taps and node.inline_middlebox is None
+        if bare and (boxed or not behind_a_box):
+            return node
+        boxed = boxed or not bare
+    return None
+
+
+def _world():
     """A fresh world, plus a DNS injector on airtel's path to 8.8.8.8
-    (built worlds censor DNS only at resolvers)."""
+    (built worlds censor DNS only at resolvers), and a second HTTP box
+    behind the first on one of airtel's censored paths (built worlds
+    put at most one box on a path, so the nearer of two matching boxes
+    must win somewhere)."""
     world = build_world(seed=SEED, scale=SCALE)
     network = world.network
+    client = world.client_of("airtel")
     blocked = sorted(world.blocklists.union_http())[:2]
-    path = network.path_to(world.client_of("airtel"), world.google_dns.ip)
-    router = next(node for node in path[1:-1] if isinstance(node, Router)
-                  and node.inline_middlebox is None)
-    router.attach_inline(DNSInjectorMiddlebox(
-        "injector", "airtel", frozenset(blocked), lambda domain: "127.0.0.2"))
-    network.delivery_plans_enabled = plans
+    _bare_router(network.path_to(client, world.google_dns.ip)).attach_inline(
+        DNSInjectorMiddlebox("injector", "airtel", frozenset(blocked),
+                             lambda domain: "127.0.0.2"))
+    airtel_blocked = frozenset(world.blocklists.http["airtel"])
+    behind = next(filter(None, (
+        _bare_router(network.path_to(client,
+                                     world.hosting.ip_for(domain, "in")),
+                     behind_a_box=True)
+        for domain in sorted(airtel_blocked))))
+    behind.attach_inline(InterceptiveMiddlebox(
+        "second", "airtel", TriggerSpec(blocklist=airtel_blocked),
+        mode=COVERT))
     return world, network
 
 
@@ -50,8 +82,13 @@ def _resolvers(world, deployment):
     return ips
 
 
-def _packet_level(plans: bool):
-    world, network = _world(plans)
+def _packet_level(forwarding):
+    world, network = _world()
+    with forwarding(network):
+        return _fetch_resolve_trace(world, network)
+
+
+def _fetch_resolve_trace(world, network):
     open_sites = [s.domain for s in world.corpus][:3]
     seen = []
     for name in sorted(world.isps):
@@ -80,35 +117,49 @@ def _packet_level(plans: bool):
             network.drop_stats(collapse=False))
 
 
-def _express(plans: bool):
-    world, network = _world(plans)
+def _express(world, http, canonical, dns):
     seen = []
-    for name in sorted(world.isps):
+    names = sorted(world.isps)
+    for name, neighbour in zip(names, names[1:] + names[:1]):
         deployment = world.isp(name)
         client = deployment.client
+        # Another ISP's address, outside this ISP's source-scoped boxes.
+        foreign_ip = world.isp(neighbour).client.ip
         for domain in world.corpus.domains():
             ip = world.hosting.ip_for(domain, "in")
+            payload = canonical_payload(domain)
             for verdict in (
-                    express_http_probe(network, client, ip,
-                                       canonical_payload(domain)),
-                    express_canonical_probe(network, client, ip, domain)):
+                    http(client, ip, payload),
+                    http(client, ip, payload, dst_port=8080),
+                    http(client, ip, payload, client_ip=foreign_ip),
+                    canonical(client, ip, domain),
+                    canonical(client, ip, domain, client_ip=foreign_ip)):
                 seen.append((verdict.censored, verdict.domain, verdict.hop,
                              _box(verdict.box)))
             for resolver_ip in _resolvers(world, deployment):
-                answer = express_dns_probe(network, client, resolver_ip,
-                                           domain)
+                answer = dns(client, resolver_ip, domain)
                 seen.append((answer.responded, answer.ips, answer.rcode,
                              answer.injected, _box(answer.injector)))
     return seen
 
 
 def test_packet_level_outcomes_match_with_plans_off():
-    with_plans = _packet_level(True)
+    with_plans = _packet_level(nullcontext)
     assert with_plans[2] > 1000  # the batch really ran
-    assert with_plans == _packet_level(False)
+    assert with_plans == _packet_level(hop_by_hop)
 
 
 def test_express_verdicts_match_with_plans_off():
-    with_plans = _express(True)
+    world, network = _world()
+    with_plans = _express(
+        world,
+        lambda *args, **kw: express_http_probe(network, *args, **kw),
+        lambda *args, **kw: express_canonical_probe(network, *args, **kw),
+        lambda *args: express_dns_probe(network, *args))
     assert any(entry[0] is True for entry in with_plans)
-    assert with_plans == _express(False)
+    router = ReferenceRouter(network)
+    assert with_plans == _express(
+        world,
+        lambda *args, **kw: http_verdict(router, *args, **kw),
+        lambda *args, **kw: canonical_verdict(router, *args, **kw),
+        lambda *args: dns_answer(router, *args))

@@ -6,12 +6,15 @@ list), and the FIB / path caches invalidate on every topology,
 addressing, or middlebox change.
 """
 
+from contextlib import nullcontext
+
 import pytest
 
 from repro.netsim import Network, SimulationError, make_udp_packet
 from repro.netsim import engine as engine_module
 from repro.netsim.errors import EventLimitExceeded
 
+from .reference_delivery import hop_by_hop
 from .reference_router import ReferenceRouter
 
 
@@ -115,16 +118,19 @@ class TestDropStats:
 
     @pytest.mark.parametrize("plans", [True, False])
     def test_no_route_names_the_router_only_in_transit(self, plans):
+        # Without plans, the hop-by-hop oracle forwards.
         net, client, _ = chain()
-        net.delivery_plans_enabled = plans
         net.add_host("island", "10.8.0.1")  # owned but unreachable
-        client.send_packet(make_udp_packet(client.ip, "10.8.0.1", 1, 2, b"x"))
-        net.inject_at(net.node("r1"),
-                      make_udp_packet(client.ip, "10.8.0.1", 1, 2, b"x"))
-        # Placed straight onto r2: a transit drop names the router.
-        net.call_later(0.0, net._arrive, net.node("r2"),
-                       make_udp_packet(client.ip, "10.8.0.1", 1, 2, b"x"))
-        net.run_until_idle()
+        with nullcontext() if plans else hop_by_hop(net):
+            client.send_packet(
+                make_udp_packet(client.ip, "10.8.0.1", 1, 2, b"x"))
+            net.inject_at(net.node("r1"),
+                          make_udp_packet(client.ip, "10.8.0.1", 1, 2, b"x"))
+            # Placed straight onto r2: a transit drop names the router.
+            net.call_later(0.0, net._arrive, net.node("r2"),
+                           make_udp_packet(client.ip, "10.8.0.1", 1, 2,
+                                           b"x"))
+            net.run_until_idle()
         assert net.drop_stats(collapse=False) == {"no-route": 2,
                                                   "no-route:r2": 1}
 

@@ -1,12 +1,12 @@
 """The per-session reference the batched engine is pinned against.
 
-This is the straightforward simulation the engine optimizes: one
-Python object per session, attributes resolved through the corpus's
-public methods on every visit, no memo, no sketches.  It exists so the
-property test (``tests/population/test_engine.py``) can assert that
-batching changed the *cost* of a simulated day and nothing about its
-outcome: on the same seed, the engine's aggregate counts and sketches
-equal this loop's, exactly.
+A test-only oracle: the straightforward simulation the engine
+optimizes, with one Python object per session, attributes resolved
+through the corpus's public methods on every visit, no memo and no
+sketches.  The property test (``test_engine.py``) uses it to assert
+that batching changed the *cost* of a simulated day and nothing about
+its outcome: on the same seed, the engine's aggregate counts and
+sketches equal this loop's, exactly.
 
 To make that equality meaningful the reference must consume the same
 random draws in the same documented order (two uniforms for the Zipf
@@ -15,17 +15,15 @@ rank; one more only when the domain is master-listed) from the same
 with the engine.
 """
 
-from __future__ import annotations
-
 from dataclasses import dataclass
 from random import Random
 from typing import Dict, List, Optional
 
-from ..isps.profiles import profile as isp_profile
-from ..websites.synthetic import SyntheticCorpus
-from .cohorts import apportion, hourly_sessions
-from .engine import (OUTCOME_NAMES, PopulationConfig,
-                     enforcement_probability, zipf_mix)
+from repro.isps.profiles import profile as isp_profile
+from repro.population.cohorts import apportion, hourly_sessions
+from repro.population.engine import (OUTCOME_NAMES, PopulationConfig,
+                                     enforcement_probability, zipf_mix)
+from repro.websites.synthetic import SyntheticCorpus
 
 
 @dataclass(frozen=True)

@@ -21,11 +21,10 @@ from repro.population.cohorts import (DEFAULT_COHORTS, DIURNAL_PROFILES,
 from repro.population.engine import (POPULATION_SCALE_ENV,
                                      PopulationConfig, PopulationEngine,
                                      ZipfMix, population_scale, zipf_mix)
-from repro.population.reference import (aggregate_counts,
-                                        aggregate_hourly,
-                                        simulate_reference)
 from repro.population.sketches import BottomKReservoir, CountMinSketch
 from repro.websites.synthetic import SyntheticCorpus
+
+from .reference import aggregate_counts, aggregate_hourly, simulate_reference
 
 #: Small support sizes so the zipf CDF memo stays tiny under hypothesis.
 CORPUS_SIZES = (512, 2000)

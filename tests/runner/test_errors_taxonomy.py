@@ -169,7 +169,7 @@ def _refused_units():
 
 
 #: A unit whose allocation the interpreter reports as ``SystemError``,
-#: as it can under an address-space limit.
+#: as it can under a memory limit.
 REFUSED = {"refused-exp": types.SimpleNamespace(
     CAMPAIGN=TableSpec(title="Refused test", headers=("unit", "note")),
     units=_refused_units)}

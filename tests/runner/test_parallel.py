@@ -88,16 +88,16 @@ def _node_count(world, domains):
     return campaign_payload([["nodes", len(world.network.nodes)]])
 
 
-def _address_space_limit(world, domains):
+def _data_limit(world, domains):
     import resource
 
     return campaign_payload(
-        [["RLIMIT_AS", resource.getrlimit(resource.RLIMIT_AS)[0]]])
+        [["RLIMIT_DATA", resource.getrlimit(resource.RLIMIT_DATA)[0]]])
 
 
 def _adhoc_units():
     yield Unit("nodes", _node_count)
-    yield Unit("limit", _address_space_limit)
+    yield Unit("limit", _data_limit)
 
 
 #: An ad-hoc spec registry built from module-level functions, so it
@@ -132,14 +132,86 @@ class TestAdHocSpecs:
     def test_memory_limit_applies_at_one_worker(self, tmp_path):
         import resource
 
-        own = resource.getrlimit(resource.RLIMIT_AS)
+        own = resource.getrlimit(resource.RLIMIT_DATA)
         limit_mb = 16384
         report = self._run(tmp_path / "run", memory_limit_mb=limit_mb)
         assert report.complete
         assert _unit_rows(report.journal_path)["limit"] == [
-            ["RLIMIT_AS", limit_mb * 2 ** 20]]
+            ["RLIMIT_DATA", limit_mb * 2 ** 20]]
         # The budget caps the worker, never the campaign's own process.
-        assert resource.getrlimit(resource.RLIMIT_AS) == own
+        assert resource.getrlimit(resource.RLIMIT_DATA) == own
+
+
+def _allocate_20mb(world, domains):
+    return campaign_payload([["MB", len(bytearray(20 * 2 ** 20)) >> 20]])
+
+
+def _allocate_200mb(world, domains):
+    return campaign_payload([["MB", len(bytearray(200 * 2 ** 20)) >> 20]])
+
+
+class _RefusedWhilePickled:
+    """Pickling it fails the way a refused allocation does."""
+
+    def __reduce__(self):
+        raise MemoryError("refused while pickling the result")
+
+
+def _unsendable(world, domains):
+    payload = campaign_payload([["sent", 0]])
+    payload["blob"] = _RefusedWhilePickled()
+    return payload
+
+
+def _budget_units():
+    yield Unit("20mb", _allocate_20mb)
+    yield Unit("200mb", _allocate_200mb)
+    yield Unit("unsendable", _unsendable)
+
+
+BUDGET = {"budget": types.SimpleNamespace(
+    CAMPAIGN=TableSpec(title="Budget", headers=("probe", "value")),
+    units=_budget_units)}
+
+
+class TestMemoryBudget:
+    """``memory_limit_mb`` budgets what a worker allocates, not the
+    address space it reserves (a thread's malloc arena and stack)."""
+
+    def _run(self, run_dir, **kwargs):
+        report = Campaign(seed=1808, scale=SCALE, fraction=1.0,
+                          run_dir=str(run_dir), specs=BUDGET,
+                          **kwargs).run()
+        with open(report.journal_path, encoding="utf-8") as fh:
+            units = {rec["unit"]: rec for rec in map(json.loads, fh)
+                     if rec["type"] == "unit"}
+        with open(os.path.join(report.run_dir, "supervision.jsonl"),
+                  encoding="utf-8") as fh:
+            crashes = [event for event in map(json.loads, fh)
+                       if event["kind"] == "worker-crash"]
+        return units, crashes
+
+    # A forked worker would carry the test process's heap into its
+    # budget; a spawned one starts from the bare program.
+    @pytest.mark.parametrize("start_method", ["spawn"], indirect=True)
+    def test_small_unit_fits_and_large_one_is_quarantined(
+            self, tmp_path, start_method):
+        units, crashes = self._run(tmp_path / "run", memory_limit_mb=70)
+        assert {name: rec["status"] for name, rec in units.items()} == {
+            "20mb": "ok", "200mb": "quarantined",
+            "unsendable": "quarantined"}
+        assert units["20mb"]["payload"]["rows"] == [["MB", 20]]
+        assert sorted(event["unit"] for event in crashes) == [
+            "budget/200mb", "budget/200mb",
+            "budget/unsendable", "budget/unsendable"]
+
+    def test_refused_allocation_while_sending_is_a_memory_crash(
+            self, tmp_path):
+        units, crashes = self._run(tmp_path / "run")
+        assert units["unsendable"]["status"] == "quarantined"
+        reasons = {event["reason"] for event in crashes
+                   if event["unit"] == "budget/unsendable"}
+        assert reasons == {"memory budget exceeded"}
 
 
 class TestWorkerTask:

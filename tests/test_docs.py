@@ -73,3 +73,25 @@ def test_documented_env_vars_exist_in_source():
         "line one\nset REPRO_NO_SUCH_KNOB=1\n", known)
     assert errors == ["docs/FAKE.md:2: documented env var "
                       "REPRO_NO_SUCH_KNOB does not appear in src/"]
+
+
+def test_documented_repro_names_resolve():
+    assert check_docs.resolves("repro.netsim.engine.Network")
+    assert check_docs.resolves("repro.core.groundtruth.verify")
+    # A made-up name is flagged, in a code span or a fenced block, with
+    # its line number; prose and real names are not.
+    errors = check_docs.check_repro_names(
+        os.path.join(REPO_ROOT, "docs", "FAKE.md"),
+        "`repro.netsim.engine.Network` is real\n"
+        "`repro.netsim.engine.NoSuchThing` is not\n"
+        "prose may say repro.nowhere\n"
+        "```python\nfrom repro.core.nosuchmodule import thing\n```\n")
+    assert errors == [
+        "docs/FAKE.md:5: documented name `repro.core.nosuchmodule` is "
+        "neither a module nor an attribute of one",
+        "docs/FAKE.md:2: documented name `repro.netsim.engine.NoSuchThing`"
+        " is neither a module nor an attribute of one",
+    ]
+    # Moved to the tests, the population reference no longer resolves.
+    assert not check_docs.resolves(
+        "repro.population.reference.simulate_reference")

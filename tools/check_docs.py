@@ -1,6 +1,6 @@
 """Documentation consistency checker (run by the CI docs job).
 
-Four checks over the repository's Markdown:
+Five checks over the repository's Markdown:
 
 1. **Links resolve.**  Every intra-repo link target (relative path,
    ``#anchor`` stripped) must exist on disk.  External links
@@ -18,6 +18,11 @@ Four checks over the repository's Markdown:
 4. **Documented env vars exist.**  Every ``REPRO_*`` token the docs
    mention must appear somewhere in ``src/**/*.py`` — a renamed or
    removed knob can't linger in the docs.
+5. **Documented ``repro.*`` names resolve.**  Every dotted
+   ``repro.<...>`` name in a code span or fenced code block must
+   import as a module or be reached by ``getattr`` from the longest
+   prefix that imports — a moved or deleted module, class or function
+   can't linger in the docs.
 
 Usage::
 
@@ -26,11 +31,13 @@ Usage::
 
 from __future__ import annotations
 
+import importlib
 import os
 import re
 import sys
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
 
 #: Markdown that documents the project (working notes like ISSUE.md,
 #: SNIPPETS.md and the paper dumps are deliberately out of scope).
@@ -48,6 +55,7 @@ _CODE_SPAN = re.compile(r"`[^`]+`")
 _CLI_REF = re.compile(r"(?:python -m\s+)?\brepro\s+([a-z][a-z-]*)")
 _FLAG = re.compile(r"(--[a-z][a-z-]*)")
 _ENV_VAR = re.compile(r"\bREPRO_[A-Z0-9_]+")
+_REPRO_NAME = re.compile(r"(?<![\w.])repro(?:\.\w+)+")
 
 
 def doc_paths() -> list:
@@ -81,7 +89,6 @@ def check_links(path: str, text: str) -> list:
 
 def cli_subcommands() -> dict:
     """``subcommand -> set of option strings``, introspected."""
-    sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
     from repro.cli import build_parser
 
     parser = build_parser()
@@ -168,6 +175,48 @@ def check_env_vars(path: str, text: str, known: set) -> list:
     return errors
 
 
+def resolves(name: str) -> bool:
+    """Does dotted *name* import, or reach an attribute by ``getattr``
+    from its longest importable prefix?"""
+    parts = name.split(".")
+    for end in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:end]))
+        except ModuleNotFoundError:
+            continue
+        for attr in parts[end:]:
+            if not hasattr(obj, attr):
+                return False
+            obj = getattr(obj, attr)
+        return True
+    return False
+
+
+def _backticked(text: str):
+    """``(offset, snippet)`` for every fenced block and code span."""
+    for match in _FENCE.finditer(text):
+        yield match.start(), match.group(0)
+    # Blank the fences out (keeping offsets) so spans skip them.
+    outside = _FENCE.sub(lambda m: re.sub(r"[^\n]", " ", m.group(0)),
+                         text)
+    for match in _CODE_SPAN.finditer(outside):
+        yield match.start(), match.group(0)
+
+
+def check_repro_names(path: str, text: str) -> list:
+    """Documented dotted ``repro.*`` names that do not resolve."""
+    rel = os.path.relpath(path, REPO_ROOT)
+    errors = []
+    for offset, snippet in _backticked(text):
+        for match in _REPRO_NAME.finditer(snippet):
+            if not resolves(match.group(0)):
+                line = text[:offset + match.start()].count("\n") + 1
+                errors.append(f"{rel}:{line}: documented name "
+                              f"`{match.group(0)}` is neither a module "
+                              f"nor an attribute of one")
+    return errors
+
+
 def main() -> int:
     known = cli_subcommands()
     env_known = source_env_vars()
@@ -179,6 +228,7 @@ def main() -> int:
         errors.extend(check_links(path, text))
         errors.extend(check_cli_refs(path, text, known))
         errors.extend(check_env_vars(path, text, env_known))
+        errors.extend(check_repro_names(path, text))
     for error in errors:
         print(error)
     if errors:
@@ -188,7 +238,8 @@ def main() -> int:
     print(f"ok: {len(paths)} Markdown file(s), all links resolve, "
           f"all CLI references and flags exist "
           f"({', '.join(sorted(known))}), all {len(repro_packages())} "
-          f"packages indexed, all documented REPRO_* env vars exist")
+          f"packages indexed, all documented REPRO_* env vars and "
+          f"repro.* names exist")
     return 0
 
 
