@@ -186,8 +186,8 @@ def test_fib_speedup_express_probe(perf_world):
     engine's warm forwarding caches and once walking every probe with
     the seed router (``tests/netsim/reference_router.py``) and the
     seed express walk (``tests/netsim/reference_delivery.py``): no FIB,
-    path cache, box memo or compiled plan, only its per-destination
-    distance maps, which the first of its two timed rounds fills.
+    box memo or compiled plan, only its per-destination distance maps,
+    which the first of its two timed rounds fills.
     """
     from tests.netsim.reference_delivery import http_verdict
     from tests.netsim.reference_router import ReferenceRouter
@@ -221,7 +221,7 @@ def test_fib_speedup_express_probe(perf_world):
         censored = run()
         return time.perf_counter() - start, censored
 
-    sweep()  # warm the FIB, path cache, and box memo
+    sweep()  # warm the FIB, box memo and compiled plans
     fast = min((timed(sweep) for _ in range(3)), key=lambda r: r[0])
     slow = min((timed(oracle_sweep) for _ in range(2)), key=lambda r: r[0])
     assert fast[1] == slow[1], "cached and uncached verdicts diverged"

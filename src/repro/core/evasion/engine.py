@@ -18,7 +18,7 @@ from ...middlebox.notification import looks_like_block_page
 from ..groundtruth.tor import TorCircuit
 from ..groundtruth.verify import same_site_content
 from ..vantage import VantagePoint
-from .strategies import CLIENT, DNS, REQUEST, STRATEGIES, EvasionStrategy
+from .strategies import CLIENT, DNS, STRATEGIES, EvasionStrategy
 
 
 @dataclass

@@ -9,7 +9,7 @@ design constraint.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional
 
 from ...httpsim.message import GetRequestSpec

@@ -36,10 +36,9 @@ from .fastprobe import (
     ExpressDNSAnswer,
     ExpressVerdict,
     canonical_payload,
-    express_canonical_probe,
+    express_canonical_blocked,
     express_dns_probe,
     express_http_probe,
-    middleboxes_along,
     resolver_service_at,
 )
 from .metrics import (
@@ -139,7 +138,7 @@ __all__ = [
     "detect_tcpip_filtering",
     "dns_iterative_trace",
     "estimate_flow_timeout",
-    "express_canonical_probe",
+    "express_canonical_blocked",
     "express_dns_probe",
     "express_http_probe",
     "find_controlled_target",
@@ -150,7 +149,6 @@ __all__ = [
     "measure_collateral_fetch",
     "measure_coverage_inside",
     "measure_coverage_outside",
-    "middleboxes_along",
     "ooni_run_report",
     "ooni_run_to_json",
     "per_site_blocking_fractions",

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set
 
 from ..vantage import VantagePoint
-from .fastprobe import express_canonical_probe, middleboxes_along
+from .fastprobe import express_canonical_blocked
 from .metrics import consistency, coverage, per_site_blocking_fractions
 
 
@@ -89,16 +89,9 @@ def probe_path(
     domains: List[str],
 ) -> PathProbe:
     """Send every candidate Host down one destination's path."""
-    probe = PathProbe(vantage=vantage.label, dst_ip=dst_ip)
-    boxes = middleboxes_along(world.network, vantage.host, dst_ip)
-    if not boxes:
-        return probe
-    for domain in domains:
-        verdict = express_canonical_probe(
-            world.network, vantage.host, dst_ip, domain, boxes=boxes)
-        if verdict.censored:
-            probe.blocked.add(domain)
-    return probe
+    return PathProbe(vantage=vantage.label, dst_ip=dst_ip,
+                     blocked=express_canonical_blocked(
+                         world.network, vantage.host, dst_ip, domains))
 
 
 def measure_coverage_inside(

@@ -18,7 +18,7 @@ tests in ``tests/measure/test_fastprobe_equivalence.py``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence, Set
 
 from ...dnssim.message import DNSQuery, DNSResponse
 from ...dnssim.resolver import ResolverService
@@ -70,30 +70,33 @@ def _memo(network: Network, name: str) -> Dict:
 
 
 def middleboxes_along(network: Network, client: Host, dst_ip: str,
-                      client_ip: Optional[str] = None) -> List[tuple]:
-    """(hop, box) pairs on the ECMP path, in traversal order.
+                      client_ip: Optional[str] = None
+                      ) -> Optional[List[tuple]]:
+    """(hop, box) pairs on the ECMP path, in traversal order, or
+    ``None`` when no route reaches *dst_ip*.
 
     Cached per (client, destination, source address) until the
-    network's topology generation moves.  Callers must treat the
-    returned list as read-only — both express probe flavours only
-    iterate it.
+    network's topology generation moves, unroutable paths included.
+    Callers must treat the returned list as read-only — the express
+    probes only iterate it.
     """
     client_ip = client_ip or client.ip
     boxes = _memo(network, "boxes")
     key = (client.name, dst_ip, client_ip)
-    found = boxes.get(key)
-    if found is None:
-        found = _walk_middleboxes(network, client, dst_ip, client_ip)
-        boxes[key] = found
-    return found
+    try:
+        return boxes[key]
+    except KeyError:
+        found = boxes[key] = _walk_middleboxes(network, client, dst_ip,
+                                               client_ip)
+        return found
 
 
 def _walk_middleboxes(network: Network, client: Host, dst_ip: str,
-                      client_ip: str) -> List[tuple]:
+                      client_ip: str) -> Optional[List[tuple]]:
     try:
         path = network.path_to(client, dst_ip, src_ip=client_ip)
     except RoutingError:
-        return []
+        return None
     found = []
     for hop, node in enumerate(path[1:], start=1):
         if isinstance(node, Router):
@@ -108,12 +111,8 @@ def _walk_middleboxes(network: Network, client: Host, dst_ip: str,
 # Precompiled delivery plans
 # ---------------------------------------------------------------------------
 
-# Compiled delivery plans live in the network's "plans" memo, keyed
-# (client, dst_ip, client_ip, dst_port) for HTTP plans and
-# ("dns", client, resolver_ip) for DNS plans.
-
-#: DNS-plan sentinel for unroutable resolvers (a miss we also memoize).
-_UNROUTABLE = ("unroutable", ())
+# Compiled HTTP plans live in the network's "plans" memo, keyed
+# (client, dst_ip, client_ip, dst_port).
 
 
 def _http_plan(network: Network, client: Host, dst_ip: str,
@@ -133,45 +132,14 @@ def _http_plan(network: Network, client: Host, dst_ip: str,
         return plan
     network.express_plan_builds += 1
     compiled = []
-    for hop, box in middleboxes_along(network, client, dst_ip, client_ip):
+    for hop, box in middleboxes_along(network, client, dst_ip,
+                                      client_ip) or ():
         profile = getattr(box, "express_profile", None)
         if profile is not None:
             view = profile(client_ip, dst_port)
             if view is not None:
                 compiled.append((hop, box, view[0], view[1]))
     plan = tuple(compiled)
-    plans[key] = plan
-    return plan
-
-
-def _dns_plan(network: Network, client: Host, resolver_ip: str) -> tuple:
-    """Compiled DNS probe plan: ``(kind, injectors)``.
-
-    ``injectors`` is the path's DNS injector boxes in traversal order.
-    The resolver-service lookup and its config checks (open_to_world,
-    client_filter) stay per-call — services can be bound and operators
-    flip those at runtime, neither of which moves the topology
-    generation.
-    """
-    plans = _memo(network, "plans")
-    key = ("dns", client.name, resolver_ip)
-    plan = plans.get(key)
-    if plan is not None:
-        network.express_plan_hits += 1
-        return plan
-    network.express_plan_builds += 1
-    try:
-        path = network.path_to(client, resolver_ip)
-    except RoutingError:
-        plan = _UNROUTABLE
-    else:
-        injectors = tuple(
-            node.inline_middlebox
-            for node in path[1:-1]
-            if isinstance(node, Router)
-            and isinstance(node.inline_middlebox, DNSInjectorMiddlebox)
-        )
-        plan = ("ok", injectors)
     plans[key] = plan
     return plan
 
@@ -203,42 +171,28 @@ def express_http_probe(
     return verdict
 
 
-def express_canonical_probe(
+def express_canonical_blocked(
     network: Network,
     client: Host,
     dst_ip: str,
-    domain: str,
+    domains: Sequence[str],
     *,
     client_ip: Optional[str] = None,
-    boxes: Optional[List[tuple]] = None,
-) -> ExpressVerdict:
-    """Express probe for a *stock-browser* request for *domain*.
+) -> Set[str]:
+    """Which of *domains* a *stock-browser* request down this path
+    would have censored.
 
     A canonical request's Host line matches every trigger discipline,
-    so the per-box check reduces to blocklist membership (plus scope) —
-    orders of magnitude faster than byte matching when sweeping the
-    full corpus.  Pass precomputed ``boxes`` when probing many domains
-    down one path.
+    so the per-box check reduces to blocklist membership over the
+    path's port-80 plan, compiled once for all *domains* — orders of
+    magnitude faster than byte matching when sweeping the full corpus.
     """
-    client_ip = client_ip or client.ip
-    wanted = domain.lower()
-    if boxes is None:
-        for hop, box, _matcher, blocklist in _http_plan(
-                network, client, dst_ip, client_ip, 80):
-            if wanted in blocklist:
-                return ExpressVerdict(censored=True, domain=wanted,
-                                      box=box, hop=hop)
-        return NOT_CENSORED
-    for hop, box in boxes:
-        spec = getattr(box, "spec", None)
-        if spec is None or not spec.inspects_port(80):
-            continue
-        if not box.in_scope(client_ip):
-            continue
-        if wanted in spec.blocklist:
-            return ExpressVerdict(censored=True, domain=wanted,
-                                  box=box, hop=hop)
-    return NOT_CENSORED
+    blocked: Set[str] = set()
+    for _hop, _box, _matcher, blocklist in _http_plan(
+            network, client, dst_ip, client_ip or client.ip, 80):
+        blocked.update(domain for domain in domains
+                       if domain.lower() in blocklist)
+    return blocked
 
 
 def canonical_payload(domain: str) -> bytes:
@@ -292,14 +246,19 @@ def express_dns_probe(
     """Would this query get an answer, and what would it say?
 
     Walks the path for inline DNS injectors first (they answer from
-    mid-path), then consults the resolver service itself.
+    mid-path), then consults the resolver service itself.  The
+    resolver-service lookup and its config checks (open_to_world,
+    client_filter) run per call: services can be bound and operators
+    flip those at runtime, neither of which moves the topology
+    generation.
     """
-    kind, injectors = _dns_plan(network, client, resolver_ip)
-    if kind == "unroutable":
+    boxes = middleboxes_along(network, client, resolver_ip)
+    if boxes is None:
         return NO_ANSWER
     bare = qname[4:] if qname.startswith("www.") else qname
-    for box in injectors:
-        if qname in box.blocklist or bare in box.blocklist:
+    for _hop, box in boxes:
+        if (isinstance(box, DNSInjectorMiddlebox)
+                and (qname in box.blocklist or bare in box.blocklist)):
             return ExpressDNSAnswer(
                 responded=True,
                 ips=(box.poison_strategy(qname),),

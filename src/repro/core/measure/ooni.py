@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from ...httpsim.client import FetchResult
 from ...httpsim.diff import (
     OONI_BODY_PROPORTION_THRESHOLD,
     body_length_proportion,

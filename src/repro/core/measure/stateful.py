@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from ...netsim.devices import Host
 from ..vantage import VantagePoint
 from .probes import CraftedFlow, RawProbeSession
 

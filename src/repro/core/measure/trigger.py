@@ -21,8 +21,8 @@ Three questions, answered exactly the way the paper answers them:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 from ...httpsim.message import GetRequestSpec
 from ...netsim.devices import Host

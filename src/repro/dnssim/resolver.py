@@ -10,7 +10,7 @@ correctly and lie only about their per-resolver blocklist.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, FrozenSet, Optional
 
 from ..netsim.devices import Host

@@ -14,10 +14,10 @@ handed back a non-serving address.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..core.vantage import VantagePoint
-from ..httpsim.https import HTTPSFetchResult, https_fetch
+from ..httpsim.https import https_fetch
 from ..isps.profiles import OONI_TESTED_ISPS
 from ..netsim.addressing import is_bogon
 from .common import (

@@ -10,7 +10,7 @@ minutes (restartable by fresh packets).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..core.measure.classify import find_controlled_target
 from ..core.measure.stateful import (

@@ -10,7 +10,7 @@ for every ISP.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..core.measure.fastprobe import canonical_payload, express_http_probe
 from ..core.measure.trigger import TriggerAnalysis, analyze_trigger

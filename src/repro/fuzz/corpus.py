@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..core.evasion.strategies import STRATEGIES
 from ..httpsim.message import GetRequestSpec

@@ -34,7 +34,6 @@ from .oracles import (
     DISCIPLINES,
     DiffResult,
     classify_evasion,
-    classify_overmatch,
     server_serves_blocked,
 )
 

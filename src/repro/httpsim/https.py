@@ -11,14 +11,14 @@ finding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
 from ..netsim.devices import Host
 from ..netsim.engine import Network
 from ..netsim.errors import ConnectionError_
 from ..netsim.tcp import TCPApp, TCPConnection
-from .message import HTTPResponse, make_response
+from .message import HTTPResponse
 from .tls import (
     HTTPS_PORT,
     client_hello_bytes,

@@ -10,7 +10,7 @@ formatting, rather than as a dictionary of canonical headers.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 CRLF = "\r\n"

@@ -32,7 +32,6 @@ from ..netsim.devices import Host, Router
 from ..netsim.engine import Network
 from .profiles import (
     DNS_POISON,
-    HTTP_IM_COVERT,
     HTTP_IM_OVERT,
     HTTP_WM,
     ISPProfile,

@@ -38,7 +38,7 @@ from ..websites.blocklists import BlocklistPlan, build_blocklists
 from ..websites.corpus import Corpus
 from ..websites.hosting import HostingDeployment, deploy_corpus
 from .builder import ISPBuilder, ISPDeployment
-from .profiles import PROFILES, ISPProfile
+from .profiles import PROFILES
 
 DEFAULT_SEED = 1808
 

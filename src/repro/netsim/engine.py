@@ -46,12 +46,10 @@ from ..obs.trace import flow_id as _flow_id
 #: Default one-way link delay in (virtual) seconds.
 DEFAULT_LINK_DELAY = 0.005
 
-#: Size guards for the routing fast-path caches.  The key spaces are
-#: bounded by the address plan of a single world, so these limits only
-#: matter for pathological synthetic workloads; hitting one clears the
-#: cache (correctness is unaffected — entries are pure memoization).
-ECMP_HASH_CACHE_MAX = 1 << 20
-PATH_CACHE_MAX = 1 << 18
+#: Size guard for the delivery-plan cache.  Its key space is bounded
+#: by the address plan of a single world, so the limit only matters
+#: for pathological synthetic workloads; hitting it clears the cache
+#: (correctness is unaffected — entries are pure memoization).
 FWD_PLAN_CACHE_MAX = 1 << 18
 
 #: Compiled forwarding-plan kinds (see :meth:`Network._plan_for`).
@@ -140,12 +138,6 @@ class Network:
         #: candidate names}); a node's row is filled when it first asks.
         self._fib: Dict[str, Tuple[Dict[str, float],
                                    Dict[str, List[str]]]] = {}
-        #: (src_ip, dst_ip, node name) -> crc32 — the flow-key memo for
-        #: :func:`_ecmp_hash` (topology-independent, never invalidated).
-        self._ecmp_hash_cache: Dict[Tuple[Optional[str], str, str], int] = {}
-        #: (node name, dst_ip, src_ip) -> tuple of path Nodes.
-        self._path_cache: Dict[Tuple[str, str, Optional[str]],
-                               Tuple[Node, ...]] = {}
         #: (node name, dst_ip, src_ip) -> compiled forwarding step —
         #: the delivery plan consulted by :meth:`_dispatch` instead of
         #: re-deriving next hop and link delay per packet.  Built
@@ -174,10 +166,6 @@ class Network:
         #: catalogued metric names.
         self.fib_hits = 0
         self.fib_builds = 0
-        self.flowhash_hits = 0
-        self.flowhash_misses = 0
-        self.path_cache_hits = 0
-        self.path_cache_misses = 0
         self.fwd_plan_hits = 0
         self.fwd_plan_builds = 0
         #: Express delivery-plan counters, maintained by
@@ -226,7 +214,6 @@ class Network:
         """Advance the generation and drop all derived routing state."""
         self._generation += 1
         self._fib.clear()
-        self._path_cache.clear()
         self._fwd_plans.clear()
 
     def add_node(self, node: Node) -> Node:
@@ -265,10 +252,9 @@ class Network:
                 f"cannot assign to {node.name}"
             )
         if existing is None:
-            # A new destination address invalidates path caches (the
+            # A new destination address invalidates delivery plans (the
             # FIB itself is keyed per owner *node* and unaffected).
             self._generation += 1
-            self._path_cache.clear()
             self._fwd_plans.clear()
         self.ip_owner[ip] = node
 
@@ -403,22 +389,6 @@ class Network:
             self.fib_hits += 1
         return table
 
-    def _flow_hash(self, src_ip: Optional[str], dst_ip: str,
-                   node_name: str) -> int:
-        """Memoized :func:`_ecmp_hash` for one flow key at one node."""
-        cache = self._ecmp_hash_cache
-        key = (src_ip, dst_ip, node_name)
-        digest = cache.get(key)
-        if digest is None:
-            self.flowhash_misses += 1
-            if len(cache) >= ECMP_HASH_CACHE_MAX:
-                cache.clear()
-            digest = _ecmp_hash(src_ip, dst_ip, node_name)
-            cache[key] = digest
-        else:
-            self.flowhash_hits += 1
-        return digest
-
     def next_hop(self, from_node: Node, dst_ip: str,
                  src_ip: Optional[str] = None) -> Optional[Node]:
         """ECMP next hop from *from_node* toward *dst_ip*, or None."""
@@ -434,7 +404,7 @@ class Network:
             candidates = rows[name] = self._ecmp_candidates(name, dist)
         if not candidates:
             return None
-        digest = self._flow_hash(src_ip, dst_ip, name)
+        digest = _ecmp_hash(src_ip, dst_ip, name)
         return self.nodes[candidates[digest % len(candidates)]]
 
     def path_to(self, from_node: Node, dst_ip: str,
@@ -446,19 +416,9 @@ class Network:
         by the express probing layer; equivalence with packet-by-packet
         forwarding is covered by property tests.  A walk longer than 64
         hops raises :class:`RoutingError`.
-
-        Successful walks are cached per ``(node, dst_ip, src_ip)`` until
-        the topology generation moves; callers get a fresh list every
-        time, so mutating the result never corrupts the cache.
         """
         if src_ip is None and from_node.ips:
             src_ip = from_node.ip
-        key = (from_node.name, dst_ip, src_ip)
-        cached = self._path_cache.get(key)
-        if cached is not None:
-            self.path_cache_hits += 1
-            return list(cached)
-        self.path_cache_misses += 1
         owner = self.ip_owner.get(dst_ip)
         if owner is None:
             raise RoutingError(f"no node owns {dst_ip}")
@@ -466,9 +426,6 @@ class Network:
         current = from_node
         for _ in range(64):
             if current is owner:
-                if len(self._path_cache) >= PATH_CACHE_MAX:
-                    self._path_cache.clear()
-                self._path_cache[key] = tuple(path)
                 return path
             nxt = self.next_hop(current, dst_ip, src_ip)
             if nxt is None:

@@ -23,7 +23,7 @@ hot paths maintain (cache hits, drops, events) into registry form.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 #: Fixed bucket bounds (upper-inclusive) for simulated-step histograms.
 STEP_BUCKETS: Tuple[float, ...] = (
@@ -215,14 +215,6 @@ def collect_network_metrics(registry: MetricsRegistry, network,
         network.fib_hits)
     registry.counter("netsim_fib_builds_total", **labels).inc(
         network.fib_builds)
-    registry.counter("netsim_flowhash_hits_total", **labels).inc(
-        network.flowhash_hits)
-    registry.counter("netsim_flowhash_misses_total", **labels).inc(
-        network.flowhash_misses)
-    registry.counter("netsim_path_cache_hits_total", **labels).inc(
-        network.path_cache_hits)
-    registry.counter("netsim_path_cache_misses_total", **labels).inc(
-        network.path_cache_misses)
     # Delivery-plan counters.  These are driven entirely by the event
     # sequence, so they are as deterministic as the FIB counters above
     # and safe to emit from the default campaign scrape.  Emitted only

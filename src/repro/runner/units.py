@@ -21,7 +21,7 @@ render from the same serialized form.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Sequence, Tuple
 
 
 @dataclass(frozen=True)

@@ -85,7 +85,8 @@ def http_verdict(router: ReferenceRouter, client, dst_ip: str,
 def canonical_verdict(router: ReferenceRouter, client, dst_ip: str,
                       domain: str, *, client_ip: Optional[str] = None
                       ) -> ExpressVerdict:
-    """What ``express_canonical_probe`` must answer."""
+    """Whether ``express_canonical_blocked`` must count *domain* as
+    censored down this path."""
     client_ip = client_ip or client.ip
     wanted = domain.lower()
     for hop, box, spec in _inspecting(router, client, dst_ip, client_ip,

@@ -13,10 +13,11 @@ from contextlib import nullcontext
 
 from repro.core.measure import canonical_payload, express_http_probe
 from repro.core.measure.fastprobe import (
-    express_canonical_probe,
+    express_canonical_blocked,
     express_dns_probe,
 )
 from repro.dnssim import dns_lookup
+from repro.dnssim.resolver import ResolverConfig, ResolverService
 from repro.httpsim import fetch_url
 from repro.isps import build_world
 from repro.middlebox import (COVERT, DNSInjectorMiddlebox,
@@ -30,6 +31,11 @@ from .reference_router import ReferenceRouter
 
 SEED = 1808
 SCALE = 0.15
+
+#: A host with a resolver service bound but no link, and an address no
+#: node owns: express DNS probes to either must get no answer.
+ISLAND_RESOLVER_IP = "198.51.100.53"
+UNOWNED_IP = "198.51.100.54"
 
 
 def _box(box):
@@ -52,10 +58,11 @@ def _bare_router(path, behind_a_box=False):
 
 def _world():
     """A fresh world, plus a DNS injector on airtel's path to 8.8.8.8
-    (built worlds censor DNS only at resolvers), and a second HTTP box
+    (built worlds censor DNS only at resolvers), a second HTTP box
     behind the first on one of airtel's censored paths (built worlds
     put at most one box on a path, so the nearer of two matching boxes
-    must win somewhere)."""
+    must win somewhere), and an unlinked resolver host (built worlds
+    route to every resolver)."""
     world = build_world(seed=SEED, scale=SCALE)
     network = world.network
     client = world.client_of("airtel")
@@ -72,6 +79,9 @@ def _world():
     behind.attach_inline(InterceptiveMiddlebox(
         "second", "airtel", TriggerSpec(blocklist=airtel_blocked),
         mode=COVERT))
+    island = network.add_host("island-resolver", ISLAND_RESOLVER_IP)
+    ResolverService(world.global_dns, ResolverConfig(region="us")).install(
+        island)
     return world, network
 
 
@@ -125,18 +135,23 @@ def _express(world, http, canonical, dns):
         client = deployment.client
         # Another ISP's address, outside this ISP's source-scoped boxes.
         foreign_ip = world.isp(neighbour).client.ip
+        # Canonical probes send several Hosts down each path.
+        blocked = sorted(world.blocklists.http.get(name)
+                         or world.blocklists.union_http())[:4]
         for domain in world.corpus.domains():
             ip = world.hosting.ip_for(domain, "in")
             payload = canonical_payload(domain)
             for verdict in (
                     http(client, ip, payload),
                     http(client, ip, payload, dst_port=8080),
-                    http(client, ip, payload, client_ip=foreign_ip),
-                    canonical(client, ip, domain),
-                    canonical(client, ip, domain, client_ip=foreign_ip)):
+                    http(client, ip, payload, client_ip=foreign_ip)):
                 seen.append((verdict.censored, verdict.domain, verdict.hop,
                              _box(verdict.box)))
-            for resolver_ip in _resolvers(world, deployment):
+            hosts = [domain.upper()] + blocked
+            seen.append(canonical(client, ip, hosts))
+            seen.append(canonical(client, ip, hosts, client_ip=foreign_ip))
+            for resolver_ip in _resolvers(world, deployment) + [
+                    ISLAND_RESOLVER_IP, UNOWNED_IP]:
                 answer = dns(client, resolver_ip, domain)
                 seen.append((answer.responded, answer.ips, answer.rcode,
                              answer.injected, _box(answer.injector)))
@@ -154,12 +169,16 @@ def test_express_verdicts_match_with_plans_off():
     with_plans = _express(
         world,
         lambda *args, **kw: express_http_probe(network, *args, **kw),
-        lambda *args, **kw: express_canonical_probe(network, *args, **kw),
+        lambda *args, **kw: express_canonical_blocked(network, *args, **kw),
         lambda *args: express_dns_probe(network, *args))
-    assert any(entry[0] is True for entry in with_plans)
+    assert any(entry[0] is True for entry in with_plans
+               if isinstance(entry, tuple))
+    assert any(entry for entry in with_plans if isinstance(entry, set))
     router = ReferenceRouter(network)
     assert with_plans == _express(
         world,
         lambda *args, **kw: http_verdict(router, *args, **kw),
-        lambda *args, **kw: canonical_verdict(router, *args, **kw),
+        lambda client, ip, hosts, **kw: {
+            host for host in hosts
+            if canonical_verdict(router, client, ip, host, **kw).censored},
         lambda *args: dns_answer(router, *args))

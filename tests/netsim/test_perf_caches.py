@@ -2,7 +2,7 @@
 
 Covers the perf-facing engine changes: the event budget is exact, drop
 statistics come from an incremental counter (with a capped forensic
-list), and the FIB / path caches invalidate on every topology,
+list), and the FIB and delivery plans invalidate on every topology,
 addressing, or middlebox change.
 """
 
@@ -178,21 +178,23 @@ class TestFIBInvalidation:
         path = net.path_to(client, "10.9.0.99")
         assert path[-1] is server
 
-    def test_path_cache_returns_fresh_copies(self):
+    def test_repeated_walks_return_fresh_lists(self):
         net, client, server = chain()
         first = net.path_to(client, server.ip)
-        first.append(None)  # caller mutation must not poison the cache
+        first.append(None)  # a caller's mutation reaches no later walk
         second = net.path_to(client, server.ip)
-        assert None not in second
+        assert second == ReferenceRouter(net).path_to(client, server.ip)
         assert [n.name for n in second] == \
             ["client", "r1", "r2", "r3", "server"]
 
     def test_cached_matches_uncached_on_warm_caches(self):
-        net, client, server = chain()
-        net.path_to(client, server.ip)
-        warm = net.path_to(client, server.ip)
-        assert net.path_cache_hits == 1
-        assert warm == ReferenceRouter(net).path_to(client, server.ip)
+        net, client, server = diamond()
+        oracle = ReferenceRouter(net)
+        for src_ip in (None, client.ip, "10.7.0.1"):
+            walks = [net.path_to(client, server.ip, src_ip)
+                     for _ in range(2)]
+            assert walks[0] == walks[1] == \
+                oracle.path_to(client, server.ip, src_ip)
 
     def test_middlebox_attach_bumps_generation(self):
         net, client, server = chain()
@@ -262,14 +264,15 @@ class TestLazyFIB:
         assert set(self.rows(net, "server")) == \
             {"client", "r1", path[2], "r3"}
 
-        # A cached walk, and the owner routing to itself, ask nothing.
-        net.path_to(client, server.ip)
+        # A repeated walk asks again at each forwarding node; the owner
+        # routing to itself asks nothing.
+        assert [node.name for node in net.path_to(client, server.ip)] == path
         assert net.next_hop(server, server.ip) is None
-        assert self.counts(net) == (1, 6)
+        assert self.counts(net) == (1, 10)
 
         # A new destination is a new build with its own rows.
         assert net.next_hop(server, client.ip).name == "r3"
-        assert self.counts(net) == (2, 6)
+        assert self.counts(net) == (2, 10)
         assert self.rows(net, "client") == {"server": ["r3"]}
 
     def test_unreachable_node_gets_no_row(self):

@@ -95,3 +95,22 @@ def test_documented_repro_names_resolve():
     # Moved to the tests, the population reference no longer resolves.
     assert not check_docs.resolves(
         "repro.population.reference.simulate_reference")
+
+
+def test_catalogued_names_are_string_literals_in_source():
+    literals = check_docs.source_string_literals()
+    assert {"netsim_events_total", "express_plan_hits_total",
+            "send"} <= literals
+    # A made-up metric in a table's first column is flagged with its
+    # line number; later columns and prose are not checked.
+    errors = check_docs.check_catalog(
+        os.path.join(REPO_ROOT, "docs", "FAKE.md"),
+        "| metric | type | meaning |\n"
+        "|---|---|---|\n"
+        "| `netsim_events_total` | counter | `not_a_metric` |\n"
+        "| `netsim_teleports_total` / `netsim_fib_hits_total` | counter |"
+        " made up |\n"
+        "`prose_metric_total` is not a table row\n", literals)
+    assert errors == ["docs/FAKE.md:4: catalogued name "
+                      "`netsim_teleports_total` is no string literal "
+                      "in src/"]

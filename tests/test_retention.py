@@ -51,6 +51,13 @@ from repro.runner.units import TableSpec, Unit, campaign_payload
 SEED = 1808
 SCALE = 0.05
 
+#: Bytes the first :func:`probe_round` on a fresh world may leave
+#: behind: FIB rows, delivery plans, box lists, express plans and page
+#: bodies, 1,088 KB on CPython 3.11 and 3.12 and 1,333 KB on 3.10.  A
+#: flow-hash memo and a path cache beneath the plans kept 5,390 more
+#: entries, for 1,792-2,040 KB.
+WARMUP_RETAINED_MAX = 1536 * 1024
+
 #: Bytes an identical warm round of :func:`probe_round` may leave
 #: behind.  What it keeps is middlebox flow records and the few
 #: server-side connections traces leave open, 1-24 KB on CPython
@@ -146,7 +153,7 @@ class TestWorldsDie:
     def test_express_probed_world_is_collectable(self):
         world = build_world(seed=SEED, scale=SCALE)
         express_probe_once(world)
-        assert world.network.express_plan_builds == 2
+        assert world.network.express_plan_builds == 1
         network = weakref.ref(world.network)
         del world
         gc.collect()
@@ -242,6 +249,19 @@ def probe_round(world):
 
 
 class TestWarmWorldStopsGrowing:
+    def test_first_round_fills_only_what_later_rounds_read(self):
+        world = build_world(seed=SEED, scale=SCALE)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            probe_round(world)
+            gc.collect()
+            filled = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert world.network.events_processed > 0
+        assert filled < WARMUP_RETAINED_MAX, filled
+
     def test_identical_rounds_retain_almost_nothing(self):
         world = build_world(seed=SEED, scale=SCALE)
         gc.collect()

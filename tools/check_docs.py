@@ -1,6 +1,6 @@
 """Documentation consistency checker (run by the CI docs job).
 
-Five checks over the repository's Markdown:
+Six checks over the repository's Markdown:
 
 1. **Links resolve.**  Every intra-repo link target (relative path,
    ``#anchor`` stripped) must exist on disk.  External links
@@ -23,6 +23,11 @@ Five checks over the repository's Markdown:
    import as a module or be reached by ``getattr`` from the longest
    prefix that imports — a moved or deleted module, class or function
    can't linger in the docs.
+6. **Catalogued names exist.**  Every backticked name (an identifier:
+   a metric, field or event kind) in the first column of a table row
+   in ``docs/OBSERVABILITY.md`` must be the value of some string
+   literal in ``src/**/*.py`` — a metric the program stopped emitting
+   can't linger in the catalog.
 
 Usage::
 
@@ -31,6 +36,7 @@ Usage::
 
 from __future__ import annotations
 
+import ast
 import importlib
 import os
 import re
@@ -48,6 +54,8 @@ DOC_FILES = (
     "ROADMAP.md",
 )
 DOC_DIRS = ("docs",)
+#: The page whose tables catalogue metric, field and event names.
+CATALOG = os.path.join("docs", "OBSERVABILITY.md")
 
 _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 _FENCE = re.compile(r"```.*?```", re.DOTALL)
@@ -56,6 +64,7 @@ _CLI_REF = re.compile(r"(?:python -m\s+)?\brepro\s+([a-z][a-z-]*)")
 _FLAG = re.compile(r"(--[a-z][a-z-]*)")
 _ENV_VAR = re.compile(r"\bREPRO_[A-Z0-9_]+")
 _REPRO_NAME = re.compile(r"(?<![\w.])repro(?:\.\w+)+")
+_CATALOGUED = re.compile(r"`([A-Za-z_]\w*)`")
 
 
 def doc_paths() -> list:
@@ -149,18 +158,30 @@ def check_package_index() -> list:
         for pkg in repro_packages() if f"repro.{pkg}" not in index]
 
 
-def source_env_vars() -> set:
-    """Every ``REPRO_*`` token appearing in ``src/**/*.py``."""
-    found = set()
+def _source_texts():
+    """The text of every ``src/**/*.py`` file."""
     for dirpath, _dirnames, filenames in os.walk(
             os.path.join(REPO_ROOT, "src")):
         for filename in filenames:
-            if not filename.endswith(".py"):
-                continue
-            with open(os.path.join(dirpath, filename), "r",
-                      encoding="utf-8") as fh:
-                found.update(_ENV_VAR.findall(fh.read()))
+            if filename.endswith(".py"):
+                with open(os.path.join(dirpath, filename), "r",
+                          encoding="utf-8") as fh:
+                    yield fh.read()
+
+
+def source_env_vars() -> set:
+    """Every ``REPRO_*`` token appearing in ``src/**/*.py``."""
+    found = set()
+    for source in _source_texts():
+        found.update(_ENV_VAR.findall(source))
     return found
+
+
+def source_string_literals() -> set:
+    """The value of every string literal in ``src/**/*.py``."""
+    return {node.value for source in _source_texts()
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)}
 
 
 def check_env_vars(path: str, text: str, known: set) -> list:
@@ -217,6 +238,21 @@ def check_repro_names(path: str, text: str) -> list:
     return errors
 
 
+def check_catalog(path: str, text: str, literals: set) -> list:
+    """Backticked names in a table row's first column that no string
+    literal in ``src/`` spells."""
+    rel = os.path.relpath(path, REPO_ROOT)
+    errors = []
+    for number, line in enumerate(text.splitlines(), start=1):
+        if not line.startswith("|"):
+            continue
+        for name in _CATALOGUED.findall(line.split("|")[1]):
+            if name not in literals:
+                errors.append(f"{rel}:{number}: catalogued name `{name}` "
+                              f"is no string literal in src/")
+    return errors
+
+
 def main() -> int:
     known = cli_subcommands()
     env_known = source_env_vars()
@@ -229,6 +265,9 @@ def main() -> int:
         errors.extend(check_cli_refs(path, text, known))
         errors.extend(check_env_vars(path, text, env_known))
         errors.extend(check_repro_names(path, text))
+        if os.path.relpath(path, REPO_ROOT) == CATALOG:
+            errors.extend(check_catalog(path, text,
+                                        source_string_literals()))
     for error in errors:
         print(error)
     if errors:
@@ -238,8 +277,8 @@ def main() -> int:
     print(f"ok: {len(paths)} Markdown file(s), all links resolve, "
           f"all CLI references and flags exist "
           f"({', '.join(sorted(known))}), all {len(repro_packages())} "
-          f"packages indexed, all documented REPRO_* env vars and "
-          f"repro.* names exist")
+          f"packages indexed, all documented REPRO_* env vars, "
+          f"repro.* names and catalogued names exist")
     return 0
 
 
