@@ -267,7 +267,7 @@ def _install_faults(world, args) -> None:
     if not args.loss:
         return
     try:
-        plan = FaultPlan.uniform_loss(args.loss, seed=args.fault_seed)
+        plan = FaultPlan(args.loss, seed=args.fault_seed)
     except ValueError as exc:
         raise SystemExit(f"repro: error: {exc}")
     hardening = DEFAULT_HARDENING

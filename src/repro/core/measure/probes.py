@@ -17,7 +17,6 @@ Two tools:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -27,7 +26,8 @@ from ...netsim.devices import Host
 from ...netsim.packets import IcmpType, Packet, TCPFlags, make_tcp_packet
 from ...netsim.tcp import TCPApp
 
-_raw_ports = itertools.count(48000)
+#: First source port of a network's raw probe sessions.
+_RAW_PORT_BASE = 48000
 
 
 @dataclass
@@ -191,6 +191,29 @@ class CraftedFlow:
         return observer.observation
 
 
+def censored_after_idle(world, client: Host, dst_ip: str, domain: str,
+                        idle: float, attempts: int) -> bool:
+    """Open a flow, idle for exactly *idle*, probe the censored GET.
+
+    Retried up to *attempts* times so a wiretap race miss cannot
+    masquerade as expired state; any censored observation proves the
+    box still held the flow.  The idle-timeout probers of section 6.3
+    (``stateful``) and of the session-table experiment (``session``)
+    share this step.
+    """
+    network = world.network
+    for _ in range(attempts):
+        flow = CraftedFlow(world, client, dst_ip)
+        if not flow.open():
+            continue
+        network.run(until=network.now + idle)
+        observation = flow.probe_and_observe(domain, duration=0.8)
+        flow.close()
+        if observation.censored:
+            return True
+    return False
+
+
 class RawProbeSession:
     """Raw crafted packets from an otherwise-silent port."""
 
@@ -201,7 +224,7 @@ class RawProbeSession:
         self.client = client
         self.dst_ip = dst_ip
         self.dst_port = dst_port
-        self.local_port = next(_raw_ports)
+        self.local_port = self.network.next_probe_port(_RAW_PORT_BASE)
         self.seq = 77_000
         self._saved_rst_behaviour: Optional[bool] = None
 

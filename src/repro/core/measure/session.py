@@ -31,7 +31,7 @@ from typing import List, Optional, Tuple
 
 from ...netsim.devices import Host
 from ...netsim.packets import TCPFlags, make_tcp_packet
-from .probes import CraftedFlow
+from .probes import CraftedFlow, censored_after_idle
 
 #: Exhaustion classifications.
 EXHAUST_FAIL_OPEN = "fail-open"
@@ -39,31 +39,6 @@ EXHAUST_FAIL_CLOSED = "fail-closed"
 EXHAUST_EVICTING = "evicting"
 EXHAUST_UNBOUNDED = "unbounded"
 EXHAUST_NOT_OBSERVED = "not-observed"
-
-
-# ---------------------------------------------------------------------------
-# Shared probe step
-# ---------------------------------------------------------------------------
-
-def _idle_censored(world, client: Host, dst_ip: str, domain: str,
-                   idle: float, attempts: int) -> bool:
-    """Open, idle for exactly *idle*, probe the censored GET.
-
-    Retried up to *attempts* times so a wiretap race miss cannot
-    masquerade as expired state; any censored observation proves the
-    box still held the flow.
-    """
-    network = world.network
-    for _ in range(attempts):
-        flow = CraftedFlow(world, client, dst_ip)
-        if not flow.open():
-            continue
-        network.run(until=network.now + idle)
-        observation = flow.probe_and_observe(domain, duration=0.8)
-        flow.close()
-        if observation.censored:
-            return True
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -119,8 +94,8 @@ def recover_flow_timeout(
     recovery = TimeoutRecovery(isp=isp)
 
     def censored(idle: float) -> bool:
-        verdict = _idle_censored(world, client, dst_ip, blocked_domain,
-                                 idle, attempts)
+        verdict = censored_after_idle(world, client, dst_ip,
+                                      blocked_domain, idle, attempts)
         recovery.probes.append((idle, verdict))
         return verdict
 

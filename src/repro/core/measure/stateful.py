@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from ..vantage import VantagePoint
-from .probes import CraftedFlow, RawProbeSession
+from .probes import RawProbeSession, censored_after_idle
 
 
 @dataclass
@@ -169,18 +169,8 @@ def estimate_flow_timeout(
     client = vantage.host
     estimate = FlowTimeoutEstimate(isp=isp_name)
     for idle in idle_candidates:
-        censored = False
-        for _ in range(attempts):
-            flow = CraftedFlow(world, client, dst_ip)
-            if not flow.open():
-                continue
-            world.network.run(until=world.network.now + idle)
-            observation = flow.probe_and_observe(blocked_domain,
-                                                 duration=0.8)
-            flow.close()
-            if observation.censored:
-                censored = True
-                break
+        censored = censored_after_idle(world, client, dst_ip,
+                                       blocked_domain, idle, attempts)
         estimate.samples.append((idle, censored))
         if censored:
             estimate.lower_bound = idle

@@ -8,7 +8,6 @@ data (the confounder behind OONI's DNS false positives).
 from .client import (
     DEFAULT_DNS_TIMEOUT,
     dns_lookup,
-    first_working_resolver,
     resolve_all,
 )
 from .message import (
@@ -46,7 +45,6 @@ __all__ = [
     "ZoneRecord",
     "bogon_poison",
     "dns_lookup",
-    "first_working_resolver",
     "mixed_poison",
     "next_qid",
     "reset_qids",

@@ -7,6 +7,7 @@ from typing import List, Optional
 
 from ..netsim.devices import Host
 from ..netsim.engine import Network
+from ..netsim.faults import backoff
 from ..netsim.packets import Packet, make_udp_packet
 from .message import DNS_PORT, DNSLookupResult, DNSQuery, DNSResponse
 
@@ -48,8 +49,8 @@ def dns_lookup(
     :class:`~repro.netsim.faults.HardeningPolicy` (a single attempt on a
     fault-free network, preserving seed behaviour).
     """
-    policy = network.hardening
-    total = policy.dns_attempts if attempts is None else max(1, attempts)
+    total = (network.hardening.dns_attempts if attempts is None
+             else max(1, attempts))
     result = DNSLookupResult(qname=qname, resolver_ip=resolver_ip)
     for attempt in range(1, total + 1):
         result = _lookup_once(network, client, resolver_ip, qname,
@@ -63,7 +64,7 @@ def dns_lookup(
             if trace is not None and trace.active:
                 trace.emit("retry", network.now, layer="dns",
                            qname=qname, attempt=attempt)
-            network.run(until=network.now + policy.dns_backoff(attempt))
+            network.run(until=network.now + backoff(attempt))
     return result
 
 
@@ -129,18 +130,3 @@ def resolve_all(
     """Sequentially resolve many names through one resolver."""
     return [dns_lookup(network, client, resolver_ip, qname, **kwargs)
             for qname in qnames]
-
-
-def first_working_resolver(
-    network: Network,
-    client: Host,
-    resolver_ips: List[str],
-    probe_name: str,
-    **kwargs,
-) -> Optional[str]:
-    """Return the first resolver that answers for *probe_name*."""
-    for resolver_ip in resolver_ips:
-        result = dns_lookup(network, client, resolver_ip, probe_name, **kwargs)
-        if result.ok:
-            return resolver_ip
-    return None

@@ -48,12 +48,9 @@ class ResolverService:
     def __init__(self, global_dns: GlobalDNS, config: ResolverConfig) -> None:
         self.global_dns = global_dns
         self.config = config
-        #: DNS queries received, whether answered, refused by the client
-        #: filter or eaten by the fault layer (metrics: dns_queries_total).
+        #: DNS queries received, whether answered or refused by the
+        #: client filter (metrics: dns_queries_total).
         self.queries = 0
-        #: Fault-layer accounting (queries eaten / answers delayed).
-        self.dropped_queries = 0
-        self.slow_answers = 0
         #: Lies told so far (metrics: dns_poisoned_answers_total).
         self.poisoned_answers = 0
 
@@ -69,29 +66,17 @@ class ResolverService:
             allowed = self.config.client_filter
             if allowed is None or not allowed(packet.src):
                 return
-        network = host.network
-        delay = 0.0
-        if network is not None and network.faults is not None:
-            action, delay = network.faults.resolver_action(host.ip)
-            if action == "drop":
-                self.dropped_queries += 1
-                return
-            if action == "slow":
-                self.slow_answers += 1
         response = self.answer(query, host.ip)
+        network = host.network
         if self._is_blocked(query.qname) and network is not None:
             trace = network.trace
             if trace is not None and trace.active:
                 trace.emit("dns-poisoned", now, node=host.name,
                            resolver=host.ip, domain=query.qname,
                            answer=response.ips[0] if response.ips else None)
-        reply = make_udp_packet(
+        host.send_packet(make_udp_packet(
             host.ip, packet.src, DNS_PORT, packet.udp.src_port, response,
-        )
-        if delay > 0.0 and network is not None:
-            network.call_later(delay, host.send_packet, reply)
-        else:
-            host.send_packet(reply)
+        ))
 
     def answer(self, query: DNSQuery, own_ip: str) -> DNSResponse:
         """Produce the (possibly poisoned) answer for *query*."""

@@ -138,8 +138,7 @@ def build_scenario(isp: str, *, max_flows: Optional[int],
                    overload_policy: str = FAIL_OPEN,
                    eviction_policy: str = "none",
                    residual_window: float = 0.0,
-                   flow_timeout: float = 150.0,
-                   mapping_expiry: Optional[float] = None):
+                   flow_timeout: float = 150.0):
     """A tiny deployment of *isp*'s box family with bounded state.
 
     Client — router(+box) — origin, with the box built exactly like the
@@ -167,7 +166,6 @@ def build_scenario(isp: str, *, max_flows: Optional[int],
         "eviction_policy": eviction_policy,
         "overload_policy": overload_policy,
         "residual_window": residual_window,
-        "mapping_expiry": mapping_expiry,
         "flow_timeout": flow_timeout,
     }
     if profile.mechanism == HTTP_WM:

@@ -41,7 +41,6 @@ from .mutators import (
 from .oracles import (
     DISCIPLINES,
     DiffResult,
-    Finding,
     check_http_invariants,
     classify_evasion,
     classify_overmatch,
@@ -53,7 +52,6 @@ __all__ = [
     "DECOY_DOMAIN",
     "DISCIPLINES",
     "DiffResult",
-    "Finding",
     "FUZZ_DOMAIN",
     "FuzzEngine",
     "FuzzReport",

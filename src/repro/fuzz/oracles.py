@@ -86,19 +86,6 @@ _KNOB_CLASSES: Tuple[Tuple[str, object, str], ...] = (
 
 
 @dataclass
-class Finding:
-    """One oracle violation (a crash, invariant break, or unexplained
-    server/middlebox disagreement)."""
-
-    target: str
-    iteration: int
-    oracle: str
-    detail: str
-    entry: object = None
-    classification: str = ""
-
-
-@dataclass
 class DiffResult:
     """Per-mutant differential verdicts."""
 

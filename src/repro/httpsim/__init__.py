@@ -25,7 +25,6 @@ from .diff import (
     body_difference,
     body_length_proportion,
     header_names_match,
-    response_body_difference,
     titles_comparable,
     titles_match,
 )
@@ -36,7 +35,6 @@ from .message import (
     STANDARD_SERVER_HEADERS,
     make_response,
     parse_responses,
-    plain_get,
 )
 from .parsing import (
     ParsedRequest,
@@ -73,8 +71,6 @@ __all__ = [
     "parse_request_stream",
     "parse_request_unit",
     "parse_responses",
-    "plain_get",
-    "response_body_difference",
     "seal",
     "split_records",
     "split_request_units",

@@ -14,6 +14,7 @@ from typing import List, Optional
 
 from ..netsim.devices import Host
 from ..netsim.engine import Network
+from ..netsim.faults import backoff
 from ..netsim.tcp import TCPApp, TCPConnection
 from .message import GetRequestSpec, HTTPResponse, parse_responses
 
@@ -139,8 +140,8 @@ def http_fetch(
     :func:`_silent_failure` for what is — and deliberately is not —
     retried.
     """
-    policy = network.hardening
-    total = policy.fetch_attempts if attempts is None else max(1, attempts)
+    total = (network.hardening.fetch_attempts if attempts is None
+             else max(1, attempts))
     result: FetchResult
     for attempt in range(1, total + 1):
         result = _fetch_once(network, client, dst_ip, request,
@@ -155,7 +156,7 @@ def http_fetch(
             if trace is not None and trace.active:
                 trace.emit("retry", network.now, layer="http",
                            dst=dst_ip, attempt=attempt)
-            network.run(until=network.now + policy.fetch_backoff(attempt))
+            network.run(until=network.now + backoff(attempt))
     return result
 
 

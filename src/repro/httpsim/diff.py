@@ -35,14 +35,6 @@ def body_difference(a: bytes, b: bytes) -> float:
     return 1.0 - matcher.ratio()
 
 
-def response_body_difference(a: Optional[HTTPResponse],
-                             b: Optional[HTTPResponse]) -> float:
-    """Body difference between two responses; missing response = 1.0."""
-    if a is None or b is None:
-        return 1.0
-    return body_difference(a.body, b.body)
-
-
 def body_length_proportion(a: Optional[HTTPResponse],
                            b: Optional[HTTPResponse]) -> float:
     """min(len)/max(len) of the two bodies — OONI's first check."""

@@ -17,6 +17,7 @@ from typing import Callable, Dict, Optional
 from ..netsim.devices import Host
 from ..netsim.engine import Network
 from ..netsim.errors import ConnectionError_
+from ..netsim.faults import backoff
 from ..netsim.tcp import TCPApp, TCPConnection
 from .message import HTTPResponse
 from .tls import (
@@ -182,8 +183,8 @@ def https_fetch(
     handshake progress) are retried; a RST or any server bytes end the
     fetch.  ``attempts=None`` defers to the network's hardening policy.
     """
-    policy = network.hardening
-    total = policy.fetch_attempts if attempts is None else max(1, attempts)
+    total = (network.hardening.fetch_attempts if attempts is None
+             else max(1, attempts))
     result = HTTPSFetchResult(domain=domain, dst_ip=dst_ip)
     for attempt in range(1, total + 1):
         result = _https_fetch_once(network, client, dst_ip, domain,
@@ -194,7 +195,7 @@ def https_fetch(
         if not retryable:
             break
         if attempt < total:
-            network.run(until=network.now + policy.fetch_backoff(attempt))
+            network.run(until=network.now + backoff(attempt))
     return result
 
 

@@ -72,11 +72,6 @@ class GetRequestSpec:
         return raw + self.trailing_raw
 
 
-def plain_get(domain: str, path: str = "/") -> GetRequestSpec:
-    """The request a stock browser would send."""
-    return GetRequestSpec(domain=domain, path=path)
-
-
 @dataclass
 class HTTPResponse:
     """An HTTP response: status line, headers and body."""

@@ -304,7 +304,6 @@ class ISPBuilder:
         source_prefixes = [self.deployment.pool] if scoped else None
         spec = self._trigger_spec(blocklist)
         notification = profile_for(self.profile.name)
-        session = self._session_kwargs(seed_tag)
         if mechanism == HTTP_WM:
             return WiretapMiddlebox(
                 name, self.profile.name, spec, notification,
@@ -312,32 +311,13 @@ class ISPBuilder:
                 fixed_ip_id=self.profile.fixed_ip_id,
                 seed=self.rng.randrange(2 ** 31) + seed_tag,
                 source_prefixes=source_prefixes,
-                **session,
             )
         mode = OVERT if mechanism == HTTP_IM_OVERT else COVERT
         return InterceptiveMiddlebox(
             name, self.profile.name, spec, mode=mode,
             notification=notification if mode == OVERT else None,
             source_prefixes=source_prefixes,
-            **session,
         )
-
-    def _session_kwargs(self, seed_tag: int) -> dict:
-        """Session-table parameters threaded from the profile.
-
-        The session seed is derived (not drawn from ``self.rng``) so a
-        bounded profile perturbs no other sampling stream.
-        """
-        profile = self.profile
-        return {
-            "max_flows": profile.session_max_flows,
-            "eviction_policy": profile.session_eviction,
-            "overload_policy": profile.session_overload,
-            "mapping_expiry": profile.session_mapping_expiry,
-            "residual_window": profile.session_residual_window,
-            "residual_scope": profile.session_residual_scope,
-            "session_seed": seed_tag,
-        }
 
     def _trigger_spec(self, blocklist: FrozenSet[str]) -> TriggerSpec:
         """Per-family matching discipline (see middlebox.triggers).

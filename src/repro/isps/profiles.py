@@ -60,24 +60,6 @@ class ISPProfile:
     #: client is inside the ISP.
     source_scoped: bool = False
 
-    # -- session-table dynamics (docs/SESSION_DYNAMICS.md) ------------------
-    #: Flow-table capacity per box; None keeps the paper's unbounded
-    #: idealization (the default for every measured ISP — the session
-    #: experiment characterizes bounded *variants* of these profiles).
-    session_max_flows: Optional[int] = None
-    #: Victim choice at a full table: "none" defers to the overload
-    #: policy; "lru" / "oldest-established" / "random" evict to admit.
-    session_eviction: str = "none"
-    #: Fate of a refused new flow: "fail-open" (untracked, passes
-    #: uninspected) or "fail-closed" (reset by the box).
-    session_overload: str = "fail-open"
-    #: NAT-style absolute per-flow lifetime (seconds); None disables.
-    session_mapping_expiry: Optional[float] = None
-    #: Residual-censorship window after a verdict (seconds); 0 disables.
-    session_residual_window: float = 0.0
-    #: Residual scope: "3-tuple" (any client port) or "4-tuple".
-    session_residual_scope: str = "3-tuple"
-
     # -- DNS poisoning deployment (Figure 2) --------------------------------
     resolver_total: int = 0
     resolver_poisoned: int = 0

@@ -18,7 +18,6 @@ from .flowstate import (
     FlowRecord,
     FlowTable,
     OVERLOAD_POLICIES,
-    RESIDUAL_SCOPES,
     SYNACK_SEEN,
     SYN_SEEN,
 )
@@ -35,7 +34,7 @@ from .notification import (
     looks_like_block_page,
     profile_for,
 )
-from .triggers import TriggerSpec, TriggerStats, browser_canonical_line
+from .triggers import TriggerSpec, TriggerStats
 from .wiretap import WiretapMiddlebox
 
 __all__ = [
@@ -55,13 +54,11 @@ __all__ = [
     "NotificationProfile",
     "OVERLOAD_POLICIES",
     "OVERT",
-    "RESIDUAL_SCOPES",
     "SYNACK_SEEN",
     "SYN_SEEN",
     "TriggerSpec",
     "TriggerStats",
     "WiretapMiddlebox",
-    "browser_canonical_line",
     "identify_isp",
     "looks_like_block_page",
     "profile_for",

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from ..netsim.addressing import Prefix, ip_in_prefixes
 from ..netsim.packets import Packet
@@ -31,10 +31,7 @@ class Middlebox:
         max_flows: Optional[int] = None,
         eviction_policy: str = "lru",
         overload_policy: str = "fail-open",
-        mapping_expiry: Optional[float] = None,
         residual_window: float = 0.0,
-        residual_scope: str = "3-tuple",
-        session_seed: int = 0,
     ) -> None:
         self.name = name
         self.isp = isp
@@ -44,10 +41,7 @@ class Middlebox:
             max_flows=max_flows,
             eviction_policy=eviction_policy,
             overload_policy=overload_policy,
-            eviction_seed=session_seed,
-            mapping_expiry=mapping_expiry,
             residual_window=residual_window,
-            residual_scope=residual_scope,
         )
         #: The Indian boxes inspect only handshake-complete flows
         #: (section 4.2.1).  False models a stateless packet matcher —
@@ -63,24 +57,9 @@ class Middlebox:
         )
         self.stats = TriggerStats()
         self.router: Optional["Router"] = None
-        #: (time, domain, client_ip, server_ip) tuples for every trigger.
-        self.trigger_log: List[tuple] = []
 
     def attach(self, router: "Router") -> None:
         self.router = router
-
-    def fault_blind(self, network) -> bool:
-        """Fault layer: does the box fail to inspect this packet at all?
-
-        Models overloaded DPI hardware shedding packets — distinct from
-        the wiretap race-miss, which sees the packet but reacts late.
-        """
-        if network is None or network.faults is None:
-            return False
-        if network.faults.middlebox_blind(self.name):
-            self.stats.fault_blind += 1
-            return True
-        return False
 
     def in_scope(self, client_ip: str) -> bool:
         """Is this flow's client inside the box's source scope?"""

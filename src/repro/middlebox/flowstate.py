@@ -22,13 +22,10 @@ docs/SESSION_DYNAMICS.md):
   :data:`OVERLOAD_POLICIES` policy decides the new flow's fate —
   ``fail-open`` leaves it untracked (it passes uninspected),
   ``fail-closed`` refuses it (the owning middlebox resets it).
-* ``mapping_expiry`` is a NAT-style absolute per-flow lifetime,
-  measured from flow creation — distinct from the idle-activity
-  ``timeout`` the paper's section 6.3 probes bracket.
 * ``residual_window`` models Turkmenistan-style residual censorship
-  (Nourin et al.): after a censored verdict the flow's 3- or 4-tuple
-  stays blocked for the window, surviving RST teardown and fresh
-  handshakes.
+  (Nourin et al.): after a censored verdict the flow's 3-tuple (client
+  address, server address, server port) stays blocked for the window,
+  surviving RST teardown and fresh handshakes from any client port.
 
 All of these default to the unbounded idealization the paper's
 experiments assume, so a default-constructed table behaves exactly as
@@ -66,11 +63,6 @@ FAIL_OPEN = "fail-open"
 FAIL_CLOSED = "fail-closed"
 OVERLOAD_POLICIES = (FAIL_OPEN, FAIL_CLOSED)
 
-# Residual-censorship scopes: which tuple stays blocked after a verdict.
-RESIDUAL_3TUPLE = "3-tuple"
-RESIDUAL_4TUPLE = "4-tuple"
-RESIDUAL_SCOPES = (RESIDUAL_3TUPLE, RESIDUAL_4TUPLE)
-
 FlowKey = Tuple[str, int, str, int]  # client_ip, cport, server_ip, sport
 
 
@@ -86,7 +78,6 @@ class FlowRecord:
     client_isn: int = 0
     server_isn: Optional[int] = None
     last_activity: float = 0.0
-    created_at: float = 0.0
     established_at: Optional[float] = None
     censored: bool = False
     censored_domain: Optional[str] = None
@@ -121,29 +112,21 @@ class FlowTable:
                  max_flows: Optional[int] = None,
                  eviction_policy: str = EVICT_LRU,
                  overload_policy: str = FAIL_OPEN,
-                 eviction_seed: int = 0,
-                 mapping_expiry: Optional[float] = None,
-                 residual_window: float = 0.0,
-                 residual_scope: str = RESIDUAL_3TUPLE) -> None:
+                 residual_window: float = 0.0) -> None:
         if eviction_policy not in EVICTION_POLICIES:
             raise ValueError(f"unknown eviction policy: {eviction_policy!r}; "
                              f"known: {EVICTION_POLICIES}")
         if overload_policy not in OVERLOAD_POLICIES:
             raise ValueError(f"unknown overload policy: {overload_policy!r}; "
                              f"known: {OVERLOAD_POLICIES}")
-        if residual_scope not in RESIDUAL_SCOPES:
-            raise ValueError(f"unknown residual scope: {residual_scope!r}; "
-                             f"known: {RESIDUAL_SCOPES}")
         self.timeout = timeout
         self.max_buffer = max_buffer
         self.max_flows = max_flows
         self.eviction_policy = eviction_policy
         self.overload_policy = overload_policy
-        self.mapping_expiry = mapping_expiry
         self.residual_window = residual_window
-        self.residual_scope = residual_scope
         self.flows: Dict[FlowKey, FlowRecord] = {}
-        #: Residual-censorship entries: scope tuple -> (expiry, domain).
+        #: Residual-censorship entries: 3-tuple -> (expiry, domain).
         self.residual: Dict[tuple, Tuple[float, str]] = {}
         #: Capacity/residual decisions queued for the owning middlebox:
         #: ``(kind, detail)`` with kinds ``flow-evicted``,
@@ -151,14 +134,15 @@ class FlowTable:
         #: ``residual-block``.  Only appended when the corresponding
         #: feature is configured, and drained by the box per packet.
         self.events: List[Tuple[str, dict]] = []
-        #: Occupancy high-water mark (for the metrics gauge).
+        #: Occupancy high-water mark (the session fuzz target checks it
+        #: against ``max_flows``).
         self.high_water = 0
         #: Flows whose reassembly buffer overflowed at least once.
         self.truncated_flows = 0
         #: Dedicated RNG for EVICT_RANDOM; never shared with the owning
         #: box's reaction RNG so enabling eviction cannot perturb
         #: miss-race draws.
-        self._evict_rng = random.Random(eviction_seed)
+        self._evict_rng = random.Random(0)
         self._next_sweep = timeout
 
     def __len__(self) -> int:
@@ -199,7 +183,7 @@ class FlowTable:
             record = FlowRecord(
                 client_ip=packet.src, client_port=segment.src_port,
                 server_ip=packet.dst, server_port=segment.dst_port,
-                client_isn=segment.seq, last_activity=now, created_at=now,
+                client_isn=segment.seq, last_activity=now,
             )
             residual_domain = self._residual_lookup(record.key, now)
             if residual_domain is not None:
@@ -249,16 +233,13 @@ class FlowTable:
         if record is None:
             return None
         if self._expired(record, now):
-            # Idle too long (section 6.3) or NAT mapping lifetime over.
+            # Idle too long (section 6.3).
             self.flows.pop(record.key, None)
             return None
         return record
 
     def _expired(self, record: FlowRecord, now: float) -> bool:
-        if now - record.last_activity > self.timeout:
-            return True
-        return (self.mapping_expiry is not None
-                and now - record.created_at > self.mapping_expiry)
+        return now - record.last_activity > self.timeout
 
     # -- capacity ----------------------------------------------------------
 
@@ -287,9 +268,8 @@ class FlowTable:
 
     # -- residual censorship -----------------------------------------------
 
-    def _residual_key(self, key: FlowKey) -> tuple:
-        if self.residual_scope == RESIDUAL_4TUPLE:
-            return key
+    @staticmethod
+    def _residual_key(key: FlowKey) -> tuple:
         client_ip, _client_port, server_ip, server_port = key
         return (client_ip, server_ip, server_port)
 

@@ -87,8 +87,6 @@ class InterceptiveMiddlebox(Middlebox):
         """Inline verdict for one transiting packet."""
         if not packet.is_tcp:
             return FORWARD
-        if self.fault_blind(router.network):
-            return FORWARD
         record = self.flows.observe(packet, now)
         if self.flows.events:
             for kind, _detail in self.session_events(packet, now, router):
@@ -130,7 +128,6 @@ class InterceptiveMiddlebox(Middlebox):
             return FORWARD
 
         self.stats.record_trigger(domain)
-        self.trigger_log.append((now, domain, packet.src, packet.dst))
         if record is not None:
             self.flows.mark_censored(record, domain, now)
         network = router.network

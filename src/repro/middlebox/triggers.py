@@ -100,11 +100,6 @@ class TriggerSpec:
         return None
 
 
-def browser_canonical_line(domain: str) -> bytes:
-    """The Host line every stock browser sends — what all boxes match."""
-    return f"Host: {domain}".encode("latin-1")
-
-
 @dataclass
 class TriggerStats:
     """Counters a middlebox keeps about its own activity."""
@@ -115,8 +110,6 @@ class TriggerStats:
     triggered: int = 0
     missed_race: int = 0
     dropped_post_censor: int = 0
-    #: Packets the fault layer made the box skip entirely.
-    fault_blind: int = 0
     #: Session-table pressure: flows evicted to admit new ones.
     evicted: int = 0
     #: New flows left untracked (uninspected) at a full table.

@@ -79,8 +79,6 @@ class WiretapMiddlebox(Middlebox):
         """Inspect one copied packet; maybe inject forged responses."""
         if not packet.is_tcp:
             return
-        if self.fault_blind(router.network):
-            return
         record = self.flows.observe(packet, now)
         if self.flows.events:
             for kind, _detail in self.session_events(packet, now, router):
@@ -103,7 +101,6 @@ class WiretapMiddlebox(Middlebox):
             return
 
         self.stats.record_trigger(domain)
-        self.trigger_log.append((now, domain, packet.src, packet.dst))
         if record is not None:
             self.flows.mark_censored(record, domain, now)
 

@@ -22,7 +22,6 @@ from .engine import CONSUMED, DROP, FORWARD, Network
 from .errors import (
     AddressError,
     ConnectionError_,
-    LinkError,
     NetSimError,
     PortInUseError,
     RoutingError,
@@ -35,9 +34,6 @@ from .faults import (
     FaultInjector,
     FaultPlan,
     HardeningPolicy,
-    LinkFaults,
-    MiddleboxFaults,
-    ResolverFaults,
 )
 from .packets import (
     DEFAULT_TTL,
@@ -84,10 +80,7 @@ __all__ = [
     "FaultInjector",
     "FaultPlan",
     "HardeningPolicy",
-    "LinkFaults",
-    "MiddleboxFaults",
     "NO_HARDENING",
-    "ResolverFaults",
     "FIN_WAIT_1",
     "FIN_WAIT_2",
     "FORWARD",
@@ -95,7 +88,6 @@ __all__ = [
     "IcmpMessage",
     "IcmpType",
     "LAST_ACK",
-    "LinkError",
     "NetSimError",
     "Network",
     "Node",

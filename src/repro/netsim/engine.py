@@ -23,7 +23,8 @@ import itertools
 import zlib
 from collections import Counter
 from heapq import heappop, heappush
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import (TYPE_CHECKING, Callable, Dict, Iterator, List, Optional,
+                    Tuple)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, no import cycle
     from ..obs.trace import TraceBus
@@ -34,7 +35,6 @@ from .errors import (EventLimitExceeded, RoutingError, SimulationError,
                      UnknownNodeError)
 from .faults import (
     DEFAULT_HARDENING,
-    DUPLICATE_GAP,
     NO_HARDENING,
     FaultInjector,
     FaultPlan,
@@ -180,6 +180,24 @@ class Network:
         #: Hardened-client retry accounting: ``layer -> count``
         #: (clients bump it; same pattern as the drop counter).
         self.client_retries: Counter = Counter()
+        #: Probe source-port counters, keyed by each pool's first port
+        #: (see :meth:`next_probe_port`).
+        self._probe_ports: Dict[int, Iterator[int]] = {}
+
+    def next_probe_port(self, first: int) -> int:
+        """Next source port of the probe pool that starts at *first*.
+
+        The counters live on the network, not in a module: a
+        module-global counter would make a probe's port — and so the
+        bytes a unit puts on the wire — depend on which units its
+        process ran earlier.  Per network, every freshly built world
+        sends the same ports in any process (campaign worker or serial
+        run).
+        """
+        counter = self._probe_ports.get(first)
+        if counter is None:
+            counter = self._probe_ports[first] = itertools.count(first)
+        return next(counter)
 
     def install_faults(self, plan: FaultPlan,
                        hardening: Optional[HardeningPolicy] = None,
@@ -576,23 +594,13 @@ class Network:
 
     def _forward_link(self, from_node: Node, to_node: Node,
                       packet: Packet, delay: float) -> None:
-        """Put *packet* on the *delay* link toward *to_node*, faults
-        permitting."""
-        if self.faults is not None:
-            decision = self.faults.on_link(from_node.name, to_node.name,
-                                           self.now)
-            if decision.dropped:
-                self._drop(
-                    f"{decision.drop_reason}:{from_node.name}->{to_node.name}",
-                    packet,
-                )
-                return
-            if decision.duplicate:
-                self.call_later(
-                    delay + decision.extra_delay + DUPLICATE_GAP,
-                    self._arrive, to_node, packet.clone(),
-                )
-            delay += decision.extra_delay
+        """Put *packet* on the *delay* link toward *to_node*, unless
+        the fault layer loses it."""
+        if (self.faults is not None
+                and self.faults.dropped(from_node.name, to_node.name)):
+            self._drop(f"fault-loss:{from_node.name}->{to_node.name}",
+                       packet)
+            return
         self.call_later(delay, self._arrive, to_node, packet)
 
     def _deliver_local(self, node: Node, packet: Packet) -> None:

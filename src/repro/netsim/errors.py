@@ -19,10 +19,6 @@ class UnknownNodeError(NetSimError):
     """A node name or IP address does not exist in the topology."""
 
 
-class LinkError(NetSimError):
-    """A link was requested between nodes that are not connected."""
-
-
 class RoutingError(NetSimError):
     """No route exists between two nodes."""
 

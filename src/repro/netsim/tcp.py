@@ -61,6 +61,11 @@ TEARDOWN_TIMEOUT = 1.5
 #: Abbreviated TIME_WAIT (2*MSL collapsed for simulation speed).
 TIME_WAIT_DURATION = 0.2
 
+#: Retransmission rounds a connection spends on unacknowledged
+#: segments, and the pause before each (fault-mode only).
+MAX_RETRANSMITS = 6
+RETRANSMIT_INTERVAL = 0.4
+
 
 class TCPApp:
     """Base class for applications bound to a TCP connection.
@@ -197,7 +202,6 @@ class TCPConnection:
         self._arm_rtx()
 
     def _arm_rtx(self) -> None:
-        hardening = self.network.hardening
         self._rtx_generation += 1
         generation = self._rtx_generation
 
@@ -206,7 +210,7 @@ class TCPConnection:
                     or not self._unacked
                     or self.state in (CLOSED, TIME_WAIT)):
                 return
-            if self._rtx_count >= hardening.max_retransmits:
+            if self._rtx_count >= MAX_RETRANSMITS:
                 return
             self._rtx_count += 1
             for seq, flags, payload in self._unacked:
@@ -215,7 +219,7 @@ class TCPConnection:
                 self.retransmits += 1
             self._arm_rtx()
 
-        self.network.call_later(hardening.retransmit_interval, fire)
+        self.network.call_later(RETRANSMIT_INTERVAL, fire)
 
     def _cancel_rtx(self) -> None:
         self._rtx_generation += 1

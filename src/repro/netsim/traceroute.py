@@ -8,7 +8,6 @@ spotting the asterisked (anonymized) routers that hide middleboxes
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -25,24 +24,8 @@ from .packets import (
 #: Classic traceroute base destination port.
 _UDP_BASE_PORT = 33434
 
-#: First source port probes allocate from (per network, see below).
+#: First source port of a network's traceroute probes.
 _PROBE_PORT_BASE = 52000
-
-
-def _next_probe_port(network: Network) -> int:
-    """Next probe source port, allocated *per network*.
-
-    A module-global counter would make a probe's port — and therefore
-    the exact bytes a unit puts on the wire — depend on how many
-    traceroutes ran earlier in the process.  Scoping the counter to the
-    network keeps every freshly built world's packet trace identical no
-    matter which process (campaign worker or serial run) executes it.
-    """
-    counter = getattr(network, "_traceroute_ports", None)
-    if counter is None:
-        counter = itertools.count(_PROBE_PORT_BASE)
-        network._traceroute_ports = counter
-    return next(counter)
 
 
 @dataclass
@@ -129,7 +112,7 @@ def _probe_once(
     probe_timeout: float,
 ):
     """Send one probe at *ttl*; return (reply_src, reached_dst) or None."""
-    src_port = _next_probe_port(network)
+    src_port = network.next_probe_port(_PROBE_PORT_BASE)
     if proto == "udp":
         probe = make_udp_packet(
             source.ip, dst_ip, src_port, _UDP_BASE_PORT + ttl, b"probe", ttl=ttl,

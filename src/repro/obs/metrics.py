@@ -251,36 +251,13 @@ def collect_world_metrics(registry: MetricsRegistry, world,
                          isp=isp, kind=kind, **labels).inc(stats.triggered)
         registry.counter("middlebox_race_misses_total",
                          isp=isp, kind=kind, **labels).inc(stats.missed_race)
-        registry.counter("middlebox_fault_blind_total",
-                         isp=isp, kind=kind, **labels).inc(stats.fault_blind)
-        # Session-table dynamics (PR 8).  Emitted only when the feature
-        # actually fired, so default (unbounded) worlds keep their
-        # pre-session metrics snapshots byte-identical.
-        flows = getattr(box, "flows", None)
-        if stats.evicted:
-            policy = getattr(flows, "eviction_policy", "unknown")
-            registry.counter("middlebox_flow_evictions_total",
-                             isp=isp, kind=kind, policy=policy,
-                             **labels).inc(stats.evicted)
-        if stats.overload_fail_open:
-            registry.counter("middlebox_overload_total",
-                             isp=isp, kind=kind, policy="fail-open",
-                             **labels).inc(stats.overload_fail_open)
-        if stats.overload_fail_closed:
-            registry.counter("middlebox_overload_total",
-                             isp=isp, kind=kind, policy="fail-closed",
-                             **labels).inc(stats.overload_fail_closed)
-        if stats.residual_hits:
-            registry.counter("middlebox_residual_hits_total",
-                             isp=isp, kind=kind,
-                             **labels).inc(stats.residual_hits)
+        # A deployed box's session table is unbounded, so the only
+        # session-table pressure it can meet is a reassembly buffer
+        # overflowing; emitted only when that happened.
         if stats.truncated_flows:
             registry.counter("middlebox_truncated_flows_total",
                              isp=isp, kind=kind,
                              **labels).inc(stats.truncated_flows)
-        if flows is not None and getattr(flows, "max_flows", None) is not None:
-            registry.gauge("middlebox_flow_table_high_water",
-                           isp=isp, kind=kind, **labels).set(flows.high_water)
     for isp, deployment in sorted(world.isps.items()):
         queries = 0
         poisoned = 0

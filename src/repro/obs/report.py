@@ -330,24 +330,15 @@ def _population_table(run: Dict) -> List[Dict]:
     return table
 
 
-#: Session-table metric prefixes folded into the wall counters, and
-#: the short name each reports under.
-_SESSION_METRIC_PREFIXES = (
-    ("middlebox_flow_evictions_total{", "evicted"),
-    ("middlebox_overload_total{", "overload"),
-    ("middlebox_residual_hits_total{", "residual_hits"),
-    ("middlebox_truncated_flows_total{", "truncated_flows"),
-)
-
-
 def _session_counter_totals(run: Dict) -> Dict[str, int]:
     """Session-table activity: unit payload counters + world metrics.
 
     Scenario-box activity travels in the session-dynamics units'
-    ``session_counters`` payload key; main-world activity (a profile
-    configured with a bounded table) lands in the metrics sidecar's
-    counters.  Empty for pre-session run directories — the key renders
-    only when something actually happened.
+    ``session_counters`` payload key; a deployed box's reassembly
+    buffer overflows land in the metrics sidecar's
+    ``middlebox_truncated_flows_total`` counters.  Empty for
+    pre-session run directories — the key renders only when something
+    actually happened.
     """
     totals: Dict[str, int] = {}
     for (experiment, _unit), rec in sorted(run["units"].items()):
@@ -361,9 +352,9 @@ def _session_counter_totals(run: Dict) -> Dict[str, int]:
     for half in ("deterministic", "wall"):
         counters = (metrics.get(half) or {}).get("counters") or {}
         for key, value in counters.items():
-            for prefix, name in _SESSION_METRIC_PREFIXES:
-                if key.startswith(prefix):
-                    totals[name] = totals.get(name, 0) + value
+            if key.startswith("middlebox_truncated_flows_total{"):
+                totals["truncated_flows"] = (
+                    totals.get("truncated_flows", 0) + value)
     return dict(sorted(totals.items()))
 
 
@@ -387,15 +378,12 @@ def _drops(metrics: Dict) -> Dict[str, int]:
 
 def _fault_summary(meta: Dict, metrics: Dict) -> Dict:
     counters = metrics.get("counters") or {}
-    blind = sum(value for key, value in counters.items()
-                if key.startswith("middlebox_fault_blind_total{"))
     retries = sum(value for key, value in counters.items()
                   if key.startswith("client_retries_total{"))
     return {
         "loss": meta.get("loss"),
         "fault_seed": meta.get("fault_seed"),
         "retries_configured": meta.get("retries"),
-        "middlebox_blind_windows": blind,
         "client_retries": retries,
     }
 
@@ -563,8 +551,7 @@ def render_markdown(data: Dict, run_dir: str = "") -> str:
         f"- loss: {faults['loss']}  ·  fault seed: "
         f"{faults['fault_seed']}  ·  retries: "
         f"{faults['retries_configured']}",
-        f"- middlebox blind windows: {faults['middlebox_blind_windows']}"
-        f"  ·  client retries: {faults['client_retries']}",
+        f"- client retries: {faults['client_retries']}",
         "",
     ]
 

@@ -7,7 +7,7 @@ categories, unifying the ad-hoc handling that used to live in
 ``transient``
     Worth an immediate in-process retry: the fault-injector streams
     advance between attempts, so a re-run genuinely sees different
-    conditions (a vantage whose first connection raced a link flap).
+    conditions (a vantage whose first connection lost its SYN).
 
 ``degradable``
     A simulator failure the campaign survives by recording a partial

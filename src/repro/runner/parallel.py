@@ -128,9 +128,7 @@ def build_unit_world(settings: UnitSettings):
                 dns_attempts=max(1, settings.retries),
                 fetch_attempts=max(1, settings.retries))
         world.install_faults(
-            FaultPlan.uniform_loss(settings.loss,
-                                   seed=settings.fault_seed),
-            hardening)
+            FaultPlan(settings.loss, seed=settings.fault_seed), hardening)
     return world
 
 

@@ -31,7 +31,7 @@ SEED = 1808
 
 def make_faulty_world(fault_seed=FAULT_SEED, hardening=None):
     world = build_world(seed=SEED, scale=SCALE)
-    world.install_faults(FaultPlan.uniform_loss(LOSS, seed=fault_seed),
+    world.install_faults(FaultPlan(LOSS, seed=fault_seed),
                          hardening=hardening)
     return world
 

@@ -105,7 +105,7 @@ class TestFIBEquivalence:
     @given(topology_specs(), st.integers(1, 1000))
     def test_matches_under_fault_plan(self, spec, fault_seed):
         net = build(spec)
-        net.install_faults(FaultPlan.uniform_loss(0.3, seed=fault_seed))
+        net.install_faults(FaultPlan(0.3, seed=fault_seed))
         assert_routing_equivalent(net)
 
 

@@ -11,8 +11,10 @@ import os
 
 import pytest
 
+from repro.experiments import EXPERIMENT_MODULES
 from repro.obs.report import generate_report, render_markdown, write_report
 from repro.runner.campaign import Campaign
+from repro.runner.parallel import UnitSettings, execute_unit
 
 EXPERIMENTS = ["tcpip", "table3"]
 SCALE = 0.05
@@ -65,6 +67,24 @@ class TestTraceDeterminism:
         corrs = {json.loads(line).get("corr") for line in lines}
         assert "tcpip/mtnl" in corrs
         assert all(corr for corr in corrs), "uncorrelated campaign event"
+
+
+class TestTraceIndependentOfProcessHistory:
+    def test_unit_traced_twice_in_one_process_writes_one_trace(self):
+        """A worker runs units one after another, so nothing a unit
+        leaves in its process may move a later unit's packet bytes.
+        statefulness/idea sends raw probes, whose source ports come
+        from a counter; that counter must start afresh with each
+        unit's world."""
+        unit = next(unit for unit in EXPERIMENT_MODULES["statefulness"].units()
+                    if unit.name == "idea")
+        settings = UnitSettings(seed=1808, scale=SCALE, fraction=1.0,
+                                trace=True)
+        first, second = (execute_unit(settings, "statefulness", unit)
+                         for _ in range(2))
+        assert first[0] == second[0]
+        assert first[2]["trace"]
+        assert first[2]["trace"] == second[2]["trace"]
 
 
 class TestMetricsDeterminism:

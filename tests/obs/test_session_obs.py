@@ -78,26 +78,6 @@ class TestMetrics:
         collect_world_metrics(registry, fake_world)
         return registry.snapshot()
 
-    def test_overload_and_high_water_emitted(self):
-        world = build_scenario("vodafone", max_flows=1,
-                               overload_policy=FAIL_CLOSED)
-        holder = CraftedFlow(world, world.client, world.server_ip)
-        assert holder.open()
-        refused = CraftedFlow(world, world.client, world.server_ip)
-        assert not refused.open()
-        snapshot = self._scrape(world)
-        counters = snapshot["counters"]
-        overload = [key for key in counters
-                    if key.startswith("middlebox_overload_total{")]
-        assert overload
-        assert "policy=fail-closed" in overload[0]
-        assert "isp=vodafone" in overload[0]
-        gauges = snapshot["gauges"]
-        highwater = [key for key in gauges
-                     if key.startswith("middlebox_flow_table_high_water{")]
-        assert highwater
-        assert gauges[highwater[0]] == 1
-
     def test_default_box_emits_no_session_metrics(self):
         world = build_scenario("airtel", max_flows=None)
         flow = CraftedFlow(world, world.client, world.server_ip)
@@ -155,13 +135,12 @@ class TestReportHelpers:
 
     def test_counter_totals_sum_units_and_metrics(self):
         metrics = {"deterministic": {"counters": {
-            "middlebox_overload_total{isp=idea,kind=im,"
-            "policy=fail-closed}": 3}}}
+            "middlebox_truncated_flows_total{isp=idea,kind=im}": 3}}}
         run = _run_with_units(
             {("session-dynamics", "idea"): _SESSION_UNIT}, metrics)
         totals = _session_counter_totals(run)
-        assert totals == {"overload": 3, "overload_fail_closed": 2,
-                          "residual_hits": 5}
+        assert totals == {"overload_fail_closed": 2, "residual_hits": 5,
+                          "truncated_flows": 3}
 
     def test_counter_totals_empty_for_pre_session_runs(self):
         run = _run_with_units({}, {"deterministic": {"counters": {

@@ -42,7 +42,6 @@ from repro.httpsim import (GetRequestSpec, OriginServer, http_fetch,
 from repro.isps import build_world
 from repro.isps.profiles import OONI_TESTED_ISPS
 from repro.netsim import Host, Network, make_udp_packet
-from repro.netsim.faults import NO_HARDENING, FaultPlan, ResolverFaults
 from repro.runner import parallel
 from repro.runner.campaign import Campaign
 from repro.runner.parallel import UnitSettings, execute_unit
@@ -387,17 +386,6 @@ class TestResolverCount:
             open_to_world=False, client_filter=lambda ip: False)
         result = dns_lookup(net, client, self.RESOLVER_IP, "example.com")
         assert not result.responded
-        assert service.queries == 1
-
-    def test_query_the_fault_layer_eats_counts(self):
-        net, client, service = self.resolver()
-        net.install_faults(
-            FaultPlan().with_resolver(self.RESOLVER_IP,
-                                      ResolverFaults(drop_rate=1.0)),
-            hardening=NO_HARDENING)
-        result = dns_lookup(net, client, self.RESOLVER_IP, "example.com")
-        assert not result.responded
-        assert service.dropped_queries == 1
         assert service.queries == 1
 
     def test_non_dns_payload_does_not_count(self):
