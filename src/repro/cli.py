@@ -18,9 +18,11 @@ All commands accept ``--scale`` (world size; 1.0 = paper scale) and
 drops 5% of packets on every link, ``--fault-seed`` picks the
 deterministic fault schedule, ``--retries`` overrides how often the
 hardened clients retry, and ``--verbose`` prints drop/fault statistics
-after the command.  Experiments additionally honour
-``REPRO_BENCH_FRACTION``; the population-scale experiment honours
-``REPRO_POPULATION_SCALE`` (session-volume multiplier).
+after the command.
+
+``experiment`` runs one experiment's campaign units in this process,
+each on its own world as ``campaign`` would, and prints the table
+``campaign`` renders for it — so a breakpoint in experiment code fires.
 
 ``campaign`` journals every measurement unit to
 ``<run-dir>/journal.jsonl`` and renders ``<run-dir>/tables.txt`` from
@@ -46,13 +48,12 @@ drain on SIGTERM, and crash recovery from the spool on boot — see
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 from typing import Optional
 
 from .isps import PROFILES, build_world
-from .netsim.faults import DEFAULT_HARDENING, FaultPlan
+from .netsim.faults import fault_setup
 
 #: CLI experiment names (canonical registry lives in
 #: :data:`repro.experiments.EXPERIMENT_MODULES`; mirrored here so
@@ -264,28 +265,21 @@ def main(argv: Optional[list] = None) -> int:
 
 def _install_faults(world, args) -> None:
     """Activate the ``--loss``/``--fault-seed``/``--retries`` flags."""
-    if not args.loss:
-        return
+    faults = _fault_flags(args)
+    if faults is not None:
+        world.install_faults(*faults)
+
+
+def _fault_flags(args):
     try:
-        plan = FaultPlan(args.loss, seed=args.fault_seed)
+        return fault_setup(args.loss, args.fault_seed, args.retries)
     except ValueError as exc:
         raise SystemExit(f"repro: error: {exc}")
-    hardening = DEFAULT_HARDENING
-    if args.retries is not None:
-        hardening = dataclasses.replace(
-            hardening,
-            dns_attempts=max(1, args.retries),
-            fetch_attempts=max(1, args.retries),
-        )
-    world.install_faults(plan, hardening)
 
 
 def _print_fault_stats(world) -> None:
     network = world.network
-    drops = network.drop_stats()
-    print("drop stats:" if drops else "drop stats: (none)")
-    for reason, count in sorted(drops.items()):
-        print(f"  {reason}: {count}")
+    _print_drops(network.drop_stats())
     if network.faults is not None:
         print("fault injector:")
         for line in network.faults.stats_lines():
@@ -310,16 +304,46 @@ def _cmd_info(world) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    from . import experiments
+    """Run one experiment's units here, each on its own unit world,
+    and print the table a campaign renders from their records."""
+    import json
 
-    module = experiments.EXPERIMENT_MODULES[args.name]
-    world = build_world(seed=args.seed, scale=args.scale)
-    _install_faults(world, args)
-    result = module.run(world)
-    print(result.render())
+    from .experiments import EXPERIMENT_MODULES
+    from .obs.report import fold_drops
+    from .runner.campaign import render_section
+    from .runner.parallel import UnitSettings, execute_unit
+
+    _fault_flags(args)  # a bad --loss exits here, before any world
+    module = EXPERIMENT_MODULES[args.name]
+    settings = UnitSettings(seed=args.seed, scale=args.scale,
+                            loss=args.loss, fault_seed=args.fault_seed,
+                            retries=args.retries)
+    units = list(module.units())
+    latest = {}
+    drops = {}
+    status = 0
+    for unit in units:
+        record, _wall, extras, kind = execute_unit(
+            settings, args.name, unit)
+        if kind == "fatal":
+            print(extras.get("traceback", ""), end="", file=sys.stderr)
+            status = 2
+        elif record["status"] not in ("ok", "degraded"):
+            status = max(status, 1)
+        # The payload a campaign renders is the one its journal stored.
+        latest[(args.name, unit.name)] = json.loads(json.dumps(record))
+        for reason, count in fold_drops(extras.get("metrics")).items():
+            drops[reason] = drops.get(reason, 0) + count
+    print(render_section(module.CAMPAIGN, args.name, units, latest))
     if args.verbose:
-        _print_fault_stats(world)
-    return 0
+        _print_drops(drops)
+    return status
+
+
+def _print_drops(drops) -> None:
+    print("drop stats:" if drops else "drop stats: (none)")
+    for reason, count in sorted(drops.items()):
+        print(f"  {reason}: {count}")
 
 
 #: Campaign flags that pin journal meta fields; any the user does NOT
@@ -338,13 +362,7 @@ def _resume_adoptions(raw) -> set:
         key for opt, key in _CAMPAIGN_META_FLAGS
         if any(tok == opt or tok.startswith(opt + "=") for tok in raw)
     }
-    adopt = {key for _, key in _CAMPAIGN_META_FLAGS} - flagged
-    adopt.add("fraction")
-    if os.environ.get("REPRO_BENCH_FRACTION"):
-        # The env var is this run's explicit fraction choice; keep the
-        # mismatch check instead of silently overriding it.
-        adopt.discard("fraction")
-    return adopt
+    return {key for _, key in _CAMPAIGN_META_FLAGS} - flagged
 
 
 def _cmd_campaign(args, raw=()) -> int:

@@ -23,7 +23,7 @@ from typing import Dict, Iterable, List, Optional, Set
 
 from ..vantage import VantagePoint
 from .fastprobe import express_canonical_blocked
-from .metrics import consistency, coverage, per_site_blocking_fractions
+from .metrics import consistency, coverage
 
 
 @dataclass
@@ -77,9 +77,6 @@ class CoverageResult:
         for path in self.paths:
             merged |= path.blocked
         return merged
-
-    def per_site_fractions(self) -> Dict[str, float]:
-        return per_site_blocking_fractions(self.per_path_blocked())
 
 
 def probe_path(

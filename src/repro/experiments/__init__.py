@@ -3,10 +3,12 @@
 Each module exposes ``run(world, ...)``, which measures a built
 :class:`~repro.isps.world.World` and returns a result object with a
 ``render()`` method, plus ``PAPER_*`` constants carrying the published
-values for side-by-side comparison.  ``repro experiment`` builds the
-world with ``build_world``; the benchmark harness under
-``benchmarks/`` and the examples build their own and call straight
-into these.
+values for side-by-side comparison.  ``repro campaign`` and ``repro
+experiment`` run a module's ``units()``, each on its own world; the
+examples build a world and call straight into ``run``.  The thirteen
+paper experiments also declare fidelity ``CELLS`` and ``CHECKS`` and
+parse their own payload rows with ``measured(rows)``, which ``repro
+report`` judges (see :mod:`repro.experiments.common`).
 
 | Module              | Reproduces                                     |
 |---------------------|------------------------------------------------|
@@ -43,7 +45,7 @@ from . import (
     tcpip_filtering,
     trigger_analysis,
 )
-from .common import domain_sample, format_table
+from .common import format_table
 
 #: CLI/campaign experiment key -> module.  The campaign runner walks
 #: this registry; every module exposes ``units()`` and ``CAMPAIGN``.
@@ -69,7 +71,6 @@ __all__ = [
     "EXPERIMENT_MODULES",
     "common",
     "dns_mechanism",
-    "domain_sample",
     "evasion_matrix",
     "fig2_dns",
     "fig5_http",

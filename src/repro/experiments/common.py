@@ -1,17 +1,19 @@
-"""Shared experiment machinery: corpus sampling, graceful degradation,
-ground truth, rendering.
+"""Shared experiment machinery: graceful degradation, ground truth,
+rendering, and the fidelity cells each experiment declares.
 
 Every experiment module exposes ``run(world, ...) -> Result``, where
 *world* is a built :class:`~repro.isps.world.World` and the result
 carries the measured numbers plus a ``render()`` producing the
 paper-style table, and module-level ``PAPER_*`` constants with the
-published values for side-by-side comparison.
+published values.  Next to those constants, a paper experiment
+declares its :class:`Cell` bands and :class:`Check` facts and parses
+its own campaign payload rows back into numbers (``measured(rows)``),
+which ``repro report`` judges in its Fidelity section.
 """
 
 from __future__ import annotations
 
-import os
-import warnings
+import re
 from dataclasses import dataclass, field
 from typing import (
     Callable,
@@ -40,43 +42,6 @@ from ..runner.errors import (
     classify_error,
 )
 from ..runner.units import TableSpec, Unit, campaign_payload  # noqa: F401
-
-#: Environment knob: fraction of the PBW corpus experiment runs sweep.
-#: 1.0 regenerates the full tables; smaller values give quick looks.
-BENCH_FRACTION_ENV = "REPRO_BENCH_FRACTION"
-
-
-def bench_fraction(default: float = 1.0) -> float:
-    """The corpus fraction experiments should sweep (env-overridable).
-
-    An unparsable value is *reported*, not silently swallowed: the
-    warning names the bad value so a typo in ``REPRO_BENCH_FRACTION``
-    can't masquerade as a full-corpus run.
-    """
-    raw = os.environ.get(BENCH_FRACTION_ENV)
-    if not raw:
-        return default
-    try:
-        value = float(raw)
-    except ValueError:
-        warnings.warn(
-            f"ignoring invalid {BENCH_FRACTION_ENV}={raw!r} (not a "
-            f"number); using default {default}",
-            RuntimeWarning, stacklevel=2)
-        return default
-    return min(1.0, max(0.01, value))
-
-
-def domain_sample(world: World, fraction: Optional[float] = None
-                  ) -> List[str]:
-    """A deterministic, evenly-spread corpus subset."""
-    domains = world.corpus.domains()
-    if fraction is None:
-        fraction = bench_fraction()
-    if fraction >= 1.0:
-        return domains
-    step = max(1, round(1.0 / fraction))
-    return domains[::step]
 
 
 # ---------------------------------------------------------------------------
@@ -272,3 +237,77 @@ def _fmt(cell) -> str:
 #: this so payloads survive the journal's JSON round trip unchanged
 #: (tuples would otherwise come back as lists and render differently).
 fmt_cell = _fmt
+
+
+# ---------------------------------------------------------------------------
+# Fidelity: paper cells and cross-unit checks
+# ---------------------------------------------------------------------------
+
+#: The settings the bands hold for: the full-size world without loss.
+#: Each band is the spread of seeds 1808-1817 there (EXPERIMENTS.md
+#: says how to re-derive one).
+BAND_SCALE = 1.0
+
+
+@dataclass(frozen=True)
+class Cell:
+    """One reproduced number or category, judged against the paper.
+
+    *band* is what seeds 1808-1817 measured at :data:`BAND_SCALE`: a
+    ``(low, high)`` pair for a number, the value every seed gave for a
+    category, or a tuple of the values they gave.  The paper value is
+    a number, a category or a ``(low, high)`` range.  A paper value
+    outside the band is a known deviation, and *cause* says why; a
+    cell whose paper value lies in its band has no cause.
+    """
+
+    unit: str
+    column: str
+    paper: object
+    band: object
+    cause: str = ""
+
+    def holds(self, value) -> bool:
+        """Does *value* lie in this cell's band?"""
+        band = self.band
+        if not isinstance(band, tuple):
+            return value == band
+        if isinstance(band[0], str):
+            return value in band
+        return (isinstance(value, (int, float))
+                and not isinstance(value, bool)
+                and band[0] <= value <= band[1])
+
+
+@dataclass(frozen=True)
+class Check:
+    """A fact the paper states across units, such as an ordering or a
+    dominant neighbour.
+
+    *holds* takes ``{unit: measured(rows)}`` for the experiment's units
+    and returns whether the fact holds there.
+    """
+
+    name: str
+    holds: Callable[[Dict[str, Dict[str, object]]], bool]
+
+
+def parse_number(text) -> Optional[float]:
+    """A payload cell as a number (``None`` for ``-`` and the like)."""
+    try:
+        return float(text)
+    except (TypeError, ValueError):
+        return None
+
+
+def parse_pair(text: str) -> Tuple[Optional[float], ...]:
+    """A ``"(0.54, 0.85)"`` payload cell as numbers."""
+    return tuple(parse_number(part)
+                 for part in str(text).strip("()").split(","))
+
+
+def parse_counts(text: str) -> Dict[str, int]:
+    """``"a:3, b:5"`` or ``"a (3), b (5)"`` as ``{name: count}``;
+    ``-`` is empty."""
+    return {name: int(count) for name, count
+            in re.findall(r"([\w-]+) ?[:(](\d+)", str(text))}

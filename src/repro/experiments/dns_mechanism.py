@@ -21,6 +21,8 @@ from ..isps.profiles import DNS_FILTERING_ISPS
 from ..middlebox.dns_injector import DNSInjectorMiddlebox
 from ..netsim.engine import Network
 from .common import (
+    Cell,
+    Check,
     TableSpec,
     Unit,
     campaign_payload,
@@ -50,6 +52,25 @@ CAMPAIGN = TableSpec(
              "mechanism"),
 )
 
+#: Paper cells (§3.2-III): MTNL and BSNL poison their resolvers; the
+#: synthetic control shows what the GFW's injection looks like.
+CELLS = (
+    Cell("mtnl", "mechanism", "poisoning", "poisoning"),
+    Cell("bsnl", "mechanism", "poisoning", "poisoning"),
+    Cell("synthetic-injector", "mechanism", "injection", "injection"),
+)
+
+CHECKS = (
+    Check("every traced resolver answers from its own hop",
+          lambda m: all(m[isp]["traced"] > 0
+                        and m[isp]["answered at last hop"]
+                        == m[isp]["traced"]
+                        for isp in DNS_FILTERING_ISPS)),
+    Check("the injector's answer arrives before the resolver's hop",
+          lambda m: m["synthetic-injector"]["answer hop"]
+          < m["synthetic-injector"]["resolver hop"]),
+)
+
 
 def _isp_rows(result: "DNSMechanismResult") -> List[List]:
     body = []
@@ -73,6 +94,21 @@ def _body_rows(result: "DNSMechanismResult") -> List[List]:
     if result.injector_trace is not None:
         body.append(_injector_row(result.injector_trace))
     return body
+
+
+def measured(rows: List[List]) -> Dict[str, object]:
+    """A unit's trace findings from its payload rows: traces, those
+    answered from the resolver's own hop, and the mechanism; the
+    synthetic injector's row gives the hops instead."""
+    name, traced, hops, mechanism = rows[0]
+    if name == "(synthetic GFW)":
+        answer, _, resolver = hops.replace("answer at hop ", "").partition(
+            " of ")
+        return {"traced": traced, "answer hop": int(answer),
+                "resolver hop": int(resolver), "mechanism": mechanism}
+    last_hop, _, _ = hops.partition("/")
+    return {"traced": traced, "answered at last hop": int(last_hop),
+            "mechanism": mechanism}
 
 
 def units(isps=DNS_FILTERING_ISPS):

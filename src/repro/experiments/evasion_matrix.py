@@ -16,11 +16,14 @@ from ..core.evasion.strategies import STRATEGIES
 from ..core.measure.fastprobe import canonical_payload, express_http_probe
 from ..isps.profiles import HTTP_FILTERING_ISPS
 from .common import (
+    Cell,
+    Check,
     TableSpec,
     Unit,
     campaign_payload,
     fmt_cell,
     format_table,
+    parse_number,
 )
 
 #: The strategy the paper highlights per middlebox family.
@@ -57,6 +60,33 @@ CAMPAIGN = TableSpec(
     footer="(* = strategy the paper reports for this ISP)",
 )
 
+#: Paper cells (§5): the strategy the paper reports for each box family
+#: evades every sampled site (percent), and every censored site falls
+#: to some strategy.  Every seed at scale 1.0 agrees.
+CELLS = tuple(
+    Cell(isp, name, 100, (100, 100))
+    for isp, names in PAPER_EXPECTED.items() for name in sorted(names)
+) + tuple(Cell(isp, "all evaded", "True", "True")
+          for isp in PAPER_EXPECTED)
+
+
+def _rates(m, isps, name):
+    return [m[isp][name] for isp in isps]
+
+
+CHECKS = (
+    Check("fragmented GET evades the wiretap boxes (Airtel, Jio)",
+          lambda m: min(_rates(m, ("airtel", "jio"),
+                               "fragmented-get")) >= 80),
+    Check("whitespace fudging fails against the wiretap boxes and "
+          "Vodafone",
+          lambda m: max(_rates(m, ("airtel", "jio", "vodafone"),
+                               "host-value-whitespace")) <= 20),
+    Check("case fudging and the client firewall fail against Idea",
+          lambda m: max(m["idea"]["host-keyword-case"],
+                        m["idea"]["drop-fin-rst"]) <= 20),
+)
+
 
 def _body_rows(result: "EvasionExperimentResult") -> List[List[str]]:
     body = []
@@ -74,6 +104,17 @@ def _body_rows(result: "EvasionExperimentResult") -> List[List[str]]:
         body.append([isp] + ["-"] * len(STRATEGIES)
                     + ["no censored path"])
     return body
+
+
+def measured(rows: List[List[str]]) -> Dict[str, object]:
+    """A unit's success rate (percent) per strategy and its "all
+    evaded" verdict from its payload rows."""
+    row = rows[0]
+    cells: Dict[str, object] = {
+        strat.name: parse_number(cell.rstrip("*%"))
+        for strat, cell in zip(STRATEGIES, row[1:-1])}
+    cells["all evaded"] = row[-1]
+    return cells
 
 
 def units(isps=HTTP_FILTERING_ISPS):

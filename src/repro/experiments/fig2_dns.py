@@ -16,13 +16,15 @@ from ..core.measure.metrics import blocking_series, consistency
 from ..core.measure.resolver_scan import ResolverScanResult, scan_isp_resolvers
 from ..isps.profiles import DNS_FILTERING_ISPS
 from .common import (
+    Cell,
+    Check,
     Degradation,
     TableSpec,
     Unit,
     campaign_payload,
-    domain_sample,
     fmt_cell,
     format_table,
+    parse_number,
     run_degradable,
 )
 
@@ -31,6 +33,42 @@ PAPER_FIG2 = {
     "mtnl": (448, 383, 77.0, 42.4),
     "bsnl": (182, 17, 9.3, 7.5),
 }
+
+#: Seed bands in the shape of PAPER_FIG2.
+BANDS_FIG2 = {
+    "mtnl": ((449, 449), (383, 383), (85.3, 85.3), (42.2, 42.6)),
+    "bsnl": ((183, 183), (17, 17), (9.3, 9.3), (9.7, 10.9)),
+}
+
+_HONEST = ("the scan also finds the honest resolver every ISP runs for "
+           "its clients (EXPERIMENTS.md, Figure 2)")
+
+#: Known deviations: (ISP, cell) -> cause.
+DEVIATIONS_FIG2 = {
+    ("mtnl", "resolvers"): _HONEST,
+    ("bsnl", "resolvers"): _HONEST,
+    ("mtnl", "coverage %"): ("the paper gives 77% although 383/448 is "
+                             "85.5% (EXPERIMENTS.md, Figure 2)"),
+    ("bsnl", "consistency %"): ("the 1/#resolvers floor: one of 17 "
+                                "poisoned resolvers already reads 5.9% "
+                                "(EXPERIMENTS.md, Figure 2)"),
+}
+
+_COLUMNS = ("resolvers", "poisoned", "coverage %", "consistency %")
+
+CELLS = tuple(
+    Cell(isp, name, paper[index], BANDS_FIG2[isp][index],
+         DEVIATIONS_FIG2.get((isp, name), ""))
+    for isp, paper in PAPER_FIG2.items()
+    for index, name in enumerate(_COLUMNS))
+
+CHECKS = (
+    Check("MTNL runs over ten times BSNL's poisoned resolvers",
+          lambda m: m["mtnl"]["poisoned"] > 10 * m["bsnl"]["poisoned"]),
+    Check("MTNL's consistency is over three times BSNL's",
+          lambda m: m["mtnl"]["consistency %"]
+          > 3 * m["bsnl"]["consistency %"]),
+)
 
 
 @dataclass
@@ -77,6 +115,15 @@ def _body_rows(result: "Fig2Result") -> List[List[str]]:
     ]
 
 
+def measured(rows: List[List[str]]) -> Dict[str, Optional[float]]:
+    """A unit's Figure 2 aggregates from its payload rows."""
+    row = rows[0]
+    return {"resolvers": parse_number(row[1]),
+            "poisoned": parse_number(row[2]),
+            "coverage %": parse_number(row[3]),
+            "consistency %": parse_number(row[4])}
+
+
 def units(isps=DNS_FILTERING_ISPS):
     """Named measurement units for the campaign runner."""
     for isp in isps:
@@ -94,7 +141,7 @@ def run(world, domains: Optional[List[str]] = None,
         isps=DNS_FILTERING_ISPS) -> Fig2Result:
     """Regenerate Figure 2."""
     if domains is None:
-        domains = domain_sample(world)
+        domains = world.corpus.domains()
     site_ids = {site.domain: site.site_id for site in world.corpus}
     result = Fig2Result()
     for isp in isps:

@@ -14,13 +14,15 @@ from typing import Dict, List, Optional, Tuple
 from ..core.measure.coverage import CoverageResult, measure_coverage_inside
 from ..core.measure.metrics import blocking_series
 from .common import (
+    Cell,
+    Check,
     Degradation,
     TableSpec,
     Unit,
     campaign_payload,
-    domain_sample,
     fmt_cell,
     format_table,
+    parse_number,
     run_degradable,
 )
 
@@ -32,6 +34,29 @@ PAPER_FIG5 = {
 }
 
 FIG5_ISPS = ("airtel", "vodafone", "idea")
+
+#: Seed bands of the consistency averages (percent).
+BANDS_FIG5 = {
+    "idea": (75.9, 77.4),
+    "airtel": (12.8, 15.6),
+    "vodafone": (13.9, 15.0),
+}
+
+_FLOOR = ("the 1/#boxes floor of a sparse deployment (EXPERIMENTS.md, "
+          "Figure 5)")
+
+CELLS = tuple(
+    Cell(isp, "consistency %", paper, BANDS_FIG5[isp],
+         _FLOOR if isp != "idea" else "")
+    for isp, paper in PAPER_FIG5.items())
+
+CHECKS = (
+    Check("Idea's consistency is over three times Airtel's and "
+          "Vodafone's",
+          lambda m: m["idea"]["consistency %"] > 3 * max(
+              m["airtel"]["consistency %"],
+              m["vodafone"]["consistency %"])),
+)
 
 
 @dataclass
@@ -73,6 +98,11 @@ def _body_rows(result: "Fig5Result") -> List[List[str]]:
     ]
 
 
+def measured(rows: List[List[str]]) -> Dict[str, Optional[float]]:
+    """A unit's Figure 5 consistency average from its payload rows."""
+    return {"consistency %": parse_number(rows[0][2])}
+
+
 def units(isps=FIG5_ISPS):
     """Named measurement units for the campaign runner."""
     for isp in isps:
@@ -90,7 +120,7 @@ def run(world, domains: Optional[List[str]] = None,
         isps=FIG5_ISPS) -> Fig5Result:
     """Regenerate Figure 5."""
     if domains is None:
-        domains = domain_sample(world)
+        domains = world.corpus.domains()
     site_ids = {site.domain: site.site_id for site in world.corpus}
     result = Fig5Result()
     for isp in isps:

@@ -21,6 +21,8 @@ from ..httpsim.https import https_fetch
 from ..isps.profiles import OONI_TESTED_ISPS
 from ..netsim.addressing import is_bogon
 from .common import (
+    Cell,
+    Check,
     TableSpec,
     Unit,
     campaign_payload,
@@ -63,6 +65,21 @@ CAMPAIGN = TableSpec(
              "causes"),
 )
 
+#: Paper cells (§4.2): fewer than five HTTPS sites failed, all in the
+#: DNS-poisoning ISPs.
+CELLS = (
+    Cell("mtnl", "filtering instances", (1, 4), (7, 14),
+         "MTNL's resolvers poison HTTPS sites like any other, so the "
+         "count follows the corpus's HTTPS share (EXPERIMENTS.md, §4.2)"),
+) + tuple(Cell(isp, "filtering instances", 0, (0, 0))
+          for isp in OONI_TESTED_ISPS if isp != "mtnl")
+
+CHECKS = (
+    Check("every HTTPS filtering instance is DNS-caused",
+          lambda m: all(cells["causes"] in ("-", "dns-poisoning")
+                        for cells in m.values())),
+)
+
 
 def _body_rows(result: "HTTPSFilteringResult") -> List[List]:
     body = []
@@ -71,6 +88,11 @@ def _body_rows(result: "HTTPSFilteringResult") -> List[List]:
         causes = sorted({i.cause for i in instances}) or ["-"]
         body.append([isp, count, len(instances), ", ".join(causes)])
     return body
+
+
+def measured(rows: List[List]) -> Dict[str, object]:
+    """A unit's HTTPS findings from its payload rows."""
+    return dict(zip(CAMPAIGN.headers[1:], rows[0][1:]))
 
 
 def units(isps=OONI_TESTED_ISPS):

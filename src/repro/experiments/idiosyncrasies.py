@@ -25,6 +25,8 @@ from ..core.vantage import VantagePoint
 from ..httpsim.message import GetRequestSpec
 from ..isps.profiles import HTTP_FILTERING_ISPS
 from .common import (
+    Cell,
+    Check,
     TableSpec,
     Unit,
     campaign_payload,
@@ -66,6 +68,28 @@ CAMPAIGN = TableSpec(
              "stale (dead blocked)", "keep-alive extends state"),
 )
 
+#: Paper cells (§6.3): every box inspects port 80 only and keeps a flow
+#: alive on any fresh packet; only Airtel's injections carry IP-ID 242.
+#: Some seeds find no controlled server behind a Jio or Vodafone box
+#: (``-``).
+CELLS = tuple(
+    Cell(isp, column, paper, band)
+    for isp in HTTP_FILTERING_ISPS
+    for column, paper, band in (
+        ("port-80 only", "True",
+         "True" if isp in ("airtel", "idea") else ("True", "-")),
+        ("fixed IP-ID", "242" if isp == "airtel" else "variable",
+         "242" if isp == "airtel" else "variable"),
+        ("keep-alive extends state", "True",
+         "True" if isp in ("airtel", "idea") else ("True", "-"))))
+
+CHECKS = (
+    Check("dead (parked) sites stay on every blocklist",
+          lambda m: all(cells["dead listed"] > 0 for cells in m.values())),
+    Check("Idea still censors dead sites",
+          lambda m: m["idea"]["dead blocked"] > 0),
+)
+
 
 def _body_rows(result: "IdiosyncrasiesResult") -> List[List[str]]:
     body = []
@@ -82,6 +106,16 @@ def _body_rows(result: "IdiosyncrasiesResult") -> List[List[str]]:
             if report.keepalive_extends_flow is not None else "-",
         ])
     return body
+
+
+def measured(rows: List[List[str]]) -> Dict[str, object]:
+    """A unit's quirks from its payload rows (``"-"`` where no
+    controlled path was found), the stale-blocklist cell split into
+    its two counts."""
+    cells: Dict[str, object] = dict(zip(CAMPAIGN.headers[1:], rows[0][1:]))
+    blocked, _, listed = cells.pop("stale (dead blocked)").partition("/")
+    cells["dead blocked"], cells["dead listed"] = int(blocked), int(listed)
+    return cells
 
 
 def units(isps=HTTP_FILTERING_ISPS):

@@ -18,12 +18,14 @@ from typing import Dict, List, Optional
 from ..core.measure.detector import run_detector
 from ..core.measure.ooni import BLOCKING_NONE, run_ooni
 from .common import (
+    Cell,
+    Check,
     TableSpec,
     Unit,
     campaign_payload,
-    domain_sample,
     format_table,
     ground_truth_any,
+    parse_counts,
 )
 
 #: The ISPs the paper's failure anatomy focuses on.
@@ -64,6 +66,31 @@ CAMPAIGN = TableSpec(
              "authors' method cleared"),
 )
 
+#: Paper cells (§6.2): the authors' method cleared 30-40% of the sites
+#: over its threshold.
+CELLS = (
+    Cell("airtel", "cleared %", (30, 40), (60, 100),
+         "cause unknown: Airtel's first 60 sites hold few censored ones "
+         "(EXPERIMENTS.md, §3.1/§6.2)"),
+    Cell("idea", "cleared %", (30, 40), (14, 50)),
+)
+
+CHECKS = (
+    Check("CDN regional DNS and parked domains cause false positives in "
+          "every ISP",
+          lambda m: all(cells.get("FP cdn-regional-dns", 0) > 0
+                        and cells.get("FP parked-domain", 0) > 0
+                        for cells in m.values())),
+    Check("every false positive has a documented cause",
+          lambda m: all("FP other" not in cells for cells in m.values())),
+    Check("Idea's false negatives include header-name mimicry, beside "
+          "true positives",
+          lambda m: m["idea"].get("FN header-names-match", 0) > 0
+          and m["idea"]["TP"] > 0),
+    Check("the authors' detector flags sites in every ISP",
+          lambda m: all(cells["flagged"] > 0 for cells in m.values())),
+)
+
 
 def _body_rows(result: "OONIFailureResult") -> List[List]:
     body = []
@@ -76,6 +103,21 @@ def _body_rows(result: "OONIFailureResult") -> List[List]:
                    f"({b.false_flag_fraction:.0%})")
         body.append([isp, b.true_positives, fp_text, fn_text, cleared])
     return body
+
+
+def measured(rows: List[List]) -> Dict[str, object]:
+    """A unit's breakdown from its payload rows: true positives, the
+    count per false-positive (``FP <cause>``) and false-negative
+    (``FN <cause>``) cause, and what the authors' method cleared."""
+    _, true_positives, fp_text, fn_text, cleared_text = rows[0]
+    cells: Dict[str, object] = {"TP": true_positives}
+    for prefix, text in (("FP", fp_text), ("FN", fn_text)):
+        for cause, count in parse_counts(text).items():
+            cells[f"{prefix} {cause}"] = count
+    ratio, _, percent = cleared_text.partition(" ")
+    cells["flagged"] = int(ratio.partition("/")[2])
+    cells["cleared %"] = int(percent.strip("(%)"))
+    return cells
 
 
 def units(isps=OONI_FAILURE_ISPS):
@@ -96,7 +138,7 @@ def run(world, domains: Optional[List[str]] = None,
         ) -> OONIFailureResult:
     """Break down OONI's errors by confounder for the given ISPs."""
     if domains is None:
-        domains = domain_sample(world)
+        domains = world.corpus.domains()
     result = OONIFailureResult()
     for isp in isps:
         breakdown = OONIFailureBreakdown(isp=isp)

@@ -29,7 +29,7 @@ from ..isps.profiles import PROFILES
 from ..obs.metrics import MetricsRegistry
 from ..population.cohorts import apportion
 from ..population.engine import (PopulationConfig, PopulationEngine,
-                                 PopulationOutcome, population_scale)
+                                 PopulationOutcome)
 from ..websites.synthetic import (DEFAULT_SYNTHETIC_SIZE,
                                   MASTER_LIST_FRACTIONS, SyntheticCorpus)
 from .common import (
@@ -68,8 +68,8 @@ SUBSCRIBER_WEIGHTS: Dict[str, float] = {
 #: populations lead the table.
 POPULATION_ISPS: Sequence[str] = tuple(SUBSCRIBER_WEIGHTS)
 
-#: Sessions simulated across all ISPs at scale 1.0 (the acceptance
-#: floor is one million; smoke jobs shrink via REPRO_POPULATION_SCALE).
+#: Sessions simulated across all ISPs in a day (the acceptance floor is
+#: one million; ``run(..., sessions=)`` simulates a smaller day).
 DEFAULT_SESSIONS_TOTAL = 1_250_000
 
 CAMPAIGN = TableSpec(
@@ -108,7 +108,7 @@ def sessions_for(isp: str, total: Optional[int] = None) -> int:
     a worker.
     """
     if total is None:
-        total = round(DEFAULT_SESSIONS_TOTAL * population_scale())
+        total = DEFAULT_SESSIONS_TOTAL
     counts = apportion(total, [SUBSCRIBER_WEIGHTS[name]
                                for name in POPULATION_ISPS])
     return counts[list(POPULATION_ISPS).index(isp)]
@@ -227,7 +227,7 @@ def run(world, isps: Sequence[str] = POPULATION_ISPS,
     The world supplies only the campaign seed — the population layer
     runs on its own synthetic corpus, deliberately independent of the
     world's 1,200 deployed sites, so session volume does not shrink
-    with ``--scale`` (use ``REPRO_POPULATION_SCALE`` / *sessions*).
+    with ``--scale`` (pass *sessions* to simulate a smaller day).
     """
     seed = world.seed
     result = PopulationScaleResult(corpus_size=corpus_size)

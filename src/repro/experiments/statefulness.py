@@ -21,11 +21,13 @@ from ..core.measure.stateful import (
 )
 from ..isps.profiles import HTTP_FILTERING_ISPS
 from .common import (
+    Cell,
     TableSpec,
     Unit,
     campaign_payload,
     fmt_cell,
     format_table,
+    parse_pair,
 )
 
 #: Idle durations used to bracket the 150 s purge.
@@ -51,6 +53,20 @@ CAMPAIGN = TableSpec(
              "timeout bracket (s)"),
 )
 
+#: Paper cells (§4.2.1): every box inspects only after a complete
+#: handshake, and purges idle flows after 2-3 minutes.  Every seed at
+#: scale 1.0 brackets the purge between 140 s and 170 s idle.
+CELLS = tuple(
+    Cell(isp, column, paper, band)
+    for isp in HTTP_FILTERING_ISPS
+    for column, paper, band in (
+        ("no-hs", "False", "False"), ("SYN-only", "False", "False"),
+        ("SYNACK-first", "False", "False"),
+        ("no-final-ACK", "False", "False"),
+        ("full-hs", "True", "True"), ("stateful", "True", "True"),
+        ("timeout low (s)", (120, 180), (140.0, 140.0)),
+        ("timeout high (s)", (120, 180), (170.0, 170.0))))
+
 
 def _body_rows(result: "StatefulnessResult") -> List[List[str]]:
     body = []
@@ -71,6 +87,17 @@ def _body_rows(result: "StatefulnessResult") -> List[List[str]]:
         body.append([isp, "-", "-", "-", "-", "-", "-",
                      "no censored path"])
     return body
+
+
+def measured(rows: List[List[str]]) -> Dict[str, object]:
+    """A unit's probe outcomes and timeout bracket from its payload
+    rows (``"-"`` where no censored path was found)."""
+    cells: Dict[str, object] = dict(zip(CAMPAIGN.headers[1:-1],
+                                        rows[0][1:-1]))
+    bracket = rows[0][-1]
+    cells["timeout low (s)"], cells["timeout high (s)"] = (
+        parse_pair(bracket) if bracket.startswith("(") else (None, None))
+    return cells
 
 
 def units(isps=HTTP_FILTERING_ISPS):

@@ -16,19 +16,20 @@ from ..core.measure.ooni import (
     BLOCKING_DNS,
     BLOCKING_HTTP,
     BLOCKING_TCP,
-    OONIRun,
     run_ooni,
 )
 from ..isps.profiles import OONI_TESTED_ISPS
 from .common import (
+    Cell,
+    Check,
     Degradation,
     TableSpec,
     Unit,
     campaign_payload,
-    domain_sample,
     fmt_cell,
     format_table,
     ground_truth_any,
+    parse_pair,
     run_degradable,
 )
 
@@ -46,6 +47,64 @@ PAPER_TABLE1 = {
             "tcp": (0.0, 0.0), "http": (0.36, 0.14)},
 }
 
+#: Table 1's column groups, in row order: PAPER_TABLE1 key -> label.
+_COLUMN_LABELS = {"total": "Total", "dns": "DNS", "tcp": "TCP",
+                  "http": "HTTP"}
+
+_NONE = ((0.0, 0.0), (0.0, 0.0))
+
+#: Seed bands in the shape of PAPER_TABLE1: ISP -> {column:
+#: ((P low, P high), (R low, R high))}.
+BANDS_TABLE1 = {
+    "mtnl": {"total": ((0.54, 0.60), (0.85, 0.91)),
+             "dns": ((0.58, 0.67), (1.0, 1.0)), "tcp": _NONE,
+             "http": ((0.24, 0.36), (0.39, 0.55))},
+    "airtel": {"total": ((0.02, 0.05), (0.28, 0.58)), "dns": _NONE,
+               "tcp": _NONE, "http": ((0.02, 0.11), (0.11, 0.50))},
+    "idea": {"total": ((0.39, 0.46), (0.52, 0.66)), "dns": _NONE,
+             "tcp": _NONE, "http": ((0.54, 0.63), (0.43, 0.56))},
+    "vodafone": {"total": ((0.01, 0.03), (1.0, 1.0)), "dns": _NONE,
+                 "tcp": _NONE, "http": ((0.03, 0.07), (0.67, 1.0))},
+    "jio": {"total": ((0.0, 0.03), (0.0, 0.73)), "dns": _NONE,
+            "tcp": _NONE, "http": ((0.0, 0.05), (0.0, 0.55))},
+}
+
+_VANTAGE = ("vantage: the client's paths cross few boxes, so CDN false "
+            "positives swamp a small ground truth (EXPERIMENTS.md, "
+            "Table 1)")
+_OONI_DNS = ("OONI's dns verdicts are not suppressed as in 2018 "
+             "(EXPERIMENTS.md, Table 1)")
+_UNKNOWN = "cause unknown (EXPERIMENTS.md, Table 1)"
+
+#: Known deviations: (ISP, cell) -> cause.
+DEVIATIONS_TABLE1 = {
+    ("mtnl", "Total R"): _OONI_DNS, ("mtnl", "DNS P"): _OONI_DNS,
+    ("mtnl", "DNS R"): _OONI_DNS, ("mtnl", "HTTP P"): _UNKNOWN,
+    ("mtnl", "HTTP R"): _UNKNOWN, ("airtel", "Total P"): _VANTAGE,
+    ("airtel", "Total R"): _VANTAGE, ("airtel", "HTTP P"): _VANTAGE,
+    ("idea", "Total P"): _UNKNOWN, ("idea", "HTTP R"): _UNKNOWN,
+    ("vodafone", "Total P"): _VANTAGE, ("vodafone", "Total R"): _VANTAGE,
+    ("vodafone", "HTTP P"): _VANTAGE, ("jio", "Total P"): _VANTAGE,
+    ("jio", "HTTP P"): _VANTAGE,
+}
+
+CELLS = tuple(
+    Cell(isp, name, paper[index], BANDS_TABLE1[isp][column][index],
+         DEVIATIONS_TABLE1.get((isp, name), ""))
+    for isp, columns in PAPER_TABLE1.items()
+    for column, paper in columns.items()
+    for index, name in enumerate((f"{_COLUMN_LABELS[column]} P",
+                                  f"{_COLUMN_LABELS[column]} R")))
+
+CHECKS = (
+    Check("OONI is imprecise in every ISP (Total P < 0.9)",
+          lambda m: all(cells["Total P"] < 0.9 for cells in m.values())),
+    Check("only MTNL's DNS anomalies are real",
+          lambda m: m["mtnl"]["DNS R"] > 0 and all(
+              cells["DNS P"] == 0 for isp, cells in m.items()
+              if isp != "mtnl")),
+)
+
 
 @dataclass
 class Table1Row:
@@ -54,8 +113,6 @@ class Table1Row:
     dns: Optional[PrecisionRecall] = None
     tcp: Optional[PrecisionRecall] = None
     http: Optional[PrecisionRecall] = None
-    ooni_flagged: int = 0
-    actually_censored: int = 0
     #: Client retries the OONI campaign spent inside this ISP.
     retries: int = 0
 
@@ -63,7 +120,6 @@ class Table1Row:
 @dataclass
 class Table1Result:
     rows: List[Table1Row] = field(default_factory=list)
-    runs: Dict[str, OONIRun] = field(default_factory=dict)
     degradation: Degradation = field(default_factory=Degradation)
 
     def row(self, isp: str) -> Table1Row:
@@ -103,6 +159,14 @@ def _body_rows(result: "Table1Result") -> List[List[str]]:
     return body
 
 
+def measured(rows: List[List[str]]) -> Dict[str, Optional[float]]:
+    """A unit's Table 1 cells (``"HTTP P"``, ...) from its payload rows."""
+    cells: Dict[str, Optional[float]] = {}
+    for label, text in zip(_COLUMN_LABELS.values(), rows[0][1:5]):
+        cells[f"{label} P"], cells[f"{label} R"] = parse_pair(text)
+    return cells
+
+
 def units(isps=OONI_TESTED_ISPS):
     """Named measurement units for the campaign runner."""
     for isp in isps:
@@ -120,14 +184,13 @@ def run(world, domains: Optional[List[str]] = None,
         isps=OONI_TESTED_ISPS) -> Table1Result:
     """Regenerate Table 1."""
     if domains is None:
-        domains = domain_sample(world)
+        domains = world.corpus.domains()
     result = Table1Result()
     for isp in isps:
         ok, ooni = run_degradable(result.degradation, f"ooni@{isp}",
                                   run_ooni, world, isp, domains)
         if not ok:
             continue
-        result.runs[isp] = ooni
         campaign = ooni.degraded()
         result.degradation.retries += campaign["retries"]
         for domain, site in ooni.results.items():
@@ -144,8 +207,6 @@ def run(world, domains: Optional[List[str]] = None,
             dns=precision_recall(ooni.flagged(BLOCKING_DNS), actual_dns),
             tcp=precision_recall(ooni.flagged(BLOCKING_TCP), set()),
             http=precision_recall(ooni.flagged(BLOCKING_HTTP), actual_http),
-            ooni_flagged=len(ooni.flagged()),
-            actually_censored=len(actual_all),
             retries=campaign["retries"],
         )
         result.rows.append(row)

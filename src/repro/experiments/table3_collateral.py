@@ -17,12 +17,14 @@ from ..core.measure.collateral import (
 )
 from ..isps.profiles import COLLATERAL_ISPS
 from .common import (
+    Cell,
+    Check,
     Degradation,
     TableSpec,
     Unit,
     campaign_payload,
-    domain_sample,
     format_table,
+    parse_counts,
     run_degradable,
 )
 
@@ -34,6 +36,57 @@ PAPER_TABLE3 = {
     "mtnl": {"tata": 134, "airtel": 25},
     "bsnl": {"tata": 156, "airtel": 1},
 }
+
+#: Seed bands in the shape of PAPER_TABLE3.
+BANDS_TABLE3 = {
+    "nkn": {"vodafone": (56, 66), "tata": (0, 2)},
+    "sify": {"tata": (108, 123), "airtel": (0, 2)},
+    "siti": {"airtel": (110, 110)},
+    "mtnl": {"tata": (100, 116), "airtel": (2, 7)},
+    "bsnl": {"tata": (129, 138), "airtel": (0, 1)},
+}
+
+_UNDERCOUNT = ("cause unknown: the peering box holds the paper's count, yet "
+          "some of its sites never read blocked from the stub "
+          "(EXPERIMENTS.md, Table 3)")
+
+#: Known deviations: (stub, neighbour) -> cause.
+DEVIATIONS_TABLE3 = {
+    ("nkn", "vodafone"): _UNDERCOUNT,
+    ("nkn", "tata"): ("NKN reaches TATA on one path in nine "
+                      "(EXPERIMENTS.md, Table 3)"),
+    ("sify", "tata"): _UNDERCOUNT,
+    ("mtnl", "tata"): _UNDERCOUNT,
+    ("mtnl", "airtel"): _UNDERCOUNT,
+    ("bsnl", "tata"): _UNDERCOUNT,
+}
+
+CELLS = tuple(
+    Cell(stub, neighbour, count, BANDS_TABLE3[stub][neighbour],
+         DEVIATIONS_TABLE3.get((stub, neighbour), ""))
+    for stub, paper in PAPER_TABLE3.items()
+    for neighbour, count in paper.items())
+
+
+def _dominant(counts: Dict[str, int]) -> str:
+    return max(counts, key=counts.get)
+
+
+CHECKS = (
+    Check("NKN is hurt mostly by Vodafone",
+          lambda m: _dominant(m["nkn"]) == "vodafone"
+          and m["nkn"]["vodafone"] > m["nkn"]["tata"]),
+    Check("Sify, MTNL and BSNL are hurt mostly by TATA",
+          lambda m: all(_dominant(m[stub]) == "tata"
+                        and m[stub]["tata"] > m[stub]["airtel"]
+                        for stub in ("sify", "mtnl", "bsnl"))),
+    Check("Siti's damage comes from Airtel alone",
+          lambda m: m["siti"]["airtel"] > 0 and not any(
+              count for name, count in m["siti"].items()
+              if name != "airtel")),
+    Check("no stub censors with its own infrastructure",
+          lambda m: all(stub not in counts for stub, counts in m.items())),
+)
 
 
 @dataclass
@@ -78,6 +131,15 @@ def _body_rows(result: "Table3Result") -> List[List[str]]:
     return body
 
 
+def measured(rows: List[List[str]]) -> Dict[str, int]:
+    """A stub's blocked count per censoring neighbour (0 for a paper
+    neighbour that blocked nothing) from its payload rows."""
+    counts = {neighbour: 0 for paper in PAPER_TABLE3.values()
+              for neighbour in paper}
+    counts.update(parse_counts(rows[0][1]))
+    return counts
+
+
 def units(stubs=COLLATERAL_ISPS):
     """Named measurement units for the campaign runner."""
     for stub in stubs:
@@ -95,7 +157,7 @@ def run(world, domains: Optional[List[str]] = None,
         stubs=COLLATERAL_ISPS) -> Table3Result:
     """Regenerate Table 3."""
     if domains is None:
-        domains = domain_sample(world)
+        domains = world.corpus.domains()
     result = Table3Result()
     for stub in stubs:
         ok, report = run_degradable(result.degradation,

@@ -14,10 +14,11 @@ from typing import Dict, List, Optional
 from ..core.measure.tcpip import TCPIPFilterReport, detect_tcpip_filtering
 from ..isps.profiles import OONI_TESTED_ISPS
 from .common import (
+    Cell,
+    Check,
     TableSpec,
     Unit,
     campaign_payload,
-    domain_sample,
     format_table,
 )
 
@@ -41,6 +42,16 @@ CAMPAIGN = TableSpec(
     headers=("ISP", "sites tested", "filtered", "finding"),
 )
 
+#: Paper cells (§3.3): no ISP filters on network or transport headers.
+CELLS = tuple(Cell(isp, "filtered", 0, (0, 0))
+              for isp in OONI_TESTED_ISPS)
+
+CHECKS = (
+    Check("every ISP tested sites",
+          lambda m: all(cells["sites tested"] > 0
+                        for cells in m.values())),
+)
+
 
 def _body_rows(result: "TCPIPExperimentResult") -> List[List]:
     body = []
@@ -51,6 +62,11 @@ def _body_rows(result: "TCPIPExperimentResult") -> List[List]:
             "TCP/IP filtering" if filtered else "none (as in paper)",
         ])
     return body
+
+
+def measured(rows: List[List]) -> Dict[str, object]:
+    """A unit's handshake findings from its payload rows."""
+    return dict(zip(CAMPAIGN.headers[1:], rows[0][1:]))
 
 
 def units(isps=OONI_TESTED_ISPS):
@@ -71,7 +87,7 @@ def run(world, domains: Optional[List[str]] = None,
         ) -> TCPIPExperimentResult:
     """Run the five-handshake test in every ISP."""
     if domains is None:
-        domains = domain_sample(world, fraction=None)
+        domains = world.corpus.domains()
     result = TCPIPExperimentResult()
     for isp in isps:
         result.reports[isp] = detect_tcpip_filtering(

@@ -16,6 +16,7 @@ from ..core.measure.fastprobe import canonical_payload, express_http_probe
 from ..core.measure.trigger import TriggerAnalysis, analyze_trigger
 from ..isps.profiles import HTTP_FILTERING_ISPS
 from .common import (
+    Cell,
     TableSpec,
     Unit,
     campaign_payload,
@@ -41,6 +42,16 @@ CAMPAIGN = TableSpec(
              "Host-only trigger", "conclusion"),
 )
 
+#: Paper cells (§3.4): in every ISP the TTL n-1 request draws
+#: censorship, only the Host field triggers, and the box inspects
+#: requests only.  Every seed at scale 1.0 agrees.
+CELLS = tuple(
+    Cell(isp, column, paper, paper)
+    for isp in HTTP_FILTERING_ISPS
+    for column, paper in (("TTL n-1 censored", "True"),
+                          ("Host-only trigger", "True"),
+                          ("conclusion", "request-only")))
+
 
 def _body_rows(result: "TriggerExperimentResult") -> List[List[str]]:
     body = []
@@ -57,6 +68,11 @@ def _body_rows(result: "TriggerExperimentResult") -> List[List[str]]:
     for isp in result.skipped:
         body.append([isp, "-", "-", "-", "no censored path found"])
     return body
+
+
+def measured(rows: List[List[str]]) -> Dict[str, str]:
+    """A unit's trigger findings from its payload rows."""
+    return dict(zip(CAMPAIGN.headers[1:], rows[0][1:]))
 
 
 def units(isps=HTTP_FILTERING_ISPS):

@@ -17,6 +17,7 @@ samples of the ISP master list at the profile's consistency density.
 from __future__ import annotations
 
 import random
+import zlib
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
@@ -71,10 +72,6 @@ class ISPDeployment:
     @property
     def name(self) -> str:
         return self.profile.name
-
-    @property
-    def resolver_ips(self) -> List[str]:
-        return [ip for ip, _ in self.resolvers]
 
     def poisoned_resolver_ips(self) -> List[str]:
         return [ip for ip, service in self.resolvers
@@ -364,7 +361,7 @@ class ISPBuilder:
             f"{self.profile.name}-peer-{stub_name}",
             blocklist=blocklist,
             scoped=False,
-            seed_tag=hash(stub_name) & 0xFFFF,
+            seed_tag=zlib.crc32(stub_name.encode()) & 0xFFFF,
         )
         if box.kind == "wiretap":
             router.attach_tap(box)

@@ -15,7 +15,7 @@ experiments run against:
 
 Everything is seeded; ``scale`` shrinks corpus, Alexa list, resolver
 counts and blocklists proportionally so tests can run on a small world
-while benchmarks use the full-size one.
+while the paper cells are judged on the full-size one.
 """
 
 from __future__ import annotations

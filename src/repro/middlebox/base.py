@@ -45,8 +45,8 @@ class Middlebox:
         )
         #: The Indian boxes inspect only handshake-complete flows
         #: (section 4.2.1).  False models a stateless packet matcher —
-        #: used by the ablation benchmarks to show the statefulness
-        #: probes actually discriminate.
+        #: used by the statefulness ablation test to show the probes
+        #: actually discriminate.
         self.require_handshake = require_handshake
         #: When set, only flows whose *client* address falls inside
         #: these prefixes are inspected — the behaviour hypothesised for

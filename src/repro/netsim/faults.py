@@ -25,9 +25,9 @@ to prove the hardening actually matters.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from random import Random
-from typing import Dict, Iterable
+from typing import Dict, Iterable, Optional, Tuple
 
 
 def link_key(a: str, b: str) -> str:
@@ -105,6 +105,27 @@ class FaultPlan:
     def __post_init__(self) -> None:
         if not 0.0 <= self.loss <= 1.0:
             raise ValueError(f"loss must be a probability, got {self.loss}")
+
+
+def fault_setup(loss: float, seed: int = 0,
+                retries: Optional[int] = None
+                ) -> Optional[Tuple[FaultPlan, HardeningPolicy]]:
+    """The plan and client hardening that ``--loss``, ``--fault-seed``
+    and ``--retries`` ask for, or ``None`` without loss.
+
+    ``retries`` overrides the DNS and fetch attempts of
+    :data:`DEFAULT_HARDENING` (at least one each).  Raises
+    ``ValueError`` for a loss that is not a probability.
+    """
+    if not loss:
+        return None
+    plan = FaultPlan(loss, seed=seed)
+    hardening = DEFAULT_HARDENING
+    if retries is not None:
+        hardening = replace(hardening,
+                            dns_attempts=max(1, retries),
+                            fetch_attempts=max(1, retries))
+    return plan, hardening
 
 
 class FaultInjector:

@@ -13,13 +13,9 @@ from .metrics import (
     collect_world_metrics,
     metric_key,
 )
-from .report import generate_report, render_markdown, write_report
 from .trace import BufferSink, JsonlSink, TraceBus, event_json, flow_id
 
 __all__ = [
-    "generate_report",
-    "render_markdown",
-    "write_report",
     "BufferSink",
     "JsonlSink",
     "MetricsRegistry",

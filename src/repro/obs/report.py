@@ -5,10 +5,11 @@ Markdown report (``report.md``) plus a machine-readable twin
 (``report.json``).  Both are split the same way the metrics sidecar
 is:
 
-* a **deterministic** half — unit outcomes, per-ISP coverage deltas
-  against the paper's committed Table 2 expectations, drops by reason,
-  the fault-injection summary, trace-event counts — identical between
-  a serial and a ``--workers N`` run of the same campaign;
+* a **deterministic** half — unit outcomes, the Fidelity section
+  (every paper cell the experiments declare, judged against its seed
+  band), session-table counters, drops by reason, the fault-injection
+  summary, trace-event counts — identical between a serial and a
+  ``--workers N`` run of the same campaign;
 * a **wall** half — slowest units, total wall time, simulated events
   per second, the workers' peak RSS — which varies run to run and
   machine to machine.
@@ -161,16 +162,17 @@ def _deterministic_half(run: Dict) -> Dict:
     deterministic_metrics = metrics.get("deterministic") or {}
     return {
         "meta": {key: meta.get(key) for key in
-                 ("seed", "scale", "fraction", "experiments", "loss",
-                  "fault_seed", "retries", "unit_steps", "version")},
+                 ("seed", "scale", "experiments", "loss", "fault_seed",
+                  "retries", "unit_steps", "version")},
         "end_status": run["end"].get("status"),
         "unit_counts": counts,
         "units": by_experiment,
         "quarantined": quarantined,
-        "coverage": _coverage_deltas(run),
+        "fidelity": _fidelity(run),
         "session": _session_table(run),
+        "session_counters": _session_counter_totals(run),
         "population": _population_table(run),
-        "drops": _drops(deterministic_metrics),
+        "drops": fold_drops(deterministic_metrics),
         "faults": _fault_summary(meta, deterministic_metrics),
         "trace": _trace_summary(run["trace_lines"]),
         "metrics": deterministic_metrics,
@@ -220,7 +222,6 @@ def _wall_half(run: Dict) -> Dict:
         "peak_rss": _peak_rss(timings),
         "slowest_units": slowest,
         "metrics": metrics.get("wall") or {},
-        "session_counters": _session_counter_totals(run),
         "supervision": dict(sorted(supervision.items())),
         "sidecar_notes": _sidecar_notes(
             run, ("timings", "supervision")),
@@ -240,44 +241,81 @@ def _peak_rss(timings: List[Dict]) -> Optional[Dict]:
     return peak
 
 
-def _coverage_deltas(run: Dict) -> List[Dict]:
-    """Measured Table 2 coverage vs the paper's committed expectations.
+def _fidelity(run: Dict) -> Dict:
+    """Every paper cell and check the run's experiments declare,
+    judged from their journaled payload rows.
 
-    Table 2 unit payload rows are
-    ``[isp, inside%, outside%, type, blocked, paper-cell]``; the
-    expectations are the committed ``PAPER_TABLE2`` constants.
+    A paper experiment declares ``CELLS`` (a seed band per reproduced
+    number), optionally ``CHECKS`` (facts across its units), and parses
+    its own rows with ``measured(rows)``.  The bands hold at
+    :data:`~repro.experiments.common.BAND_SCALE` without loss; any
+    other run shows each measured value beside the paper's and judges
+    nothing.  A unit with a result but no rows reads as empty.
     """
-    from ..experiments.table2_http import PAPER_TABLE2
+    from ..experiments import EXPERIMENT_MODULES
+    from ..experiments.common import BAND_SCALE
 
-    deltas = []
-    for (experiment, unit), rec in sorted(run["units"].items()):
-        if experiment != "table2" or rec.get("status") not in (
-                "ok", "degraded"):
+    meta = run["meta"]
+    unjudged = ""
+    if meta.get("scale") != BAND_SCALE:
+        unjudged = (f"bands hold at scale {BAND_SCALE}; this run has "
+                    f"scale {meta.get('scale')}")
+    elif meta.get("loss"):
+        unjudged = (f"bands hold without loss; this run has loss "
+                    f"{meta.get('loss')}")
+    cells: List[Dict] = []
+    checks: List[Dict] = []
+    for experiment in meta.get("experiments") or ():
+        module = EXPERIMENT_MODULES.get(experiment)
+        if not hasattr(module, "CELLS"):
             continue
-        payload = rec.get("payload") or {}
-        for row in payload.get("rows", ()):
-            if not row or row[0] not in PAPER_TABLE2:
-                continue
-            isp = row[0]
-            expected_in, expected_out, expected_kind, _ = PAPER_TABLE2[isp]
-            measured_in = _as_float(row[1])
-            measured_out = _as_float(row[2])
-            entry = {
-                "isp": isp,
-                "inside": measured_in,
-                "outside": measured_out,
-                "type": row[3] if len(row) > 3 else None,
-                "paper_inside": expected_in,
-                "paper_outside": expected_out,
-                "paper_type": expected_kind,
-            }
-            if measured_in is not None:
-                entry["inside_delta"] = round(measured_in - expected_in, 1)
-            if measured_out is not None:
-                entry["outside_delta"] = round(
-                    measured_out - expected_out, 1)
-            deltas.append(entry)
-    return deltas
+        measured: Dict[str, Dict] = {}
+        for unit in module.units():
+            rec = run["units"].get((experiment, unit.name)) or {}
+            if rec.get("status") in ("ok", "degraded"):
+                rows = rec["payload"]["rows"]
+                measured[unit.name] = module.measured(rows) if rows else {}
+        missing = [unit.name for unit in module.units()
+                   if unit.name not in measured]
+        for cell in module.CELLS:
+            value = measured.get(cell.unit, {}).get(cell.column)
+            note = unjudged or (
+                "" if cell.unit in measured else "unit has no result")
+            cells.append({
+                "experiment": experiment, "unit": cell.unit,
+                "column": cell.column, "measured": value,
+                "paper": cell.paper, "band": cell.band, "cause": cell.cause,
+                "note": note,
+                "status": _judge(note, cell.holds(value), cell.cause)})
+        for check in getattr(module, "CHECKS", ()):
+            note = unjudged or (
+                f"no result for {', '.join(missing)}" if missing else "")
+            holds = None if note else _check_holds(check, measured)
+            checks.append({"experiment": experiment, "check": check.name,
+                           "holds": holds, "note": note,
+                           "status": _judge(note, holds, "")})
+    counts = {status: sum(entry["status"] == status
+                          for entry in cells + checks)
+              for status in ("in-tolerance", "known-deviation",
+                             "regression", "not-judged")}
+    return {"judged": not unjudged, "reason": unjudged, "counts": counts,
+            "cells": cells, "checks": checks}
+
+
+def _check_holds(check, measured: Dict[str, Dict]) -> bool:
+    """A check over rows that lack a value it reads does not hold."""
+    try:
+        return bool(check.holds(measured))
+    except (KeyError, TypeError, ValueError):
+        return False
+
+
+def _judge(note: str, holds: bool, cause: str) -> str:
+    if note:
+        return "not-judged"
+    if not holds:
+        return "regression"
+    return "known-deviation" if cause else "in-tolerance"
 
 
 def _session_table(run: Dict) -> List[Dict]:
@@ -335,7 +373,7 @@ def _session_counter_totals(run: Dict) -> Dict[str, int]:
 
     Scenario-box activity travels in the session-dynamics units'
     ``session_counters`` payload key; a deployed box's reassembly
-    buffer overflows land in the metrics sidecar's
+    buffer overflows land in the deterministic metrics'
     ``middlebox_truncated_flows_total`` counters.  Empty for
     pre-session run directories — the key renders only when something
     actually happened.
@@ -348,13 +386,11 @@ def _session_counter_totals(run: Dict) -> Dict[str, int]:
         payload = rec.get("payload") or {}
         for name, value in (payload.get("session_counters") or {}).items():
             totals[name] = totals.get(name, 0) + int(value)
-    metrics = run["metrics"] or {}
-    for half in ("deterministic", "wall"):
-        counters = (metrics.get(half) or {}).get("counters") or {}
-        for key, value in counters.items():
-            if key.startswith("middlebox_truncated_flows_total{"):
-                totals["truncated_flows"] = (
-                    totals.get("truncated_flows", 0) + value)
+    metrics = (run["metrics"] or {}).get("deterministic") or {}
+    for key, value in (metrics.get("counters") or {}).items():
+        if key.startswith("middlebox_truncated_flows_total{"):
+            totals["truncated_flows"] = (
+                totals.get("truncated_flows", 0) + value)
     return dict(sorted(totals.items()))
 
 
@@ -365,10 +401,11 @@ def _as_float(cell) -> Optional[float]:
         return None
 
 
-def _drops(metrics: Dict) -> Dict[str, int]:
-    """``reason -> count`` folded from ``netsim_drops_total`` metrics."""
+def fold_drops(metrics: Optional[Dict]) -> Dict[str, int]:
+    """``reason -> count`` folded from a metrics snapshot's
+    ``netsim_drops_total`` counters (empty for ``None``)."""
     drops: Dict[str, int] = {}
-    for key, value in (metrics.get("counters") or {}).items():
+    for key, value in ((metrics or {}).get("counters") or {}).items():
         if key.startswith("netsim_drops_total{"):
             labels = _labels(key)
             reason = labels.get("reason", "unknown")
@@ -427,8 +464,7 @@ def render_markdown(data: Dict, run_dir: str = "") -> str:
     lines += [
         "## Run",
         "",
-        f"- seed: {meta.get('seed')}  ·  scale: {meta.get('scale')}  ·  "
-        f"fraction: {meta.get('fraction')}",
+        f"- seed: {meta.get('seed')}  ·  scale: {meta.get('scale')}",
         f"- experiments: {', '.join(meta.get('experiments') or [])}",
         f"- end status: {det.get('end_status') or '(no end record)'}",
         "",
@@ -451,23 +487,9 @@ def render_markdown(data: Dict, run_dir: str = "") -> str:
                      f"{entry['reason']}")
     lines.append("")
 
-    coverage = det["coverage"]
-    if coverage:
-        lines += [
-            "## Coverage vs paper (Table 2)",
-            "",
-            "| ISP | inside % | Δ | outside % | Δ | type (paper) |",
-            "|---|---|---|---|---|---|",
-        ]
-        for row in coverage:
-            delta_in = row.get("inside_delta")
-            delta_out = row.get("outside_delta")
-            lines.append(
-                f"| {row['isp']} | {row['inside']} | "
-                f"{_fmt_delta(delta_in)} | {row['outside']} | "
-                f"{_fmt_delta(delta_out)} | "
-                f"{row['type']} ({row['paper_type']}) |")
-        lines.append("")
+    fidelity = det.get("fidelity") or {}
+    if fidelity.get("cells") or fidelity.get("checks"):
+        lines += _render_fidelity(fidelity)
 
     session = det.get("session") or ()
     if session:
@@ -537,6 +559,13 @@ def render_markdown(data: Dict, run_dir: str = "") -> str:
                       for domain, count, isp in top[:5]]
             lines.append("")
 
+    session_counters = det.get("session_counters") or {}
+    if session_counters:
+        lines += ["## Session-table events", ""]
+        lines += [f"- {name}: {count}"
+                  for name, count in session_counters.items()]
+        lines.append("")
+
     drops = det["drops"]
     if drops:
         lines += ["## Drops by reason", ""]
@@ -574,11 +603,6 @@ def render_markdown(data: Dict, run_dir: str = "") -> str:
     eps = gauges.get("campaign_events_per_second")
     if eps is not None:
         lines.append(f"- simulated events/second: {eps}")
-    session_counters = wall.get("session_counters") or {}
-    if session_counters:
-        lines.append("- session-table events: " + ", ".join(
-            f"{name}: {count}"
-            for name, count in session_counters.items()))
     supervision = wall.get("supervision") or {}
     if supervision:
         lines.append("- supervision events: " + ", ".join(
@@ -595,8 +619,56 @@ def render_markdown(data: Dict, run_dir: str = "") -> str:
     return "\n".join(lines)
 
 
-def _fmt_delta(delta: Optional[float]) -> str:
-    return f"{delta:+}" if delta is not None else "-"
+def _render_fidelity(fidelity: Dict) -> List[str]:
+    """The Fidelity section: one table row per cell, the causes of
+    known deviations as numbered notes, then the checks."""
+    judged = fidelity["judged"]
+    summary = (", ".join(f"{count} {status.replace('-', ' ')}"
+                         for status, count in fidelity["counts"].items())
+               if judged else f"not judged: {fidelity['reason']}")
+    lines = ["## Fidelity (measured vs paper)", "", f"- {summary}", "",
+             "| cell | measured | paper | band | status |",
+             "|---|---|---|---|---|"]
+    causes: List[str] = []
+    for cell in fidelity["cells"]:
+        status = _fidelity_status(cell, judged)
+        if cell["status"] == "known-deviation":
+            if cell["cause"] not in causes:
+                causes.append(cell["cause"])
+            status += f" [{causes.index(cell['cause']) + 1}]"
+        lines.append(
+            f"| {cell['experiment']} {cell['unit']} {cell['column']} | "
+            f"{_fmt_value(cell['measured'])} | "
+            f"{_fmt_value(cell['paper'])} | {_fmt_value(cell['band'])} | "
+            f"{status} |")
+    lines.append("")
+    if causes:
+        lines += [f"{index}. {cause}"
+                  for index, cause in enumerate(causes, start=1)] + [""]
+    lines += ["| check | holds | status |", "|---|---|---|"]
+    lines += [f"| {check['experiment']}: {check['check']} | "
+              f"{_fmt_value(check['holds'])} | "
+              f"{_fidelity_status(check, judged)} |"
+              for check in fidelity["checks"]]
+    return lines + [""]
+
+
+def _fidelity_status(entry: Dict, judged: bool) -> str:
+    status = entry["status"].replace("-", " ")
+    return f"{status} ({entry['note']})" if judged and entry["note"] \
+        else status
+
+
+def _fmt_value(value) -> str:
+    """A cell value, paper value or band as the report shows it."""
+    if value is None:
+        return "-"
+    if isinstance(value, (tuple, list)):
+        joiner = " or " if isinstance(value[0], str) else "–"
+        return joiner.join(_fmt_value(part) for part in value)
+    if isinstance(value, float):
+        return f"{value:g}"
+    return str(value)
 
 
 def _fmt_opt(value: Optional[float]) -> str:

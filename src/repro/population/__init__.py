@@ -21,11 +21,9 @@ from .cohorts import (
 )
 from .engine import (
     OUTCOME_NAMES,
-    POPULATION_SCALE_ENV,
     PopulationConfig,
     PopulationEngine,
     PopulationOutcome,
-    population_scale,
     zipf_mix,
 )
 from .sketches import BottomKReservoir, CountMinSketch
@@ -37,12 +35,10 @@ __all__ = [
     "DEFAULT_COHORTS",
     "DIURNAL_PROFILES",
     "OUTCOME_NAMES",
-    "POPULATION_SCALE_ENV",
     "PopulationConfig",
     "PopulationEngine",
     "PopulationOutcome",
     "apportion",
     "hourly_sessions",
-    "population_scale",
     "zipf_mix",
 ]

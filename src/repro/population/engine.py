@@ -25,8 +25,6 @@ session object at a time.
 
 from __future__ import annotations
 
-import os
-import warnings
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from random import Random
@@ -44,37 +42,6 @@ from .sketches import (BottomKReservoir, CountMinSketch, DEFAULT_DEPTH,
 #: coverage and inconsistent blocklists — the paper's §5 story at
 #: population scale).
 OUTCOME_NAMES: Tuple[str, ...] = ("ok", "blocked", "leaked")
-
-#: Environment knob: multiply the configured session volume (smoke
-#: jobs run the same campaign at 0.04x).  Parsed leniently — see
-#: :func:`population_scale`.
-POPULATION_SCALE_ENV = "REPRO_POPULATION_SCALE"
-
-_SCALE_MIN = 0.0001
-_SCALE_MAX = 100.0
-
-
-def population_scale(default: float = 1.0) -> float:
-    """The session-volume multiplier (env-overridable).
-
-    Mirrors :func:`~repro.experiments.common.bench_fraction`: an
-    unparsable value warns and falls back to the default instead of
-    raising, so a typo in ``REPRO_POPULATION_SCALE`` cannot crash a
-    campaign — but cannot silently masquerade as a full-volume run
-    either.
-    """
-    raw = os.environ.get(POPULATION_SCALE_ENV)
-    if not raw:
-        return default
-    try:
-        value = float(raw)
-    except ValueError:
-        warnings.warn(
-            f"ignoring invalid {POPULATION_SCALE_ENV}={raw!r} (not a "
-            f"number); using default {default}",
-            RuntimeWarning, stacklevel=2)
-        return default
-    return min(_SCALE_MAX, max(_SCALE_MIN, value))
 
 
 def enforcement_probability(prof: ISPProfile) -> float:

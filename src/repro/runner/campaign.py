@@ -158,7 +158,6 @@ class Campaign:
     def __init__(self, experiments: Optional[Sequence[str]] = None,
                  seed: int = 1808, scale: float = 0.25,
                  run_dir: str = "campaign-run", resume: bool = False,
-                 fraction: Optional[float] = None,
                  unit_steps: Optional[int] = None,
                  unit_wall: Optional[float] = None,
                  deadline: Optional[float] = None,
@@ -175,7 +174,7 @@ class Campaign:
                  on_event: Optional[Callable[[Dict], None]] = None,
                  adopt_settings: Optional[Sequence[str]] = None,
                  clock: Callable[[], float] = time.monotonic) -> None:
-        from ..experiments.common import bench_fraction
+        from ..netsim.faults import fault_setup
 
         if workers < 1:
             raise CampaignError(f"workers must be >= 1, got {workers}")
@@ -190,13 +189,18 @@ class Campaign:
         self._adopt_experiments = specs is None and experiments is None
         self.seed = seed
         self.scale = scale
-        self.fraction = bench_fraction() if fraction is None else fraction
         self.run_dir = run_dir
         self.resume = resume
         self.unit_steps = unit_steps
         self.loss = loss
         self.fault_seed = fault_seed
         self.retries = retries
+        try:
+            # Built again in every unit's world; checked here so a bad
+            # value stops the campaign before any journal exists.
+            fault_setup(loss, fault_seed, retries)
+        except ValueError as exc:
+            raise CampaignError(str(exc)) from None
         if crash_after is None:
             raw = os.environ.get(CRASH_AFTER_ENV)
             crash_after = int(raw) if raw else None
@@ -253,7 +257,6 @@ class Campaign:
             "version": JOURNAL_VERSION,
             "seed": self.seed,
             "scale": self.scale,
-            "fraction": self.fraction,
             "experiments": list(self.registry),
             "loss": self.loss,
             "fault_seed": self.fault_seed,
@@ -285,10 +288,9 @@ class Campaign:
 
     #: meta key → constructor attribute, for adopt-on-resume.
     _ADOPTABLE = {
-        "seed": "seed", "scale": "scale", "fraction": "fraction",
-        "loss": "loss", "fault_seed": "fault_seed",
-        "retries": "retries", "unit_steps": "unit_steps",
-        "memory_limit": "memory_limit_mb",
+        "seed": "seed", "scale": "scale", "loss": "loss",
+        "fault_seed": "fault_seed", "retries": "retries",
+        "unit_steps": "unit_steps", "memory_limit": "memory_limit_mb",
     }
 
     def _adopt_recorded(self, recorded: Dict) -> None:
@@ -301,9 +303,9 @@ class Campaign:
     def _check_meta(self, recorded: Dict) -> None:
         expected = self._meta()
         mismatched = [
-            key for key in ("version", "seed", "scale", "fraction",
-                            "experiments", "loss", "fault_seed", "retries",
-                            "unit_steps", "memory_limit")
+            key for key in ("version", "seed", "scale", "experiments",
+                            "loss", "fault_seed", "retries", "unit_steps",
+                            "memory_limit")
             if recorded.get(key) != expected[key]
         ]
         if mismatched:
@@ -328,9 +330,9 @@ class Campaign:
     def _settings(self) -> UnitSettings:
         """The picklable execution settings shared with workers."""
         return UnitSettings(
-            seed=self.seed, scale=self.scale, fraction=self.fraction,
-            loss=self.loss, fault_seed=self.fault_seed,
-            retries=self.retries, unit_steps=self.unit_steps,
+            seed=self.seed, scale=self.scale, loss=self.loss,
+            fault_seed=self.fault_seed, retries=self.retries,
+            unit_steps=self.unit_steps,
             trace=self.trace,
             memory_limit_mb=self.memory_limit_mb,
         )
@@ -683,45 +685,52 @@ class Campaign:
             self._sidecar_error("metrics", exc)
 
     def _assemble(self, units_by_exp, latest) -> str:
-        from ..experiments.common import format_table
-
-        sections: List[str] = []
-        for key, module in self.registry.items():
-            spec = module.CAMPAIGN
-            headers = list(spec.headers)
-            rows: List[List] = []
-            notes: List[str] = []
-            for unit in units_by_exp[key]:
-                rec = latest.get((key, unit.name))
-                if rec is None:
-                    rows.append(self._pad([unit.name, "(not run)"],
-                                          headers))
-                elif rec["status"] == "timeout":
-                    rows.append(self._pad(
-                        [unit.name,
-                         f"(timeout: {rec['timeout']['detail']})"],
-                        headers))
-                elif rec["status"] == "failed":
-                    rows.append(self._pad(
-                        [unit.name,
-                         f"(failed: {rec['error']['reason']})"],
-                        headers))
-                elif rec["status"] == QUARANTINED:
-                    rows.append(self._pad(
-                        [unit.name,
-                         f"(quarantined: {rec['error']['reason']})"],
-                        headers))
-                else:
-                    rows.extend(rec["payload"]["rows"])
-                    notes.extend(rec["payload"].get("notes", ()))
-            section = format_table(headers, rows, title=spec.title)
-            if spec.footer:
-                section += "\n" + spec.footer
-            for note in notes:
-                section += "\n" + note
-            sections.append(section)
+        sections = [render_section(module.CAMPAIGN, key, units_by_exp[key],
+                                   latest)
+                    for key, module in self.registry.items()]
         return "\n\n".join(sections) + "\n"
 
-    @staticmethod
-    def _pad(row: List, headers: List[str]) -> List:
-        return row + ["-"] * (len(headers) - len(row))
+
+def render_section(spec, key: str, units: Sequence[Unit],
+                   latest: Mapping[Tuple[str, str], Dict]) -> str:
+    """Experiment *key*'s table from its units' journal records.
+
+    *latest* maps ``(key, unit name)`` to the unit's last record, with
+    its payload as the journal stores it; a unit without one renders
+    as not run.  ``tables.txt`` joins one section per experiment, and
+    ``repro experiment`` prints one.
+    """
+    from ..experiments.common import format_table
+
+    headers = list(spec.headers)
+    rows: List[List] = []
+    notes: List[str] = []
+    for unit in units:
+        rec = latest.get((key, unit.name))
+        if rec is None:
+            rows.append(_pad([unit.name, "(not run)"], headers))
+        elif rec["status"] == "timeout":
+            rows.append(_pad(
+                [unit.name, f"(timeout: {rec['timeout']['detail']})"],
+                headers))
+        elif rec["status"] == "failed":
+            rows.append(_pad(
+                [unit.name, f"(failed: {rec['error']['reason']})"],
+                headers))
+        elif rec["status"] == QUARANTINED:
+            rows.append(_pad(
+                [unit.name, f"(quarantined: {rec['error']['reason']})"],
+                headers))
+        else:
+            rows.extend(rec["payload"]["rows"])
+            notes.extend(rec["payload"].get("notes", ()))
+    section = format_table(headers, rows, title=spec.title)
+    if spec.footer:
+        section += "\n" + spec.footer
+    for note in notes:
+        section += "\n" + note
+    return section
+
+
+def _pad(row: List, headers: List[str]) -> List:
+    return row + ["-"] * (len(headers) - len(row))

@@ -70,7 +70,7 @@ class JournalError(CampaignError):
 
 class ResumeMismatch(CampaignError):
     """A resume was attempted against a journal whose recorded
-    parameters (seed, scale, fraction, experiment set, fault plan)
+    parameters (seed, scale, experiment set, fault plan, step budget)
     differ from the requested campaign — resuming would silently mix
     incompatible measurements."""
 

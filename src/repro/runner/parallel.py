@@ -71,7 +71,6 @@ class UnitSettings:
 
     seed: int
     scale: float
-    fraction: float
     loss: float = 0.0
     fault_seed: int = 0
     retries: Optional[int] = None
@@ -117,18 +116,13 @@ def _peak_rss_mb() -> Optional[float]:
 def build_unit_world(settings: UnitSettings):
     """A pristine world per unit: resume- and order-independence."""
     from ..isps.world import build_world
-    from ..netsim.faults import DEFAULT_HARDENING, FaultPlan
+    from ..netsim.faults import fault_setup
 
     world = build_world(seed=settings.seed, scale=settings.scale)
-    if settings.loss:
-        hardening = DEFAULT_HARDENING
-        if settings.retries is not None:
-            hardening = dataclasses.replace(
-                hardening,
-                dns_attempts=max(1, settings.retries),
-                fetch_attempts=max(1, settings.retries))
-        world.install_faults(
-            FaultPlan(settings.loss, seed=settings.fault_seed), hardening)
+    faults = fault_setup(settings.loss, settings.fault_seed,
+                         settings.retries)
+    if faults is not None:
+        world.install_faults(*faults)
     return world
 
 
@@ -165,7 +159,6 @@ def execute_unit(settings: UnitSettings, experiment: str, unit: Unit
     the unit that crosses the cap is journaled as a ``sim-steps``
     timeout with ``steps`` one past the budget.
     """
-    from ..experiments.common import domain_sample
     from ..obs.metrics import (MetricsRegistry, STEP_BUCKETS,
                                collect_world_metrics)
 
@@ -188,7 +181,7 @@ def execute_unit(settings: UnitSettings, experiment: str, unit: Unit
         world.network.trace = bus
         bus.emit("unit-start", world.network.now,
                  experiment=experiment, unit=unit.name)
-    domains = domain_sample(world, settings.fraction)
+    domains = world.corpus.domains()
     network = world.network
     events_before = network.events_processed
     if settings.unit_steps is not None:

@@ -39,7 +39,7 @@ from .tenants import TenantConfig
 
 #: Submission body fields a tenant may set; anything else is a 400.
 ALLOWED_SUBMISSION_KEYS = frozenset((
-    "experiments", "seed", "scale", "fraction", "unit_steps",
+    "experiments", "seed", "scale", "unit_steps",
     "unit_wall", "loss", "fault_seed", "retries", "workers",
     "memory_limit_mb", "max_worker_crashes", "trace",
 ))
@@ -236,7 +236,6 @@ class Service:
                 scale=float(sub.get("scale", 0.25)),
                 run_dir=job.run_dir,
                 resume=job.resume,
-                fraction=sub.get("fraction"),
                 unit_steps=sub.get("unit_steps"),
                 unit_wall=sub.get("unit_wall"),
                 loss=float(sub.get("loss", 0.0)),
@@ -347,6 +346,15 @@ class Service:
                     f"(choose from "
                     f"{', '.join(sorted(EXPERIMENT_MODULES))})",
                     tenant=tenant)
+        from ..netsim.faults import fault_setup
+
+        try:
+            fault_setup(float(body.get("loss", 0.0)),
+                        int(body.get("fault_seed", 0)), body.get("retries"))
+        except (TypeError, ValueError) as exc:
+            raise AdmissionError(
+                "bad-request", 400, f"bad fault settings: {exc}",
+                tenant=tenant)
         submission = dict(body)
         if submission.get("workers") is None:
             submission["workers"] = self.config.default_workers

@@ -1,36 +1,14 @@
-"""Robustness plumbing in experiments.common: the corpus fraction
-knob, the (ok, value) run_degradable contract, degradation accounting."""
+"""Robustness plumbing in experiments.common: the (ok, value)
+run_degradable contract, degradation accounting."""
 
 import pytest
 
 from repro.experiments.common import (
     Degradation,
-    bench_fraction,
     run_degradable,
 )
 from repro.netsim.errors import ConnectionError_, NetSimError
 from repro.runner.errors import TimeoutDegradation, TransientUnitError
-
-
-class TestBenchFraction:
-    def test_default_when_unset(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BENCH_FRACTION", raising=False)
-        assert bench_fraction() == 1.0
-        assert bench_fraction(default=0.3) == 0.3
-
-    def test_valid_value_clamped(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BENCH_FRACTION", "0.5")
-        assert bench_fraction() == 0.5
-        monkeypatch.setenv("REPRO_BENCH_FRACTION", "7")
-        assert bench_fraction() == 1.0
-        monkeypatch.setenv("REPRO_BENCH_FRACTION", "0.0001")
-        assert bench_fraction() == 0.01
-
-    def test_invalid_value_warns_and_names_it(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BENCH_FRACTION", "fast")
-        with pytest.warns(RuntimeWarning,
-                          match="REPRO_BENCH_FRACTION='fast'"):
-            assert bench_fraction(default=0.25) == 0.25
 
 
 class TestRunDegradable:

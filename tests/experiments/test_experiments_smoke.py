@@ -1,8 +1,8 @@
 """Experiment modules: run each on the small world, check structure.
 
-Full-scale shape assertions live in benchmarks/; these smoke tests
-guarantee each experiment runs end to end, renders, and exposes the
-fields the benches rely on.
+Full-scale shape assertions are the fidelity cells and checks each
+experiment declares, which ``repro report`` judges; these smoke tests
+guarantee each experiment runs end to end and renders.
 """
 
 import pytest
@@ -22,7 +22,6 @@ from repro.experiments import (
     trigger_analysis,
 )
 from repro.experiments.common import (
-    domain_sample,
     format_table,
     ground_truth_any,
     ground_truth_dns,
@@ -43,18 +42,6 @@ class TestCommonHelpers:
         assert lines[0] == "T"
         assert "2.50" in text
         assert "(1.00, 2.00)" in text
-
-    def test_domain_sample_fraction(self, small_world, monkeypatch):
-        monkeypatch.setenv("REPRO_BENCH_FRACTION", "0.5")
-        sampled = domain_sample(small_world)
-        assert len(sampled) == pytest.approx(len(small_world.corpus) / 2,
-                                             abs=2)
-
-    def test_domain_sample_bad_env(self, small_world, monkeypatch):
-        monkeypatch.setenv("REPRO_BENCH_FRACTION", "bogus")
-        with pytest.warns(RuntimeWarning, match="'bogus'"):
-            sample = domain_sample(small_world)
-        assert len(sample) == len(small_world.corpus)
 
     def test_ground_truth_consistency(self, small_world, sample):
         truth = ground_truth_any(small_world, "idea", sample)

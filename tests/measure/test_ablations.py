@@ -1,4 +1,4 @@
-"""Ablation benchmarks for the design choices DESIGN.md calls out.
+"""Ablations of the design choices DESIGN.md calls out.
 
 Each ablation perturbs one modelling decision and shows the measurement
 layer *notices* — evidence that the paper's findings are re-derived
@@ -17,8 +17,6 @@ from behaviour rather than read back from configuration:
 
 import random
 
-import pytest
-
 from repro.core.measure import consistency as consistency_metric
 from repro.core.measure.stateful import probe_statefulness
 from repro.httpsim import OriginServer, fetch_url, make_response
@@ -30,8 +28,6 @@ from repro.middlebox import (
     profile_for,
 )
 from repro.netsim import Network
-
-from .conftest import run_once
 
 BLOCKED = "blocked.example"
 BODY = (b"<html><head><title>Real Content Page</title></head>"
@@ -83,27 +79,24 @@ class _LabWorld:
         return None
 
 
-def test_ablation_statefulness_probes_discriminate(benchmark, record_output):
+def test_ablation_statefulness_probes_discriminate():
     """Stateless boxes fail the handshake-gating probes the deployed
     (stateful) boxes pass — the probes measure a real property."""
 
-    def run():
-        outcomes = {}
-        for stateful in (True, False):
-            net, client, server_host = build_lab(
-                f"st-{int(stateful)}")
-            spec = TriggerSpec(blocklist=frozenset({BLOCKED}))
-            box = InterceptiveMiddlebox(
-                "im", "lab", spec, notification=profile_for("idea"),
-                require_handshake=stateful)
-            net.node(f"st-{int(stateful)}-r2").attach_inline(box)
-            world = _LabWorld(net, client)
-            report = probe_statefulness(world, "lab", BLOCKED,
-                                        server_host.ip, attempts=2)
-            outcomes[stateful] = report
-        return outcomes
+    outcomes = {}
+    for stateful in (True, False):
+        net, client, server_host = build_lab(
+            f"st-{int(stateful)}")
+        spec = TriggerSpec(blocklist=frozenset({BLOCKED}))
+        box = InterceptiveMiddlebox(
+            "im", "lab", spec, notification=profile_for("idea"),
+            require_handshake=stateful)
+        net.node(f"st-{int(stateful)}-r2").attach_inline(box)
+        world = _LabWorld(net, client)
+        report = probe_statefulness(world, "lab", BLOCKED,
+                                    server_host.ip, attempts=2)
+        outcomes[stateful] = report
 
-    outcomes = run_once(benchmark, run)
     stateful, stateless = outcomes[True], outcomes[False]
 
     assert stateful.stateful
@@ -114,71 +107,50 @@ def test_ablation_statefulness_probes_discriminate(benchmark, record_output):
     assert stateless.syn_only
     assert not stateless.stateful
 
-    record_output("ablation_statefulness", (
-        "Ablation 1 — statefulness probes vs box statefulness\n"
-        f"  stateful box:  probes all silent, verdict stateful="
-        f"{stateful.stateful}\n"
-        f"  stateless box: no-handshake={stateless.no_handshake}, "
-        f"SYN-only={stateless.syn_only}, verdict stateful="
-        f"{stateless.stateful}"))
 
-
-def test_ablation_wiretap_race(benchmark, record_output):
+def test_ablation_wiretap_race():
     """Measured render-rate tracks the wiretap box's miss-rate."""
 
-    def run():
-        rates = {}
-        for miss_rate in (0.0, 0.3, 0.7):
-            net, client, server_host = build_lab(f"race-{miss_rate}")
-            spec = TriggerSpec(blocklist=frozenset({BLOCKED}))
-            box = WiretapMiddlebox(
-                "wm", "lab", spec, profile_for("airtel"),
-                miss_rate=miss_rate, seed=1808)
-            net.node(f"race-{miss_rate}-r2").attach_tap(box)
-            rendered = 0
-            attempts = 40
-            for _ in range(attempts):
-                result = fetch_url(net, client, server_host.ip, BLOCKED)
-                response = result.first_response
-                if response is not None and not looks_like_block_page(
-                        response.body):
-                    rendered += 1
-                net.run_until_idle()
-            rates[miss_rate] = rendered / attempts
-        return rates
+    rates = {}
+    for miss_rate in (0.0, 0.3, 0.7):
+        net, client, server_host = build_lab(f"race-{miss_rate}")
+        spec = TriggerSpec(blocklist=frozenset({BLOCKED}))
+        box = WiretapMiddlebox(
+            "wm", "lab", spec, profile_for("airtel"),
+            miss_rate=miss_rate, seed=1808)
+        net.node(f"race-{miss_rate}-r2").attach_tap(box)
+        rendered = 0
+        attempts = 40
+        for _ in range(attempts):
+            result = fetch_url(net, client, server_host.ip, BLOCKED)
+            response = result.first_response
+            if response is not None and not looks_like_block_page(
+                    response.body):
+                rendered += 1
+            net.run_until_idle()
+        rates[miss_rate] = rendered / attempts
 
-    rates = run_once(benchmark, run)
     assert rates[0.0] == 0.0
     assert 0.15 <= rates[0.3] <= 0.45   # the paper's ~3 in 10
     assert 0.50 <= rates[0.7] <= 0.90
     assert rates[0.0] < rates[0.3] < rates[0.7]
 
-    lines = ["Ablation 2 — wiretap race: render-rate vs miss-rate"]
-    for miss_rate, rate in rates.items():
-        lines.append(f"  miss_rate={miss_rate:.1f} -> rendered "
-                     f"{rate:.0%} of fetches")
-    record_output("ablation_wiretap_race", "\n".join(lines))
 
-
-def test_ablation_consistency_mechanics(benchmark, record_output):
+def test_ablation_consistency_mechanics():
     """Measured consistency tracks per-box density, with the
     1/#boxes floor at sparse deployments."""
 
-    def run():
-        rng = random.Random(42)
-        master = [f"site{i}.example" for i in range(300)]
-        measured = {}
-        for density in (0.1, 0.4, 0.8):
-            for n_boxes in (3, 20):
-                per_box = {}
-                for box in range(n_boxes):
-                    blocked = {d for d in master
-                               if rng.random() < density}
-                    per_box[box] = blocked
-                measured[(density, n_boxes)] = consistency_metric(per_box)
-        return measured
-
-    measured = run_once(benchmark, run)
+    rng = random.Random(42)
+    master = [f"site{i}.example" for i in range(300)]
+    measured = {}
+    for density in (0.1, 0.4, 0.8):
+        for n_boxes in (3, 20):
+            per_box = {}
+            for box in range(n_boxes):
+                blocked = {d for d in master
+                           if rng.random() < density}
+                per_box[box] = blocked
+            measured[(density, n_boxes)] = consistency_metric(per_box)
 
     # With many boxes, consistency ~ density.
     for density in (0.1, 0.4, 0.8):
@@ -190,18 +162,13 @@ def test_ablation_consistency_mechanics(benchmark, record_output):
     # Monotone in density for fixed box count.
     assert measured[(0.1, 20)] < measured[(0.4, 20)] < measured[(0.8, 20)]
 
-    lines = ["Ablation 3 — measured consistency vs per-box density"]
-    for (density, n_boxes), value in sorted(measured.items()):
-        lines.append(f"  density={density:.1f} boxes={n_boxes:2d} "
-                     f"-> measured {value:.2f}")
-    record_output("ablation_consistency", "\n".join(lines))
 
-
-def test_ablation_detector_threshold(benchmark, world, record_output):
+def test_ablation_detector_threshold(full_world):
     """The 0.3 body-diff threshold: lower floods manual verification,
     higher risks missing censored sites."""
     from repro.core.measure import run_detector
 
+    world = full_world
     blocked_any = world.blocklists.all_blocked_domains()
     confounders = [s.domain for s in world.corpus
                    if (s.dynamic or s.is_dead)
@@ -209,18 +176,15 @@ def test_ablation_detector_threshold(benchmark, world, record_output):
     censored = [s for s in sorted(world.blocklists.http["idea"])][:25]
     sample = confounders + censored
 
-    def run():
-        outcomes = {}
-        for threshold in (0.05, 0.3, 0.8):
-            detector = run_detector(world, "idea", sample,
-                                    threshold=threshold)
-            outcomes[threshold] = (
-                detector.flagged_count,
-                len(detector.censored_domains()),
-            )
-        return outcomes
+    outcomes = {}
+    for threshold in (0.05, 0.3, 0.8):
+        detector = run_detector(world, "idea", sample,
+                                threshold=threshold)
+        outcomes[threshold] = (
+            detector.flagged_count,
+            len(detector.censored_domains()),
+        )
 
-    outcomes = run_once(benchmark, run)
     flagged = {t: f for t, (f, _) in outcomes.items()}
     found = {t: c for t, (_, c) in outcomes.items()}
 
@@ -229,11 +193,3 @@ def test_ablation_detector_threshold(benchmark, world, record_output):
     # The paper's 0.3 finds everything the paranoid threshold finds.
     assert found[0.3] == found[0.05]
     assert found[0.3] > 0
-
-    lines = ["Ablation 4 — detector threshold sweep "
-             "(manual-review load vs catch rate)"]
-    for threshold in sorted(outcomes):
-        lines.append(f"  threshold={threshold:.2f} -> "
-                     f"{flagged[threshold]} flagged for manual review, "
-                     f"{found[threshold]} confirmed censored")
-    record_output("ablation_detector_threshold", "\n".join(lines))

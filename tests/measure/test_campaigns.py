@@ -260,6 +260,14 @@ class TestTCPIP:
         report = detect_tcpip_filtering(world, "idea", sample)
         assert not report.any_filtering
 
+    def test_censored_sites_complete_every_handshake(self, small_world):
+        """HTTP boxes act above TCP: handshakes to sites Idea censors
+        all succeed."""
+        sample = sorted(small_world.blocklists.http["idea"])[:5]
+        report = detect_tcpip_filtering(small_world, "idea", sample)
+        assert report.successes and all(
+            wins == 5 for wins in report.successes.values())
+
     def test_successful_handshakes_counted(self, small_world):
         world = small_world
         blocked_any = world.blocklists.all_blocked_domains()

@@ -125,7 +125,7 @@ class TestCampaignAcceptance:
     def _campaign(self, run_dir, **kwargs):
         return Campaign(seed=1808, run_dir=str(run_dir),
                         experiments=["session-dynamics"],
-                        scale=0.05, fraction=1.0, **kwargs)
+                        scale=0.05, **kwargs)
 
     def test_workers_byte_identical(self, tmp_path):
         serial = self._campaign(tmp_path / "serial").run()

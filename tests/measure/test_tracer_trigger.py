@@ -100,6 +100,9 @@ class TestTriggerAnalysis:
         assert idea_analysis.censored_at_ttl_n_minus_1
         assert idea_analysis.possibility_2_ruled_out
 
+    def test_full_ttl_request_censored(self, idea_analysis):
+        assert idea_analysis.censored_at_ttl_n
+
     def test_crafted_request_fetches_content(self, idea_analysis):
         """Possibility 3 ruled out: some crafted variant slips past the
         box and retrieves the censored content."""

@@ -21,7 +21,7 @@ SCALE = 0.05
 
 
 def _run(run_dir, workers):
-    report = Campaign(experiments=EXPERIMENTS, scale=SCALE, fraction=1.0,
+    report = Campaign(experiments=EXPERIMENTS, scale=SCALE,
                       run_dir=str(run_dir), workers=workers,
                       trace=True).run()
     assert report.complete
@@ -54,7 +54,7 @@ class TestTraceDeterminism:
         serial, _ = runs
         untraced = tmp_path / "untraced"
         report = Campaign(experiments=EXPERIMENTS, scale=SCALE,
-                          fraction=1.0, run_dir=str(untraced)).run()
+                          run_dir=str(untraced)).run()
         assert report.complete
         assert _read(serial, "journal.jsonl") == \
             _read(untraced, "journal.jsonl")
@@ -78,7 +78,7 @@ class TestTraceIndependentOfProcessHistory:
         unit's world."""
         unit = next(unit for unit in EXPERIMENT_MODULES["statefulness"].units()
                     if unit.name == "idea")
-        settings = UnitSettings(seed=1808, scale=SCALE, fraction=1.0,
+        settings = UnitSettings(seed=1808, scale=SCALE,
                                 trace=True)
         first, second = (execute_unit(settings, "statefulness", unit)
                          for _ in range(2))

@@ -26,7 +26,7 @@ from repro.runner.campaign import Campaign
 @pytest.fixture(scope="module")
 def pristine(tmp_path_factory):
     run_dir = tmp_path_factory.mktemp("degraded") / "run"
-    report = Campaign(experiments=["tcpip"], scale=0.05, fraction=1.0,
+    report = Campaign(experiments=["tcpip"], scale=0.05,
                       run_dir=str(run_dir), workers=2).run()
     assert report.complete
     # supervision.jsonl is written lazily (only on supervision

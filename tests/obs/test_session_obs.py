@@ -88,11 +88,7 @@ class TestMetrics:
         session_keys = [
             key for key in list(snapshot["counters"])
             + list(snapshot["gauges"])
-            if key.startswith(("middlebox_flow_evictions_total",
-                               "middlebox_overload_total",
-                               "middlebox_residual_hits_total",
-                               "middlebox_truncated_flows_total",
-                               "middlebox_flow_table_high_water"))
+            if key.startswith("middlebox_truncated_flows_total")
         ]
         assert session_keys == []
 

@@ -18,9 +18,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.population.cohorts import (DEFAULT_COHORTS, DIURNAL_PROFILES,
                                       CohortSpec)
-from repro.population.engine import (POPULATION_SCALE_ENV,
-                                     PopulationConfig, PopulationEngine,
-                                     ZipfMix, population_scale, zipf_mix)
+from repro.population.engine import (PopulationConfig, PopulationEngine,
+                                     ZipfMix, zipf_mix)
 from repro.population.sketches import BottomKReservoir, CountMinSketch
 from repro.websites.synthetic import SyntheticCorpus
 
@@ -201,27 +200,3 @@ class TestZipfMix:
             u_bucket, u_within = rng.random(), rng.random()
             assert exact.rank(u_bucket, u_within) == \
                 fresh.rank(u_bucket, u_within)
-
-
-class TestPopulationScaleKnob:
-    def test_default_when_unset(self, monkeypatch):
-        monkeypatch.delenv(POPULATION_SCALE_ENV, raising=False)
-        assert population_scale() == 1.0
-        assert population_scale(default=0.5) == 0.5
-
-    def test_valid_value(self, monkeypatch):
-        monkeypatch.setenv(POPULATION_SCALE_ENV, "0.04")
-        assert population_scale() == 0.04
-
-    def test_invalid_value_warns_and_falls_back(self, monkeypatch):
-        monkeypatch.setenv(POPULATION_SCALE_ENV, "huge")
-        with pytest.warns(RuntimeWarning, match="'huge'"):
-            assert population_scale() == 1.0
-        with pytest.warns(RuntimeWarning, match=POPULATION_SCALE_ENV):
-            assert population_scale(default=2.0) == 2.0
-
-    def test_clamped(self, monkeypatch):
-        monkeypatch.setenv(POPULATION_SCALE_ENV, "1e9")
-        assert population_scale() == 100.0
-        monkeypatch.setenv(POPULATION_SCALE_ENV, "0")
-        assert population_scale() == pytest.approx(0.0001)

@@ -5,7 +5,6 @@ import json
 import pytest
 
 from repro.experiments import population_scale
-from repro.population.engine import POPULATION_SCALE_ENV
 from repro.runner.campaign import Campaign
 from repro.runner.parallel import (UnitSettings, build_unit_world,
                                    execute_unit)
@@ -13,11 +12,12 @@ from repro.runner.parallel import (UnitSettings, build_unit_world,
 
 @pytest.fixture(autouse=True)
 def _tiny_population(monkeypatch):
-    # ~3.7k sessions across the ten ISPs: the full pipeline, fast.
-    monkeypatch.setenv(POPULATION_SCALE_ENV, "0.003")
+    # ~3.7k sessions across the ten ISPs: the full pipeline, fast.  The
+    # workers are forked, so they see the smaller day too.
+    monkeypatch.setattr(population_scale, "DEFAULT_SESSIONS_TOTAL", 3750)
 
 
-SETTINGS = UnitSettings(seed=1808, scale=0.05, fraction=1.0)
+SETTINGS = UnitSettings(seed=1808, scale=0.05)
 
 
 class TestUnits:
@@ -30,8 +30,7 @@ class TestUnits:
         # units execute, so workers never shift each other's volume.
         full = {isp: population_scale.sessions_for(isp)
                 for isp in population_scale.POPULATION_ISPS}
-        assert sum(full.values()) == round(
-            population_scale.DEFAULT_SESSIONS_TOTAL * 0.003)
+        assert sum(full.values()) == 3750
         assert population_scale.sessions_for("airtel") == full["airtel"]
 
     def test_unit_payload_shape(self):
@@ -75,7 +74,6 @@ class TestCampaignParallelism:
             run_dir=str(run_dir),
             experiments=["population-scale"],
             scale=0.05,
-            fraction=1.0,
             workers=workers,
         ).run()
 

@@ -25,7 +25,6 @@ SCALE = 0.05
 def _campaign(run_dir, seed=1808, **kwargs):
     kwargs.setdefault("experiments", list(EXPERIMENTS))
     kwargs.setdefault("scale", SCALE)
-    kwargs.setdefault("fraction", 1.0)
     return Campaign(seed=seed, run_dir=str(run_dir), **kwargs)
 
 
@@ -106,7 +105,7 @@ class TestKillResume:
         run_dir = tmp_path / "run"
         with pytest.raises(SimulatedCrash):
             _campaign(run_dir, crash_after=1).run()
-        resumed = Campaign(seed=1808, scale=SCALE, fraction=1.0,
+        resumed = Campaign(seed=1808, scale=SCALE,
                            run_dir=str(run_dir), resume=True).run()
         assert resumed.complete
         assert set(resumed.degradation.errors or ()) == set()
@@ -175,7 +174,7 @@ def _hanging_module():
 class TestDeadlines:
     def test_hung_unit_becomes_timeout_row(self, tmp_path):
         campaign = Campaign(
-            seed=1808, scale=SCALE, fraction=1.0,
+            seed=1808, scale=SCALE,
             run_dir=str(tmp_path / "run"),
             specs={"hang-exp": _hanging_module()},
             unit_steps=2000,
@@ -191,13 +190,13 @@ class TestDeadlines:
     def test_timed_out_unit_is_rerun_on_resume(self, tmp_path):
         run_dir = tmp_path / "run"
         module = _hanging_module()
-        Campaign(seed=1808, scale=SCALE, fraction=1.0,
+        Campaign(seed=1808, scale=SCALE,
                  run_dir=str(run_dir), specs={"hang-exp": module},
                  unit_steps=2000).run()
         # Resume with a roomier budget: the hang still hangs (it is
         # unbounded), but the timeout entry must be refreshed, proving
         # non-durable units are re-executed rather than skipped.
-        resumed = Campaign(seed=1808, scale=SCALE, fraction=1.0,
+        resumed = Campaign(seed=1808, scale=SCALE,
                            run_dir=str(run_dir),
                            specs={"hang-exp": module}, resume=True,
                            unit_steps=2000).run()

@@ -122,7 +122,7 @@ class TestSerialQuarantine:
     the retry-then-quarantine policy it applies to worker deaths."""
 
     def _run(self, run_dir, **kwargs):
-        return Campaign(seed=1808, scale=0.05, fraction=1.0,
+        return Campaign(seed=1808, scale=0.05,
                         run_dir=str(run_dir),
                         specs={"mem-exp": _poison_module()},
                         **kwargs).run()
@@ -180,7 +180,7 @@ AMPLE_BUDGET_MB = 16384
 
 class TestSystemErrorUnderABudget:
     def _campaign(self, run_dir, **kwargs):
-        return Campaign(seed=1808, scale=0.05, fraction=1.0,
+        return Campaign(seed=1808, scale=0.05,
                         run_dir=str(run_dir), specs=REFUSED, **kwargs)
 
     def test_quarantined_when_a_budget_is_set(self, tmp_path):
@@ -247,7 +247,7 @@ class TestFatalTraceback:
         specs = {"fatal-exp": types.SimpleNamespace(
             CAMPAIGN=TableSpec(title="Fatal test", headers=("unit",)),
             units=_fatal_units)}
-        campaign = Campaign(seed=1808, scale=0.05, fraction=1.0,
+        campaign = Campaign(seed=1808, scale=0.05,
                             run_dir=str(tmp_path / "run"), specs=specs)
         with pytest.raises(CampaignError, match="fatal error in unit "
                            "fatal-exp:boom: ValueError: deliberate"):

@@ -27,7 +27,6 @@ SCALE = 0.05
 def _campaign(run_dir, **kwargs):
     kwargs.setdefault("experiments", list(EXPERIMENTS))
     kwargs.setdefault("scale", SCALE)
-    kwargs.setdefault("fraction", 1.0)
     return Campaign(seed=1808, run_dir=str(run_dir), **kwargs)
 
 
@@ -118,7 +117,7 @@ class TestAdHocSpecs:
     """``specs=`` modules reach the workers at spawn."""
 
     def _run(self, run_dir, **kwargs):
-        return Campaign(seed=1808, scale=SCALE, fraction=1.0,
+        return Campaign(seed=1808, scale=SCALE,
                         run_dir=str(run_dir), specs=ADHOC,
                         **kwargs).run()
 
@@ -179,7 +178,7 @@ class TestMemoryBudget:
     address space it reserves (a thread's malloc arena and stack)."""
 
     def _run(self, run_dir, **kwargs):
-        report = Campaign(seed=1808, scale=SCALE, fraction=1.0,
+        report = Campaign(seed=1808, scale=SCALE,
                           run_dir=str(run_dir), specs=BUDGET,
                           **kwargs).run()
         with open(report.journal_path, encoding="utf-8") as fh:
@@ -218,8 +217,7 @@ class TestWorkerTask:
     """The pool entry points, driven in-process."""
 
     def test_run_unit_task_round_trip(self):
-        worker_initializer(UnitSettings(seed=1808, scale=SCALE,
-                                        fraction=1.0))
+        worker_initializer(UnitSettings(seed=1808, scale=SCALE))
         record, wall, extras, fatal = run_unit_task("tcpip", "mtnl")
         assert not fatal
         assert record["status"] == "ok"
@@ -231,8 +229,7 @@ class TestWorkerTask:
         assert extras["metrics"]["counters"]
 
     def test_unknown_unit_raises(self):
-        worker_initializer(UnitSettings(seed=1808, scale=SCALE,
-                                        fraction=1.0))
+        worker_initializer(UnitSettings(seed=1808, scale=SCALE))
         with pytest.raises(CampaignError, match="no unit"):
             run_unit_task("tcpip", "not-an-isp")
 
@@ -240,8 +237,7 @@ class TestWorkerTask:
         from repro.runner.parallel import _WORKER
         from repro.runner.units import Unit
 
-        worker_initializer(UnitSettings(seed=1808, scale=SCALE,
-                                        fraction=1.0))
+        worker_initializer(UnitSettings(seed=1808, scale=SCALE))
         _WORKER["units"]["tcpip"] = {"boom": Unit("boom", fn)}
 
     def test_fatal_path_measures_real_wall(self):
@@ -283,7 +279,7 @@ class TestUnitBudgets:
                     if unit.name == name)
 
     def test_steps_are_the_units_event_count(self):
-        settings = UnitSettings(seed=1808, scale=SCALE, fraction=1.0)
+        settings = UnitSettings(seed=1808, scale=SCALE)
         unit = self._unit("tcpip", "mtnl")
         record, _wall, _extras, kind = execute_unit(settings, "tcpip", unit)
         assert kind is None and record["status"] == "ok"
@@ -294,7 +290,7 @@ class TestUnitBudgets:
     def test_step_budget_inside_an_experiment_journals_a_timeout(self):
         # table1 wraps each ISP's OONI run in run_degradable; a spent
         # budget must pass through it rather than degrade the unit.
-        settings = UnitSettings(seed=1808, scale=SCALE, fraction=1.0,
+        settings = UnitSettings(seed=1808, scale=SCALE,
                                 unit_steps=3000)
         unit = self._unit("table1", "mtnl")
         runs = [execute_unit(settings, "table1", unit) for _ in range(2)]
@@ -330,7 +326,7 @@ class TestUnitBudgets:
             net.run_until_idle()
             return campaign_payload([["chain", "delivered"]])
 
-        settings = UnitSettings(seed=1808, scale=SCALE, fraction=1.0,
+        settings = UnitSettings(seed=1808, scale=SCALE,
                                 unit_steps=3)
         record, _wall, extras, _kind = execute_unit(
             settings, "chain-exp", Unit("chain", chain))

@@ -34,7 +34,6 @@ KILL_PLAN = "tcpip/mtnl:1,tcpip/idea:1,table3/sify:1"
 
 def _campaign(run_dir, experiments=("tcpip", "table3"), **kwargs):
     kwargs.setdefault("scale", SCALE)
-    kwargs.setdefault("fraction", 1.0)
     return Campaign(experiments=list(experiments), seed=1808,
                     run_dir=str(run_dir), **kwargs)
 
@@ -176,7 +175,7 @@ class TestHardDeadline:
         monkeypatch.setenv(HANG_ENV, "tcpip/mtnl,tcpip/airtel")
         monkeypatch.setattr(supervise, "HARD_GRACE", 0.2)
         supervisor = Supervisor(
-            UnitSettings(seed=1808, scale=SCALE, fraction=1.0),
+            UnitSettings(seed=1808, scale=SCALE),
             workers=1, unit_wall=0.2, max_respawns=1)
         outcomes = list(supervisor.run([("tcpip", "mtnl"),
                                         ("tcpip", "airtel")]))
@@ -198,7 +197,7 @@ class TestHardDeadline:
         sink = BufferSink()
         bus.subscribe(sink)
         supervisor = Supervisor(
-            UnitSettings(seed=1808, scale=SCALE, fraction=1.0),
+            UnitSettings(seed=1808, scale=SCALE),
             workers=1, unit_wall=0.5, events=bus)
         outcomes = list(supervisor.run([("tcpip", "mtnl"),
                                         ("tcpip", "airtel")]))
@@ -212,7 +211,7 @@ class TestSupervisorUnit:
     """The Supervisor driven directly, without a campaign."""
 
     def _settings(self):
-        return UnitSettings(seed=1808, scale=SCALE, fraction=1.0)
+        return UnitSettings(seed=1808, scale=SCALE)
 
     def test_empty_task_list_spawns_nothing(self):
         supervisor = Supervisor(self._settings(), workers=2)
@@ -418,6 +417,5 @@ class TestCtrlC:
 
         assert main(["campaign", "--resume", str(run_dir)]) == 0
         straight = _campaign(tmp_path / "straight",
-                             experiments=self.EXPERIMENTS,
-                             fraction=None).run()
+                             experiments=self.EXPERIMENTS).run()
         assert _read(run_dir / "tables.txt") == _read(straight.tables_path)

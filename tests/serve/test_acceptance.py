@@ -23,9 +23,9 @@ import time
 import pytest
 
 ALICE = {"experiments": ["tcpip", "table3"], "seed": 7, "scale": 0.05,
-         "fraction": 1.0, "workers": 2}
+         "workers": 2}
 BOB = {"experiments": ["tcpip"], "seed": 9, "scale": 0.05,
-       "fraction": 1.0, "workers": 1}
+       "workers": 1}
 
 
 def _env():
@@ -33,7 +33,6 @@ def _env():
     env["PYTHONPATH"] = os.path.join(os.path.dirname(__file__),
                                      "..", "..", "src")
     env["PYTHONHASHSEED"] = "0"
-    env["REPRO_BENCH_FRACTION"] = "1.0"
     return env
 
 

@@ -20,7 +20,7 @@ import pytest
 from repro.serve.app import Service, ServiceConfig
 from repro.serve.tenants import parse_tenants
 
-SUBMISSION = {"experiments": ["tcpip"], "scale": 0.05, "fraction": 1.0,
+SUBMISSION = {"experiments": ["tcpip"], "scale": 0.05,
               "seed": 11, "workers": 2}
 
 
@@ -125,6 +125,13 @@ class TestEndpoints:
         assert status == 400
         assert body["detail"].startswith("unknown experiment(s): nope")
 
+    def test_bad_loss_400(self, service):
+        status, body = service.request(
+            "POST", "/v1/tenants/alice/campaigns", {"loss": 1.5})
+        assert status == 400
+        assert body["detail"] == ("bad fault settings: loss must be a "
+                                  "probability, got 1.5")
+
     def test_over_quota_slots_429(self, service):
         status, body = service.request(
             "POST", "/v1/tenants/bob/campaigns", {"workers": 2})
@@ -164,7 +171,6 @@ class TestCampaignLifecycle:
         report = Campaign(experiments=SUBMISSION["experiments"],
                           seed=SUBMISSION["seed"],
                           scale=SUBMISSION["scale"],
-                          fraction=SUBMISSION["fraction"],
                           run_dir=str(reference)).run()
         assert report.complete
         run_dir = os.path.join(service.service.spool.root, "alice",

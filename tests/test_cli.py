@@ -101,9 +101,7 @@ class TestCampaignCli:
         return main(["campaign", "tcpip", "--scale", "0.05",
                      "--seed", "7", "--run-dir", run_dir])
 
-    def test_existing_run_dir_hint_matches_cli(self, capsys, tmp_path,
-                                               monkeypatch):
-        monkeypatch.setenv("REPRO_BENCH_FRACTION", "1.0")
+    def test_existing_run_dir_hint_matches_cli(self, capsys, tmp_path):
         run_dir = str(tmp_path / "run")
         assert self._run(run_dir) == 0
         capsys.readouterr()
@@ -114,22 +112,18 @@ class TestCampaignCli:
         assert "or choose a fresh run directory" in message
 
     def test_bare_resume_adopts_journal_settings(self, capsys,
-                                                 tmp_path,
-                                                 monkeypatch):
+                                                 tmp_path):
         """The printed hint is flagless — resume must adopt seed,
         scale, experiments, … from the journal meta."""
-        monkeypatch.setenv("REPRO_BENCH_FRACTION", "1.0")
         run_dir = str(tmp_path / "run")
         assert self._run(run_dir) == 0
         capsys.readouterr()
         assert main(["campaign", "--resume", run_dir]) == 0
 
     def test_explicit_conflicting_flag_still_rejected(self, capsys,
-                                                      tmp_path,
-                                                      monkeypatch):
+                                                      tmp_path):
         """Adoption covers omitted flags only: typing a conflicting
         value must still fail the meta check."""
-        monkeypatch.setenv("REPRO_BENCH_FRACTION", "1.0")
         run_dir = str(tmp_path / "run")
         assert self._run(run_dir) == 0
         capsys.readouterr()
@@ -143,6 +137,16 @@ class TestCampaignCli:
         assert "unknown experiment 'no-such-experiment'" \
             in capsys.readouterr().err
 
+    def test_bad_loss_exits_2_before_any_journal(self, capsys, tmp_path):
+        """A loss that is not a probability stops the campaign before
+        it creates its run directory or spawns a worker."""
+        run_dir = tmp_path / "run"
+        assert main(["campaign", "tcpip", "--scale", "0.05", "--loss",
+                     "1.5", "--run-dir", str(run_dir)]) == 2
+        assert capsys.readouterr().err == (
+            "repro: error: loss must be a probability, got 1.5\n")
+        assert not run_dir.exists()
+
     def test_finished_with_missing_units_exits_1(self, capsys, tmp_path):
         """1 means the campaign finished, but not every unit has a
         result: here the step budget times units out."""
@@ -150,6 +154,29 @@ class TestCampaignCli:
                      "--unit-steps", "3000",
                      "--run-dir", str(tmp_path / "run")]) == 1
         assert "timeout" in capsys.readouterr().out
+
+
+class TestExperimentIsTheCampaignSection:
+    """``repro experiment X`` runs X's units in-process, each on its own
+    world, and prints exactly X's section of a campaign's tables."""
+
+    @pytest.mark.parametrize("name", ["tcpip", "dns-mechanism"])
+    def test_prints_the_campaign_table(self, name, capsys, tmp_path):
+        run_dir = tmp_path / "run"
+        assert main(["campaign", name, "--scale", "0.05",
+                     "--run-dir", str(run_dir)]) == 0
+        capsys.readouterr()
+        assert main(["experiment", name, "--scale", "0.05"]) == 0
+        assert capsys.readouterr().out == \
+            (run_dir / "tables.txt").read_text()
+
+    def test_verbose_folds_drops_from_unit_metrics(self, capsys):
+        assert main(["experiment", "tcpip", "--scale", "0.05",
+                     "--loss", "0.05", "--fault-seed", "3",
+                     "--verbose"]) == 0
+        out = capsys.readouterr().out
+        assert "drop stats:\n" in out
+        assert "  fault-loss: " in out
 
 
 class TestServeParser:

@@ -253,6 +253,16 @@ class TestMetricsProperties:
         value = consistency(per_unit)
         assert 0.0 <= value <= 1.0
 
+    @given(st.dictionaries(
+        st.integers(min_value=0, max_value=20),
+        st.sets(st.sampled_from(["a", "b", "c", "d", "e"]), max_size=5),
+        max_size=12))
+    def test_site_blocking_fractions_in_unit_interval(self, per_unit):
+        """A site blocked anywhere is blocked by at least one unit."""
+        from repro.core.measure import per_site_blocking_fractions
+        fractions = per_site_blocking_fractions(per_unit)
+        assert all(0.0 < value <= 1.0 for value in fractions.values())
+
     @given(st.sets(st.integers(0, 50)), st.sets(st.integers(0, 50)))
     def test_precision_recall_bounds(self, detected, actual):
         from repro.core.measure import precision_recall

@@ -116,7 +116,7 @@ class TestWorldsDie:
                              indirect=True)
     def test_a_worker_frees_each_unit_world_before_the_next(
             self, tmp_path, start_method, workers):
-        report = Campaign(seed=SEED, scale=SCALE, fraction=1.0,
+        report = Campaign(seed=SEED, scale=SCALE,
                           run_dir=str(tmp_path / "run"), workers=workers,
                           specs=WORLD_COUNTER).run()
         assert report.complete
@@ -137,7 +137,7 @@ class TestWorldsDie:
             return world
 
         monkeypatch.setattr(parallel, "build_unit_world", recording_build)
-        settings = UnitSettings(seed=SEED, scale=SCALE, fraction=1.0)
+        settings = UnitSettings(seed=SEED, scale=SCALE)
         for experiment, name in (("table1", "mtnl"), ("fig5", "airtel")):
             unit = next(unit for unit in
                         EXPERIMENT_MODULES[experiment].units()

@@ -35,16 +35,15 @@ import time
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 ALICE = {"experiments": ["tcpip", "table3"], "seed": 7, "scale": 0.05,
-         "fraction": 1.0, "workers": 2}
+         "workers": 2}
 BOB = {"experiments": ["tcpip"], "seed": 9, "scale": 0.05,
-       "fraction": 1.0, "workers": 1}
+       "workers": 1}
 
 
 def _env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.join(REPO_ROOT, "src")
     env["PYTHONHASHSEED"] = "0"
-    env["REPRO_BENCH_FRACTION"] = "1.0"
     return env
 
 
