@@ -11,9 +11,11 @@ Run:  python examples/evade_censorship.py [--scale 0.25] [--sites 3]
 
 import argparse
 
-from repro.core.evasion import STRATEGIES
-from repro.experiments import evasion_matrix
+from repro.core.evasion import STRATEGIES, evade_all, evaluate_matrix
+from repro.experiments.common import censored_sites, format_table
+from repro.experiments.evasion_matrix import PAPER_EXPECTED
 from repro.isps import build_world
+from repro.isps.profiles import HTTP_FILTERING_ISPS
 
 
 def main() -> None:
@@ -32,16 +34,34 @@ def main() -> None:
 
     print("\nRunning the matrix (this fetches each censored site once "
           "per strategy)...\n")
-    result = evasion_matrix.run(world, sites_per_isp=args.sites)
-    print(result.render())
+    rows = []
+    winners = {}
+    for isp in HTTP_FILTERING_ISPS:
+        sample = [domain for domain, _ in
+                  censored_sites(world, isp, args.sites)]
+        if not sample:
+            rows.append([isp] + ["-"] * len(STRATEGIES)
+                        + ["no censored path"])
+            continue
+        matrix = evaluate_matrix(world, isp, sample)
+        winners[isp] = evade_all(world, isp, sample)
+        rows.append([isp] + [
+            f"{matrix.success_rate(strat.name):.0%}"
+            + ("*" if strat.name in PAPER_EXPECTED[isp] else "")
+            for strat in STRATEGIES
+        ] + [all(winner is not None for winner in winners[isp].values())])
+    print(format_table(["ISP"] + [strat.name for strat in STRATEGIES]
+                       + ["all evaded"], rows,
+                       title="Section 5: evasion strategy effectiveness"))
+    print("(* = strategy the paper reports for this ISP)")
 
     print("\nPer-site winning strategies:")
-    for isp, winners in result.winners.items():
-        for domain, winner in winners.items():
+    for isp, site_winners in winners.items():
+        for domain, winner in site_winners.items():
             print(f"  {isp:9s} {domain:34s} -> {winner or 'NOT EVADED'}")
 
-    all_evaded = all(result.all_sites_evaded(isp)
-                     for isp in result.matrices)
+    all_evaded = all(winner is not None for site_winners in winners.values()
+                     for winner in site_winners.values())
     print(f"\nEvery censored site evaded in every ISP: {all_evaded}")
 
 

@@ -22,7 +22,8 @@ after the command.
 
 ``experiment`` runs one experiment's campaign units in this process,
 each on its own world as ``campaign`` would, and prints the table
-``campaign`` renders for it — so a breakpoint in experiment code fires.
+``campaign`` renders for it, then what faults cost it (client retries,
+partial units) — so a breakpoint in experiment code fires.
 
 ``campaign`` journals every measurement unit to
 ``<run-dir>/journal.jsonl`` and renders ``<run-dir>/tables.txt`` from
@@ -55,17 +56,6 @@ from typing import Optional
 from .isps import PROFILES, build_world
 from .netsim.faults import fault_setup
 
-#: CLI experiment names (canonical registry lives in
-#: :data:`repro.experiments.EXPERIMENT_MODULES`; mirrored here so
-#: building the parser doesn't import the whole measurement stack).
-EXPERIMENTS = (
-    "table1", "table2", "table3", "fig2", "fig5", "trigger",
-    "dns-mechanism", "tcpip", "statefulness", "session-dynamics",
-    "population-scale", "evasion", "ooni-failures", "https",
-    "idiosyncrasies",
-)
-
-
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--scale", type=float, default=0.25,
@@ -94,7 +84,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     experiment = sub.add_parser("experiment", parents=[common],
                                 help="regenerate a paper table/figure")
-    experiment.add_argument("name", choices=sorted(EXPERIMENTS))
+    # Validated against the campaign registry when the command runs,
+    # so building the parser doesn't import the measurement stack.
+    experiment.add_argument("name", metavar="experiment",
+                            help="experiment to run (an unknown name "
+                                 "lists the choices)")
 
     campaign = sub.add_parser(
         "campaign", parents=[common],
@@ -305,16 +299,20 @@ def _cmd_info(world) -> int:
 
 def _cmd_experiment(args) -> int:
     """Run one experiment's units here, each on its own unit world,
-    and print the table a campaign renders from their records."""
+    and print the table a campaign renders from their records, then
+    the degradation a campaign would report for them."""
     import json
 
-    from .experiments import EXPERIMENT_MODULES
     from .obs.report import fold_drops
-    from .runner.campaign import render_section
+    from .runner import CampaignError
+    from .runner.campaign import _registry, fold_records, render_section
     from .runner.parallel import UnitSettings, execute_unit
 
+    try:
+        [module] = _registry([args.name]).values()
+    except CampaignError as exc:
+        return _campaign_trouble(str(exc))
     _fault_flags(args)  # a bad --loss exits here, before any world
-    module = EXPERIMENT_MODULES[args.name]
     settings = UnitSettings(seed=args.seed, scale=args.scale,
                             loss=args.loss, fault_seed=args.fault_seed,
                             retries=args.retries)
@@ -335,6 +333,10 @@ def _cmd_experiment(args) -> int:
         for reason, count in fold_drops(extras.get("metrics")).items():
             drops[reason] = drops.get(reason, 0) + count
     print(render_section(module.CAMPAIGN, args.name, units, latest))
+    _, degradation = fold_records({args.name: units}, latest)
+    summary = degradation.describe()
+    if summary:
+        print(summary)
     if args.verbose:
         _print_drops(drops)
     return status

@@ -43,7 +43,6 @@ from .fastprobe import (
 )
 from .metrics import (
     PrecisionRecall,
-    blocking_series,
     consistency,
     coverage,
     per_site_blocking_fractions,
@@ -124,7 +123,6 @@ __all__ = [
     "TriggerAnalysis",
     "analyze_trigger",
     "attribute_censorship",
-    "blocking_series",
     "blocking_series_csv",
     "canonical_payload",
     "classify_by_behaviour",

@@ -14,7 +14,7 @@ The same arithmetic serves both mechanisms, so it lives here once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Set
+from typing import Dict, Iterable, Mapping, Set
 
 
 def coverage(n_censoring: int, n_total: int) -> float:
@@ -91,13 +91,3 @@ def precision_recall(detected: Iterable[str],
         detected=len(detected_set),
         actual=len(actual_set),
     )
-
-
-def blocking_series(per_unit_blocked: Mapping[object, Set[str]],
-                    site_ids: Mapping[str, int]) -> List[tuple]:
-    """(site_id, percent-of-units-blocking) pairs — the Figure 2/5 dots."""
-    fractions = per_site_blocking_fractions(per_unit_blocked)
-    series = [(site_ids.get(domain, -1), fraction * 100.0)
-              for domain, fraction in fractions.items()]
-    series.sort()
-    return series

@@ -1,14 +1,15 @@
 """repro.experiments — one module per paper table/figure/finding.
 
-Each module exposes ``run(world, ...)``, which measures a built
-:class:`~repro.isps.world.World` and returns a result object with a
-``render()`` method, plus ``PAPER_*`` constants carrying the published
-values for side-by-side comparison.  ``repro campaign`` and ``repro
-experiment`` run a module's ``units()``, each on its own world; the
-examples build a world and call straight into ``run``.  The thirteen
-paper experiments also declare fidelity ``CELLS`` and ``CHECKS`` and
-parse their own payload rows with ``measured(rows)``, which ``repro
-report`` judges (see :mod:`repro.experiments.common`).
+Each module is its campaign contract: ``CAMPAIGN``, the table's title
+and headers, and ``units()``, whose functions each measure one ISP
+(or stub, or the synthetic injector) of a fresh world and return its
+payload rows, plus ``PAPER_*`` constants carrying the published values
+for side-by-side comparison.  ``repro campaign``, ``repro experiment``
+and ``repro serve`` run the units, each on its own world, and render
+the tables from their journaled payloads.  The thirteen paper
+experiments also declare fidelity ``CELLS`` and ``CHECKS`` and parse
+their own payload rows with ``measured(rows)``, which ``repro report``
+judges (see :mod:`repro.experiments.common`).
 
 | Module              | Reproduces                                     |
 |---------------------|------------------------------------------------|
@@ -45,7 +46,6 @@ from . import (
     tcpip_filtering,
     trigger_analysis,
 )
-from .common import format_table
 
 #: CLI/campaign experiment key -> module.  The campaign runner walks
 #: this registry; every module exposes ``units()`` and ``CAMPAIGN``.
@@ -74,7 +74,6 @@ __all__ = [
     "evasion_matrix",
     "fig2_dns",
     "fig5_http",
-    "format_table",
     "https_filtering",
     "idiosyncrasies",
     "ooni_failures",

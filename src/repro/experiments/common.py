@@ -1,13 +1,15 @@
 """Shared experiment machinery: graceful degradation, ground truth,
-rendering, and the fidelity cells each experiment declares.
+target selection, rendering, and the fidelity cells each experiment
+declares.
 
-Every experiment module exposes ``run(world, ...) -> Result``, where
-*world* is a built :class:`~repro.isps.world.World` and the result
-carries the measured numbers plus a ``render()`` producing the
-paper-style table, and module-level ``PAPER_*`` constants with the
-published values.  Next to those constants, a paper experiment
-declares its :class:`Cell` bands and :class:`Check` facts and parses
-its own campaign payload rows back into numbers (``measured(rows)``),
+Every experiment module is its campaign contract: ``CAMPAIGN`` (the
+table's title and headers) and ``units()``, whose :class:`Unit`
+functions each measure one ISP of a fresh, built
+:class:`~repro.isps.world.World` and return the payload
+:func:`campaign_payload` shapes; module-level ``PAPER_*`` constants
+carry the published values.  Next to those constants, a paper
+experiment declares its :class:`Cell` bands and :class:`Check` facts
+and parses its own payload rows back into numbers (``measured(rows)``),
 which ``repro report`` judges in its Fidelity section.
 """
 
@@ -26,6 +28,7 @@ from typing import (
     Tuple,
 )
 
+from ..core.measure.classify import find_controlled_target
 from ..core.measure.fastprobe import (
     canonical_payload,
     express_dns_probe,
@@ -50,12 +53,12 @@ from ..runner.units import TableSpec, Unit, campaign_payload  # noqa: F401
 
 @dataclass
 class Degradation:
-    """Per-experiment record of faults survived instead of crashed on.
+    """Record of faults survived instead of crashed on.
 
-    Experiments attach one of these to their result object; a clean run
-    leaves it empty, so rendering and comparisons are unchanged unless
-    something actually went wrong.  The campaign runner aggregates one
-    per run, absorbing timeout and resume accounting as well.
+    A unit fills one while it measures and hands it to
+    :func:`campaign_payload`; a clean unit leaves it empty.  The
+    campaign runner folds one per run from the unit records, absorbing
+    timeout and resume accounting as well.
     """
 
     #: ``(unit, reason)`` for every measurement unit that errored out.
@@ -148,11 +151,9 @@ def run_degradable(degradation: Degradation, unit: str,
 # ---------------------------------------------------------------------------
 
 def ground_truth_http(world: World, isp_name: str,
-                      domains: Optional[Iterable[str]] = None) -> Set[str]:
+                      domains: Iterable[str]) -> Set[str]:
     """Sites HTTP-censored for the ISP's client on its direct paths."""
     client = world.client_of(isp_name)
-    if domains is None:
-        domains = world.corpus.domains()
     censored: Set[str] = set()
     for domain in domains:
         dst_ip = world.hosting.ip_for(domain, region="in")
@@ -166,13 +167,11 @@ def ground_truth_http(world: World, isp_name: str,
 
 
 def ground_truth_dns(world: World, isp_name: str,
-                     domains: Optional[Iterable[str]] = None) -> Set[str]:
+                     domains: Iterable[str]) -> Set[str]:
     """Sites whose resolution through the client's default resolver is
     manipulated (bogon or ISP-internal answer)."""
     deployment = world.isp(isp_name)
     client = deployment.client
-    if domains is None:
-        domains = world.corpus.domains()
     censored: Set[str] = set()
     for domain in domains:
         answer = express_dns_probe(world.network, client,
@@ -187,17 +186,64 @@ def ground_truth_dns(world: World, isp_name: str,
 
 
 def ground_truth_any(world: World, isp_name: str,
-                     domains: Optional[Iterable[str]] = None
-                     ) -> Dict[str, str]:
+                     domains: Sequence[str]) -> Dict[str, str]:
     """domain -> mechanism ("dns" wins over "http", as for a browser)."""
-    domains = list(domains) if domains is not None \
-        else world.corpus.domains()
     truth: Dict[str, str] = {}
     for domain in ground_truth_http(world, isp_name, domains):
         truth[domain] = "http"
     for domain in ground_truth_dns(world, isp_name, domains):
         truth[domain] = "dns"
     return truth
+
+
+# ---------------------------------------------------------------------------
+# Target selection (express probes over the ISP's master list)
+# ---------------------------------------------------------------------------
+
+def _master_list(world: World, isp_name: str) -> List[str]:
+    return sorted(world.blocklists.http.get(isp_name, ()))
+
+
+def censored_sites(world: World, isp_name: str,
+                   limit: int) -> List[Tuple[str, str]]:
+    """``(domain, address)`` of the first *limit* sites of the ISP's
+    master list that an express probe from its client finds censored."""
+    client = world.client_of(isp_name)
+    found: List[Tuple[str, str]] = []
+    for domain in _master_list(world, isp_name):
+        dst_ip = world.hosting.ip_for(domain, region="in")
+        if dst_ip is None:
+            continue
+        verdict = express_http_probe(world.network, client, dst_ip,
+                                     canonical_payload(domain))
+        if verdict.censored:
+            found.append((domain, dst_ip))
+            if len(found) >= limit:
+                break
+    return found
+
+
+def controlled_target(world: World, isp_name: str):
+    """``(server, domain)``: a controlled server whose path from the
+    ISP's client crosses a box that censors *domain*, a master-list
+    site; ``(None, None)`` when no server's path does."""
+    return find_controlled_target(world, isp_name,
+                                  _master_list(world, isp_name))
+
+
+def box_target(world: World, isp_name: str):
+    """``(server, domain, address)`` to probe the ISP's boxes at: a
+    controlled server behind a box, else (``server`` ``None``) the
+    first censored site, which TTL-limited probes never reach, so the
+    box stays the only responder; all ``None`` when neither exists."""
+    server, domain = controlled_target(world, isp_name)
+    if server is not None:
+        return server, domain, server.ip
+    found = censored_sites(world, isp_name, 1)
+    if not found:
+        return None, None, None
+    [(domain, dst_ip)] = found
+    return None, domain, dst_ip
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,9 @@ mechanisms apart.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from functools import partial
+from types import SimpleNamespace
+from typing import Dict, List
 
 from ..core.measure.fastprobe import resolver_service_at
 from ..core.measure.tracer import DNSTraceResult, dns_iterative_trace
@@ -26,23 +27,11 @@ from .common import (
     TableSpec,
     Unit,
     campaign_payload,
-    format_table,
 )
 
 
-@dataclass
-class DNSMechanismResult:
-    #: ISP -> traces against its censorious resolvers.
-    traces: Dict[str, List[DNSTraceResult]] = field(default_factory=dict)
-    injector_trace: Optional[DNSTraceResult] = None
-
-    def mechanisms(self, isp: str) -> set:
-        return {trace.mechanism for trace in self.traces[isp]}
-
-    def render(self) -> str:
-        return format_table(list(CAMPAIGN.headers), _body_rows(self),
-                            title=CAMPAIGN.title)
-
+#: Censorious resolvers traced per ISP.
+RESOLVERS_PER_ISP = 5
 
 #: Campaign decomposition: one unit per DNS-censoring ISP plus the
 #: synthetic GFW-style injector control.
@@ -72,30 +61,6 @@ CHECKS = (
 )
 
 
-def _isp_rows(result: "DNSMechanismResult") -> List[List]:
-    body = []
-    for isp, traces in result.traces.items():
-        last_hop = sum(1 for t in traces
-                       if t.answer_hop == t.resolver_hop)
-        mechanisms = sorted(result.mechanisms(isp))
-        body.append([isp, len(traces), f"{last_hop}/{len(traces)}",
-                     "/".join(mechanisms)])
-    return body
-
-
-def _injector_row(trace: DNSTraceResult) -> List:
-    return ["(synthetic GFW)", 1,
-            f"answer at hop {trace.answer_hop} of {trace.resolver_hop}",
-            trace.mechanism]
-
-
-def _body_rows(result: "DNSMechanismResult") -> List[List]:
-    body = _isp_rows(result)
-    if result.injector_trace is not None:
-        body.append(_injector_row(result.injector_trace))
-    return body
-
-
 def measured(rows: List[List]) -> Dict[str, object]:
     """A unit's trace findings from its payload rows: traces, those
     answered from the resolver's own hop, and the mechanism; the
@@ -111,51 +76,36 @@ def measured(rows: List[List]) -> Dict[str, object]:
             "mechanism": mechanism}
 
 
-def units(isps=DNS_FILTERING_ISPS):
-    """Named measurement units for the campaign runner."""
-    for isp in isps:
-        yield Unit(isp, _campaign_unit(isp))
-    yield Unit("synthetic-injector", _campaign_unit_injector)
+def units():
+    """One campaign unit per DNS-censoring ISP, plus the synthetic
+    injector control."""
+    for isp in DNS_FILTERING_ISPS:
+        yield Unit(isp, partial(_measure, isp))
+    yield Unit("synthetic-injector", _measure_injector)
 
 
-def _campaign_unit(isp: str):
-    def unit_fn(world, domains):
-        result = run(world, isps=(isp,), with_injector=False)
-        return campaign_payload(_isp_rows(result))
-    return unit_fn
+def _measure(isp: str, world, domains):
+    """Trace a blocked query to each of *isp*'s first censorious
+    resolvers and tell where the manipulated answer came from."""
+    deployment = world.isp(isp)
+    client = deployment.client
+    traces: List[DNSTraceResult] = []
+    for resolver_ip in deployment.poisoned_resolver_ips()[:RESOLVERS_PER_ISP]:
+        service = resolver_service_at(world.network, resolver_ip)
+        blocked = sorted(service.config.blocklist)
+        if not blocked:
+            continue
+        traces.append(dns_iterative_trace(world, client, resolver_ip,
+                                          blocked[0]))
+    last_hop = sum(1 for t in traces if t.answer_hop == t.resolver_hop)
+    mechanisms = sorted({trace.mechanism for trace in traces})
+    return campaign_payload([[isp, len(traces), f"{last_hop}/{len(traces)}",
+                              "/".join(mechanisms)]])
 
 
-def _campaign_unit_injector(world, domains):
-    trace = _synthetic_injector_trace()
-    return campaign_payload([_injector_row(trace)])
-
-
-def run(world, isps=DNS_FILTERING_ISPS,
-        resolvers_per_isp: int = 5,
-        with_injector: bool = True) -> DNSMechanismResult:
-    """Trace censorious resolvers; contrast with a synthetic injector."""
-    result = DNSMechanismResult()
-    for isp in isps:
-        deployment = world.isp(isp)
-        client = deployment.client
-        traces: List[DNSTraceResult] = []
-        for resolver_ip in deployment.poisoned_resolver_ips()[:resolvers_per_isp]:
-            service = resolver_service_at(world.network, resolver_ip)
-            blocked = sorted(service.config.blocklist)
-            if not blocked:
-                continue
-            traces.append(dns_iterative_trace(world, client, resolver_ip,
-                                              blocked[0]))
-        result.traces[isp] = traces
-    if with_injector:
-        result.injector_trace = _synthetic_injector_trace()
-    return result
-
-
-def _synthetic_injector_trace() -> DNSTraceResult:
-    """A standalone China-style injection path for contrast."""
-    from ..core.measure.tracer import dns_iterative_trace as trace_fn
-
+def _measure_injector(world, domains):
+    """Trace a standalone China-style injection path for contrast; the
+    campaign's world goes unused."""
     network = Network()
     client = network.add_host("client", "10.0.0.1")
     resolver_host = network.add_host("resolver", "10.9.0.53")
@@ -174,9 +124,9 @@ def _synthetic_injector_trace() -> DNSTraceResult:
         lambda domain: "127.0.0.2")
     network.node("r2").attach_inline(injector)
 
-    class _MiniWorld:
-        pass
-
-    mini = _MiniWorld()
-    mini.network = network
-    return trace_fn(mini, client, resolver_host.ip, "blocked.example")
+    trace = dns_iterative_trace(SimpleNamespace(network=network), client,
+                                resolver_host.ip, "blocked.example")
+    return campaign_payload([[
+        "(synthetic GFW)", 1,
+        f"answer at hop {trace.answer_hop} of {trace.resolver_hop}",
+        trace.mechanism]])

@@ -8,12 +8,11 @@ strategy, in every ISP.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from functools import partial
+from typing import Dict, List
 
-from ..core.evasion.engine import EvasionMatrix, evade_all, evaluate_matrix
+from ..core.evasion.engine import evade_all, evaluate_matrix
 from ..core.evasion.strategies import STRATEGIES
-from ..core.measure.fastprobe import canonical_payload, express_http_probe
 from ..isps.profiles import HTTP_FILTERING_ISPS
 from .common import (
     Cell,
@@ -21,8 +20,8 @@ from .common import (
     TableSpec,
     Unit,
     campaign_payload,
+    censored_sites,
     fmt_cell,
-    format_table,
     parse_number,
 )
 
@@ -35,22 +34,8 @@ PAPER_EXPECTED = {
     "vodafone": {"trailing-uncensored-host"},
 }
 
-
-@dataclass
-class EvasionExperimentResult:
-    matrices: Dict[str, EvasionMatrix] = field(default_factory=dict)
-    winners: Dict[str, Dict[str, Optional[str]]] = field(default_factory=dict)
-    skipped: List[str] = field(default_factory=list)
-
-    def all_sites_evaded(self, isp: str) -> bool:
-        return all(winner is not None
-                   for winner in self.winners.get(isp, {}).values())
-
-    def render(self) -> str:
-        return format_table(
-            list(CAMPAIGN.headers), _body_rows(self),
-            title=CAMPAIGN.title) + "\n" + CAMPAIGN.footer
-
+#: Censored sites sampled per ISP.
+SITES_PER_ISP = 5
 
 #: Campaign decomposition: one resumable unit per censoring ISP.
 CAMPAIGN = TableSpec(
@@ -88,24 +73,6 @@ CHECKS = (
 )
 
 
-def _body_rows(result: "EvasionExperimentResult") -> List[List[str]]:
-    body = []
-    for isp, matrix in result.matrices.items():
-        row = [isp]
-        for strat in STRATEGIES:
-            rate = matrix.success_rate(strat.name)
-            cell = f"{rate:.0%}"
-            if strat.name in PAPER_EXPECTED.get(isp, ()):
-                cell += "*"
-            row.append(cell)
-        row.append(fmt_cell(result.all_sites_evaded(isp)))
-        body.append(row)
-    for isp in result.skipped:
-        body.append([isp] + ["-"] * len(STRATEGIES)
-                    + ["no censored path"])
-    return body
-
-
 def measured(rows: List[List[str]]) -> Dict[str, object]:
     """A unit's success rate (percent) per strategy and its "all
     evaded" verdict from its payload rows."""
@@ -117,44 +84,28 @@ def measured(rows: List[List[str]]) -> Dict[str, object]:
     return cells
 
 
-def units(isps=HTTP_FILTERING_ISPS):
-    """Named measurement units for the campaign runner."""
-    for isp in isps:
-        yield Unit(isp, _campaign_unit(isp))
+def units():
+    """One campaign unit per censoring ISP."""
+    for isp in HTTP_FILTERING_ISPS:
+        yield Unit(isp, partial(_measure, isp))
 
 
-def _campaign_unit(isp: str):
-    def unit_fn(world, domains):
-        result = run(world, isps=(isp,))
-        return campaign_payload(_body_rows(result))
-    return unit_fn
-
-
-def censored_sample(world, isp: str, limit: int) -> List[str]:
-    client = world.client_of(isp)
-    found: List[str] = []
-    for domain in sorted(world.blocklists.http.get(isp, ())):
-        dst_ip = world.hosting.ip_for(domain, region="in")
-        if dst_ip is None:
-            continue
-        verdict = express_http_probe(world.network, client, dst_ip,
-                                     canonical_payload(domain))
-        if verdict.censored:
-            found.append(domain)
-            if len(found) >= limit:
-                break
-    return found
-
-
-def run(world, isps=HTTP_FILTERING_ISPS,
-        sites_per_isp: int = 5) -> EvasionExperimentResult:
-    """Build the evasion matrix for every censoring ISP."""
-    result = EvasionExperimentResult()
-    for isp in isps:
-        sample = censored_sample(world, isp, sites_per_isp)
-        if not sample:
-            result.skipped.append(isp)
-            continue
-        result.matrices[isp] = evaluate_matrix(world, isp, sample)
-        result.winners[isp] = evade_all(world, isp, sample)
-    return result
+def _measure(isp: str, world, domains):
+    """Every strategy against the first censored sites found from
+    *isp*'s client, and whether each site fell to one of them."""
+    sample = [domain for domain, _ in
+              censored_sites(world, isp, SITES_PER_ISP)]
+    if not sample:
+        return campaign_payload([[isp] + ["-"] * len(STRATEGIES)
+                                 + ["no censored path"]])
+    matrix = evaluate_matrix(world, isp, sample)
+    winners = evade_all(world, isp, sample)
+    row = [isp]
+    for strat in STRATEGIES:
+        cell = f"{matrix.success_rate(strat.name):.0%}"
+        if strat.name in PAPER_EXPECTED[isp]:
+            cell += "*"
+        row.append(cell)
+    row.append(fmt_cell(all(winner is not None
+                            for winner in winners.values())))
+    return campaign_payload([row])

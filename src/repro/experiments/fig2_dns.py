@@ -1,19 +1,19 @@
 """Figure 2 — consistency of DNS resolvers (MTNL vs BSNL).
 
 Open-resolver sweep over each ISP's address space, interrogation of
-every open resolver with the PBW list, then the Figure 2 series: for
-every website blocked by at least one poisoned resolver, the percentage
-of that ISP's poisoned resolvers blocking it — plus the coverage and
-consistency aggregates of section 4.1.
+every open resolver with the PBW list, then the coverage and
+consistency aggregates of section 4.1.  The per-website series the
+figure plots comes from the same scan through
+:func:`repro.core.measure.reporting.resolver_series_csv`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from functools import partial
+from typing import Dict, List, Optional
 
-from ..core.measure.metrics import blocking_series, consistency
-from ..core.measure.resolver_scan import ResolverScanResult, scan_isp_resolvers
+from ..core.measure.metrics import consistency
+from ..core.measure.resolver_scan import scan_isp_resolvers
 from ..isps.profiles import DNS_FILTERING_ISPS
 from .common import (
     Cell,
@@ -23,7 +23,6 @@ from .common import (
     Unit,
     campaign_payload,
     fmt_cell,
-    format_table,
     parse_number,
     run_degradable,
 )
@@ -71,48 +70,12 @@ CHECKS = (
 )
 
 
-@dataclass
-class Fig2Result:
-    scans: Dict[str, ResolverScanResult] = field(default_factory=dict)
-    #: ISP -> [(site_id, % of poisoned resolvers blocking it)]
-    series: Dict[str, List[Tuple[int, float]]] = field(default_factory=dict)
-    consistency: Dict[str, float] = field(default_factory=dict)
-    degradation: Degradation = field(default_factory=Degradation)
-
-    def coverage(self, isp: str) -> float:
-        return self.scans[isp].coverage
-
-    def render(self) -> str:
-        table = format_table(list(CAMPAIGN.headers), _body_rows(self),
-                             title=CAMPAIGN.title)
-        extra = self.degradation.describe()
-        return table + ("\n" + extra if extra else "")
-
-    def render_series(self, isp: str, limit: int = 20) -> str:
-        rows = [(site_id, round(pct, 1))
-                for site_id, pct in self.series[isp][:limit]]
-        return format_table(["Website ID", "% resolvers blocking"], rows,
-                            title=f"Figure 2 series ({isp}, first {limit})")
-
-
 #: Campaign decomposition: one resumable unit per DNS-censoring ISP.
 CAMPAIGN = TableSpec(
     title="Figure 2 aggregates: DNS resolver coverage and consistency",
     headers=("ISP", "Resolvers", "Poisoned", "Coverage%",
              "Consistency%", "paper (tot, poi, cov%, cons%)"),
 )
-
-
-def _body_rows(result: "Fig2Result") -> List[List[str]]:
-    return [
-        [isp,
-         fmt_cell(len(scan.open_resolvers)),
-         fmt_cell(len(scan.censorious)),
-         fmt_cell(round(scan.coverage * 100, 1)),
-         fmt_cell(round(result.consistency[isp] * 100, 1)),
-         fmt_cell(PAPER_FIG2.get(isp, "-"))]
-        for isp, scan in result.scans.items()
-    ]
 
 
 def measured(rows: List[List[str]]) -> Dict[str, Optional[float]]:
@@ -124,34 +87,24 @@ def measured(rows: List[List[str]]) -> Dict[str, Optional[float]]:
             "consistency %": parse_number(row[4])}
 
 
-def units(isps=DNS_FILTERING_ISPS):
-    """Named measurement units for the campaign runner."""
-    for isp in isps:
-        yield Unit(isp, _campaign_unit(isp))
+def units():
+    """One campaign unit per DNS-censoring ISP."""
+    for isp in DNS_FILTERING_ISPS:
+        yield Unit(isp, partial(_measure, isp))
 
 
-def _campaign_unit(isp: str):
-    def unit_fn(world, domains):
-        result = run(world, domains=domains, isps=(isp,))
-        return campaign_payload(_body_rows(result), result.degradation)
-    return unit_fn
-
-
-def run(world, domains: Optional[List[str]] = None,
-        isps=DNS_FILTERING_ISPS) -> Fig2Result:
-    """Regenerate Figure 2."""
-    if domains is None:
-        domains = world.corpus.domains()
-    site_ids = {site.domain: site.site_id for site in world.corpus}
-    result = Fig2Result()
-    for isp in isps:
-        ok, scan = run_degradable(result.degradation,
-                                  f"resolver-scan@{isp}",
-                                  scan_isp_resolvers, world, isp, domains)
-        if not ok:
-            continue
-        result.scans[isp] = scan
-        per_resolver = dict(scan.censorious)
-        result.consistency[isp] = consistency(per_resolver)
-        result.series[isp] = blocking_series(per_resolver, site_ids)
-    return result
+def _measure(isp: str, world, domains: List[str]):
+    """Figure 2's aggregates for *isp*: its open resolvers, the
+    poisoned ones, and how consistently they block *domains*."""
+    degradation = Degradation()
+    ok, scan = run_degradable(degradation, f"resolver-scan@{isp}",
+                              scan_isp_resolvers, world, isp, domains)
+    if not ok:
+        return campaign_payload([], degradation)
+    row = [isp,
+           fmt_cell(len(scan.open_resolvers)),
+           fmt_cell(len(scan.censorious)),
+           fmt_cell(round(scan.coverage * 100, 1)),
+           fmt_cell(round(consistency(dict(scan.censorious)) * 100, 1)),
+           fmt_cell(PAPER_FIG2[isp])]
+    return campaign_payload([row], degradation)

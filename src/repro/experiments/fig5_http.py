@@ -2,17 +2,18 @@
 
 Reuses the inside-VP coverage campaign's per-path blocked sets: for
 every website blocked on at least one poisoned path, the percentage of
-poisoned paths blocking it, and the per-ISP averages the paper quotes
-(Idea 76.8%, Airtel 12.3%, Vodafone 11.6%).
+poisoned paths blocking it, averaged per ISP as the paper quotes (Idea
+76.8%, Airtel 12.3%, Vodafone 11.6%).  The per-website series the
+figure plots comes from the same campaign through
+:func:`repro.core.measure.reporting.coverage_series_csv`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from functools import partial
+from typing import Dict, List, Optional
 
-from ..core.measure.coverage import CoverageResult, measure_coverage_inside
-from ..core.measure.metrics import blocking_series
+from ..core.measure.coverage import measure_coverage_inside
 from .common import (
     Cell,
     Check,
@@ -21,7 +22,6 @@ from .common import (
     Unit,
     campaign_payload,
     fmt_cell,
-    format_table,
     parse_number,
     run_degradable,
 )
@@ -59,28 +59,6 @@ CHECKS = (
 )
 
 
-@dataclass
-class Fig5Result:
-    campaigns: Dict[str, CoverageResult] = field(default_factory=dict)
-    series: Dict[str, List[Tuple[int, float]]] = field(default_factory=dict)
-    degradation: Degradation = field(default_factory=Degradation)
-
-    def consistency(self, isp: str) -> float:
-        return self.campaigns[isp].consistency
-
-    def render(self) -> str:
-        table = format_table(list(CAMPAIGN.headers), _body_rows(self),
-                             title=CAMPAIGN.title)
-        extra = self.degradation.describe()
-        return table + ("\n" + extra if extra else "")
-
-    def render_series(self, isp: str, limit: int = 20) -> str:
-        rows = [(site_id, round(pct, 1))
-                for site_id, pct in self.series[isp][:limit]]
-        return format_table(["Website ID", "% paths blocking"], rows,
-                            title=f"Figure 5 series ({isp}, first {limit})")
-
-
 #: Campaign decomposition: one resumable unit per middlebox ISP.
 CAMPAIGN = TableSpec(
     title="Figure 5 aggregates: middlebox consistency per ISP",
@@ -88,49 +66,28 @@ CAMPAIGN = TableSpec(
 )
 
 
-def _body_rows(result: "Fig5Result") -> List[List[str]]:
-    return [
-        [isp,
-         f"{campaign.n_poisoned}/{campaign.n_paths}",
-         fmt_cell(round(campaign.consistency * 100, 1)),
-         fmt_cell(PAPER_FIG5.get(isp, "-"))]
-        for isp, campaign in result.campaigns.items()
-    ]
-
-
 def measured(rows: List[List[str]]) -> Dict[str, Optional[float]]:
     """A unit's Figure 5 consistency average from its payload rows."""
     return {"consistency %": parse_number(rows[0][2])}
 
 
-def units(isps=FIG5_ISPS):
-    """Named measurement units for the campaign runner."""
-    for isp in isps:
-        yield Unit(isp, _campaign_unit(isp))
+def units():
+    """One campaign unit per middlebox ISP."""
+    for isp in FIG5_ISPS:
+        yield Unit(isp, partial(_measure, isp))
 
 
-def _campaign_unit(isp: str):
-    def unit_fn(world, domains):
-        result = run(world, domains=domains, isps=(isp,))
-        return campaign_payload(_body_rows(result), result.degradation)
-    return unit_fn
-
-
-def run(world, domains: Optional[List[str]] = None,
-        isps=FIG5_ISPS) -> Fig5Result:
-    """Regenerate Figure 5."""
-    if domains is None:
-        domains = world.corpus.domains()
-    site_ids = {site.domain: site.site_id for site in world.corpus}
-    result = Fig5Result()
-    for isp in isps:
-        ok, campaign = run_degradable(result.degradation,
-                                      f"coverage-in@{isp}",
-                                      measure_coverage_inside, world, isp,
-                                      domains=domains)
-        if not ok:
-            continue
-        result.campaigns[isp] = campaign
-        result.series[isp] = blocking_series(campaign.per_path_blocked(),
-                                             site_ids)
-    return result
+def _measure(isp: str, world, domains: List[str]):
+    """Figure 5's aggregate for *isp*: its poisoned paths and how
+    consistently they block *domains*."""
+    degradation = Degradation()
+    ok, campaign = run_degradable(degradation, f"coverage-in@{isp}",
+                                  measure_coverage_inside, world, isp,
+                                  domains=domains)
+    if not ok:
+        return campaign_payload([], degradation)
+    row = [isp,
+           f"{campaign.n_poisoned}/{campaign.n_paths}",
+           fmt_cell(round(campaign.consistency * 100, 1)),
+           fmt_cell(PAPER_FIG5[isp])]
+    return campaign_payload([row], degradation)

@@ -13,7 +13,7 @@ handed back a non-serving address.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, List
 
 from ..core.vantage import VantagePoint
@@ -26,35 +26,7 @@ from .common import (
     TableSpec,
     Unit,
     campaign_payload,
-    format_table,
 )
-
-
-@dataclass
-class HTTPSFilteringInstance:
-    domain: str
-    outcome: str
-    cause: str  # "dns-poisoning" | "unknown"
-
-
-@dataclass
-class HTTPSFilteringResult:
-    per_isp: Dict[str, List[HTTPSFilteringInstance]] = field(
-        default_factory=dict)
-    tested: Dict[str, int] = field(default_factory=dict)
-
-    def instances(self, isp: str) -> List[HTTPSFilteringInstance]:
-        return self.per_isp.get(isp, [])
-
-    @property
-    def all_instances_dns_caused(self) -> bool:
-        return all(instance.cause == "dns-poisoning"
-                   for instances in self.per_isp.values()
-                   for instance in instances)
-
-    def render(self) -> str:
-        return format_table(list(CAMPAIGN.headers), _body_rows(self),
-                            title=CAMPAIGN.title)
 
 
 #: Campaign decomposition: one resumable unit per tested ISP.
@@ -81,57 +53,36 @@ CHECKS = (
 )
 
 
-def _body_rows(result: "HTTPSFilteringResult") -> List[List]:
-    body = []
-    for isp, count in result.tested.items():
-        instances = result.per_isp.get(isp, [])
-        causes = sorted({i.cause for i in instances}) or ["-"]
-        body.append([isp, count, len(instances), ", ".join(causes)])
-    return body
-
-
 def measured(rows: List[List]) -> Dict[str, object]:
     """A unit's HTTPS findings from its payload rows."""
     return dict(zip(CAMPAIGN.headers[1:], rows[0][1:]))
 
 
-def units(isps=OONI_TESTED_ISPS):
-    """Named measurement units for the campaign runner."""
-    for isp in isps:
-        yield Unit(isp, _campaign_unit(isp))
+def units():
+    """One campaign unit per tested ISP."""
+    for isp in OONI_TESTED_ISPS:
+        yield Unit(isp, partial(_measure, isp))
 
 
-def _campaign_unit(isp: str):
-    def unit_fn(world, domains):
-        result = run(world, isps=(isp,))
-        return campaign_payload(_body_rows(result))
-    return unit_fn
-
-
-def run(world, isps=OONI_TESTED_ISPS) -> HTTPSFilteringResult:
-    """Fetch every HTTPS PBW from inside each ISP."""
+def _measure(isp: str, world, domains):
+    """Fetch every HTTPS PBW from inside *isp* and name the cause of
+    each failure: ``dns-poisoning`` when resolution failed or answered
+    a bogon or one of the ISP's own addresses, else ``unknown``."""
     https_sites = [site for site in world.corpus if site.https]
-    result = HTTPSFilteringResult()
-    for isp in isps:
-        vantage = VantagePoint.inside(world, isp)
-        deployment = world.isp(isp)
-        instances: List[HTTPSFilteringInstance] = []
-        for site in https_sites:
-            lookup = vantage.resolve(site.domain)
-            if not lookup.ok:
-                instances.append(HTTPSFilteringInstance(
-                    site.domain, "no-resolution", "dns-poisoning"))
-                continue
-            dst_ip = lookup.ips[0]
-            fetch = https_fetch(world.network, vantage.host, dst_ip,
-                                site.domain)
-            if fetch.ok:
-                continue
-            cause = "unknown"
-            if is_bogon(dst_ip) or deployment.pool.contains(dst_ip):
-                cause = "dns-poisoning"
-            instances.append(HTTPSFilteringInstance(
-                site.domain, fetch.outcome(), cause))
-        result.per_isp[isp] = instances
-        result.tested[isp] = len(https_sites)
-    return result
+    vantage = VantagePoint.inside(world, isp)
+    deployment = world.isp(isp)
+    causes: List[str] = []
+    for site in https_sites:
+        lookup = vantage.resolve(site.domain)
+        if not lookup.ok:
+            causes.append("dns-poisoning")
+            continue
+        dst_ip = lookup.ips[0]
+        fetch = https_fetch(world.network, vantage.host, dst_ip,
+                            site.domain)
+        if fetch.ok:
+            continue
+        poisoned = is_bogon(dst_ip) or deployment.pool.contains(dst_ip)
+        causes.append("dns-poisoning" if poisoned else "unknown")
+    return campaign_payload([[isp, len(https_sites), len(causes),
+                              ", ".join(sorted(set(causes)) or ["-"])]])

@@ -15,10 +15,11 @@ re-derived here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from typing import Dict, List, Optional, Set
 
-from ..core.measure.classify import classify_middlebox, find_controlled_target
+from ..core.measure.classify import classify_middlebox
 from ..core.measure.fastprobe import canonical_payload, express_http_probe
 from ..core.measure.probes import CraftedFlow
 from ..core.vantage import VantagePoint
@@ -30,8 +31,8 @@ from .common import (
     TableSpec,
     Unit,
     campaign_payload,
+    controlled_target,
     fmt_cell,
-    format_table,
 )
 
 
@@ -50,15 +51,6 @@ class IdiosyncrasyReport:
         if self.port80_censored is None:
             return None
         return self.port80_censored and not self.port8080_censored
-
-
-@dataclass
-class IdiosyncrasiesResult:
-    reports: Dict[str, IdiosyncrasyReport] = field(default_factory=dict)
-
-    def render(self) -> str:
-        return format_table(list(CAMPAIGN.headers), _body_rows(self),
-                            title=CAMPAIGN.title)
 
 
 #: Campaign decomposition: one resumable unit per HTTP-censoring ISP.
@@ -91,23 +83,6 @@ CHECKS = (
 )
 
 
-def _body_rows(result: "IdiosyncrasiesResult") -> List[List[str]]:
-    body = []
-    for isp, report in result.reports.items():
-        body.append([
-            isp,
-            fmt_cell(report.port_80_only)
-            if report.port_80_only is not None else "-",
-            fmt_cell(report.fixed_ip_id)
-            if report.fixed_ip_id else "variable",
-            f"{report.dead_sites_still_blocked}/"
-            f"{report.dead_sites_on_blocklist}",
-            fmt_cell(report.keepalive_extends_flow)
-            if report.keepalive_extends_flow is not None else "-",
-        ])
-    return body
-
-
 def measured(rows: List[List[str]]) -> Dict[str, object]:
     """A unit's quirks from its payload rows (``"-"`` where no
     controlled path was found), the stale-blocklist cell split into
@@ -118,32 +93,32 @@ def measured(rows: List[List[str]]) -> Dict[str, object]:
     return cells
 
 
-def units(isps=HTTP_FILTERING_ISPS):
-    """Named measurement units for the campaign runner."""
-    for isp in isps:
-        yield Unit(isp, _campaign_unit(isp))
+def units():
+    """One campaign unit per HTTP-censoring ISP."""
+    for isp in HTTP_FILTERING_ISPS:
+        yield Unit(isp, partial(_measure, isp))
 
 
-def _campaign_unit(isp: str):
-    def unit_fn(world, domains):
-        result = run(world, isps=(isp,))
-        return campaign_payload(_body_rows(result))
-    return unit_fn
-
-
-def run(world, isps=HTTP_FILTERING_ISPS) -> IdiosyncrasiesResult:
-    result = IdiosyncrasiesResult()
-    for isp in isps:
-        report = IdiosyncrasyReport(isp=isp)
-        result.reports[isp] = report
-        candidates = sorted(world.blocklists.http.get(isp, ()))
-        server, domain = find_controlled_target(world, isp, candidates)
-        if server is not None:
-            _probe_ports(world, isp, domain, server, report)
-            _probe_ip_id(world, isp, domain, server, report)
-            _probe_keepalive(world, isp, domain, server.ip, report)
-        _count_stale_blocking(world, isp, report)
-    return result
+def _measure(isp: str, world, domains):
+    """The quirks of *isp*'s boxes, probed through a controlled server
+    behind one, and its stale blocklist."""
+    report = IdiosyncrasyReport(isp=isp)
+    server, domain = controlled_target(world, isp)
+    if server is not None:
+        _probe_ports(world, isp, domain, server, report)
+        _probe_ip_id(world, isp, domain, server, report)
+        _probe_keepalive(world, isp, domain, server.ip, report)
+    _count_stale_blocking(world, isp, report)
+    return campaign_payload([[
+        isp,
+        fmt_cell(report.port_80_only)
+        if report.port_80_only is not None else "-",
+        fmt_cell(report.fixed_ip_id) if report.fixed_ip_id else "variable",
+        f"{report.dead_sites_still_blocked}/"
+        f"{report.dead_sites_on_blocklist}",
+        fmt_cell(report.keepalive_extends_flow)
+        if report.keepalive_extends_flow is not None else "-",
+    ]])
 
 
 def _probe_ports(world, isp, domain, server_host, report) -> None:

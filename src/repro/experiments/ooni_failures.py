@@ -13,7 +13,8 @@ Breaks OONI's verdicts down by the hosting confounder responsible:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from functools import partial
+from typing import Dict, List
 
 from ..core.measure.detector import run_detector
 from ..core.measure.ooni import BLOCKING_NONE, run_ooni
@@ -23,13 +24,15 @@ from .common import (
     TableSpec,
     Unit,
     campaign_payload,
-    format_table,
     ground_truth_any,
     parse_counts,
 )
 
 #: The ISPs the paper's failure anatomy focuses on.
 OONI_FAILURE_ISPS = ("airtel", "idea")
+
+#: Leading sites the authors' detector (and manual check) examines.
+DETECTOR_SAMPLE = 60
 
 
 @dataclass
@@ -47,15 +50,6 @@ class OONIFailureBreakdown:
         if self.detector_flagged == 0:
             return 0.0
         return self.detector_cleared / self.detector_flagged
-
-
-@dataclass
-class OONIFailureResult:
-    breakdowns: Dict[str, OONIFailureBreakdown] = field(default_factory=dict)
-
-    def render(self) -> str:
-        return format_table(list(CAMPAIGN.headers), _body_rows(self),
-                            title=CAMPAIGN.title)
 
 
 #: Campaign decomposition: one resumable unit per analysed ISP.
@@ -92,19 +86,6 @@ CHECKS = (
 )
 
 
-def _body_rows(result: "OONIFailureResult") -> List[List]:
-    body = []
-    for isp, b in result.breakdowns.items():
-        fp_text = ", ".join(f"{k}:{v}" for k, v in
-                            sorted(b.false_positives.items())) or "-"
-        fn_text = ", ".join(f"{k}:{v}" for k, v in
-                            sorted(b.false_negatives.items())) or "-"
-        cleared = (f"{b.detector_cleared}/{b.detector_flagged} "
-                   f"({b.false_flag_fraction:.0%})")
-        body.append([isp, b.true_positives, fp_text, fn_text, cleared])
-    return body
-
-
 def measured(rows: List[List]) -> Dict[str, object]:
     """A unit's breakdown from its payload rows: true positives, the
     count per false-positive (``FP <cause>``) and false-negative
@@ -120,52 +101,51 @@ def measured(rows: List[List]) -> Dict[str, object]:
     return cells
 
 
-def units(isps=OONI_FAILURE_ISPS):
-    """Named measurement units for the campaign runner."""
-    for isp in isps:
-        yield Unit(isp, _campaign_unit(isp))
+def units():
+    """One campaign unit per analysed ISP."""
+    for isp in OONI_FAILURE_ISPS:
+        yield Unit(isp, partial(_measure, isp))
 
 
-def _campaign_unit(isp: str):
-    def unit_fn(world, domains):
-        result = run(world, domains=domains, isps=(isp,))
-        return campaign_payload(_body_rows(result))
-    return unit_fn
+def _measure(isp: str, world, domains: List[str]):
+    """OONI's errors over *domains* from *isp*, by confounder, and what
+    the authors' method cleared among the first sites."""
+    b = _breakdown(world, isp, domains)
+    fp_text = ", ".join(f"{k}:{v}" for k, v in
+                        sorted(b.false_positives.items())) or "-"
+    fn_text = ", ".join(f"{k}:{v}" for k, v in
+                        sorted(b.false_negatives.items())) or "-"
+    cleared = (f"{b.detector_cleared}/{b.detector_flagged} "
+               f"({b.false_flag_fraction:.0%})")
+    return campaign_payload([[isp, b.true_positives, fp_text, fn_text,
+                              cleared]])
 
 
-def run(world, domains: Optional[List[str]] = None,
-        isps=OONI_FAILURE_ISPS, detector_sample: int = 60
-        ) -> OONIFailureResult:
-    """Break down OONI's errors by confounder for the given ISPs."""
-    if domains is None:
-        domains = world.corpus.domains()
-    result = OONIFailureResult()
-    for isp in isps:
-        breakdown = OONIFailureBreakdown(isp=isp)
-        ooni = run_ooni(world, isp, domains)
-        truth = ground_truth_any(world, isp, domains)
+def _breakdown(world, isp: str, domains: List[str]) -> OONIFailureBreakdown:
+    breakdown = OONIFailureBreakdown(isp=isp)
+    ooni = run_ooni(world, isp, domains)
+    truth = ground_truth_any(world, isp, domains)
 
-        for domain in domains:
-            verdict = ooni.results[domain]
-            site = world.corpus.get(domain)
-            censored = domain in truth
-            flagged = verdict.blocking != BLOCKING_NONE
-            if flagged and not censored:
-                cause = _fp_cause(site)
-                breakdown.false_positives[cause] = \
-                    breakdown.false_positives.get(cause, 0) + 1
-            elif not flagged and censored:
-                cause = _fn_cause(site, verdict)
-                breakdown.false_negatives[cause] = \
-                    breakdown.false_negatives.get(cause, 0) + 1
-            elif flagged and censored:
-                breakdown.true_positives += 1
+    for domain in domains:
+        verdict = ooni.results[domain]
+        site = world.corpus.get(domain)
+        censored = domain in truth
+        flagged = verdict.blocking != BLOCKING_NONE
+        if flagged and not censored:
+            cause = _fp_cause(site)
+            breakdown.false_positives[cause] = \
+                breakdown.false_positives.get(cause, 0) + 1
+        elif not flagged and censored:
+            cause = _fn_cause(site, verdict)
+            breakdown.false_negatives[cause] = \
+                breakdown.false_negatives.get(cause, 0) + 1
+        elif flagged and censored:
+            breakdown.true_positives += 1
 
-        detector = run_detector(world, isp, domains[:detector_sample])
-        breakdown.detector_flagged = detector.flagged_count
-        breakdown.detector_cleared = detector.cleared_after_manual
-        result.breakdowns[isp] = breakdown
-    return result
+    detector = run_detector(world, isp, domains[:DETECTOR_SAMPLE])
+    breakdown.detector_flagged = detector.flagged_count
+    breakdown.detector_cleared = detector.cleared_after_manual
+    return breakdown
 
 
 def _fp_cause(site) -> str:

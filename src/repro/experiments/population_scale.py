@@ -22,10 +22,9 @@ deterministic metrics sidecar.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from functools import partial
+from typing import Dict, List, Sequence
 
-from ..isps.profiles import PROFILES
 from ..obs.metrics import MetricsRegistry
 from ..population.cohorts import apportion
 from ..population.engine import (PopulationConfig, PopulationEngine,
@@ -38,7 +37,6 @@ from .common import (
     Unit,
     campaign_payload,
     fmt_cell,
-    format_table,
     run_degradable,
 )
 
@@ -69,7 +67,7 @@ SUBSCRIBER_WEIGHTS: Dict[str, float] = {
 POPULATION_ISPS: Sequence[str] = tuple(SUBSCRIBER_WEIGHTS)
 
 #: Sessions simulated across all ISPs in a day (the acceptance floor is
-#: one million; ``run(..., sessions=)`` simulates a smaller day).
+#: one million).
 DEFAULT_SESSIONS_TOTAL = 1_250_000
 
 CAMPAIGN = TableSpec(
@@ -83,34 +81,15 @@ CAMPAIGN = TableSpec(
 )
 
 
-@dataclass
-class PopulationScaleResult:
-    outcomes: Dict[str, PopulationOutcome] = field(default_factory=dict)
-    corpus_size: int = DEFAULT_SYNTHETIC_SIZE
-    degradation: Degradation = field(default_factory=Degradation)
-
-    def render(self) -> str:
-        rows: List[List[str]] = []
-        for isp in POPULATION_ISPS:
-            if isp in self.outcomes:
-                rows.extend(_isp_rows(self.outcomes[isp]))
-        table = format_table(list(CAMPAIGN.headers), rows,
-                             title=CAMPAIGN.title)
-        extra = self.degradation.describe()
-        return table + ("\n" + extra if extra else "")
-
-
-def sessions_for(isp: str, total: Optional[int] = None) -> int:
-    """This ISP's share of the day's sessions.
+def sessions_for(isp: str) -> int:
+    """This ISP's share of the day's :data:`DEFAULT_SESSIONS_TOTAL`.
 
     Apportioned over the *full* ISP set regardless of which units are
     running, so a unit measures the same workload alone, serial, or in
     a worker.
     """
-    if total is None:
-        total = DEFAULT_SESSIONS_TOTAL
-    counts = apportion(total, [SUBSCRIBER_WEIGHTS[name]
-                               for name in POPULATION_ISPS])
+    counts = apportion(DEFAULT_SESSIONS_TOTAL,
+                       [SUBSCRIBER_WEIGHTS[name] for name in POPULATION_ISPS])
     return counts[list(POPULATION_ISPS).index(isp)]
 
 
@@ -195,53 +174,31 @@ def _metrics_snapshot(outcome: PopulationOutcome,
     return registry.snapshot()
 
 
-def units(isps: Sequence[str] = POPULATION_ISPS):
+def units():
     """One resumable campaign unit per ISP."""
-    for isp in isps:
-        yield Unit(isp, _campaign_unit(isp))
+    for isp in POPULATION_ISPS:
+        yield Unit(isp, partial(_measure, isp))
 
 
-def _campaign_unit(isp: str):
-    def unit_fn(world, domains):
-        result = run(world, isps=(isp,))
-        payload = campaign_payload(
-            _isp_rows(result.outcomes[isp]) if isp in result.outcomes
-            else [], result.degradation)
-        if isp in result.outcomes:
-            corpus = SyntheticCorpus(seed=world.seed,
-                                     size=result.corpus_size)
-            payload["population"] = _population_summary(
-                result.outcomes[isp], corpus)
-            payload["obs_metrics"] = _metrics_snapshot(
-                result.outcomes[isp], corpus)
-        return payload
-    return unit_fn
-
-
-def run(world, isps: Sequence[str] = POPULATION_ISPS,
-        sessions: Optional[int] = None,
-        corpus_size: int = DEFAULT_SYNTHETIC_SIZE,
-        ) -> PopulationScaleResult:
-    """Simulate a day of sessions for each ISP in *isps*.
+def _measure(isp: str, world, domains):
+    """Simulate a day of *isp*'s sessions.
 
     The world supplies only the campaign seed — the population layer
     runs on its own synthetic corpus, deliberately independent of the
     world's 1,200 deployed sites, so session volume does not shrink
-    with ``--scale`` (pass *sessions* to simulate a smaller day).
+    with ``--scale``.
     """
-    seed = world.seed
-    result = PopulationScaleResult(corpus_size=corpus_size)
-    corpus = SyntheticCorpus(seed=seed, size=corpus_size)
-    for isp in isps:
-        if isp not in PROFILES:
-            raise KeyError(f"unknown ISP {isp!r}")
-        config = PopulationConfig(
-            seed=seed, corpus_size=corpus_size,
-            sessions=sessions_for(isp, sessions))
-        ok, outcome = run_degradable(
-            result.degradation, f"population@{isp}",
-            lambda isp=isp, config=config: PopulationEngine(
-                isp, corpus=corpus, config=config).run())
-        if ok:
-            result.outcomes[isp] = outcome
-    return result
+    corpus = SyntheticCorpus(seed=world.seed, size=DEFAULT_SYNTHETIC_SIZE)
+    config = PopulationConfig(seed=world.seed,
+                              corpus_size=DEFAULT_SYNTHETIC_SIZE,
+                              sessions=sessions_for(isp))
+    degradation = Degradation()
+    ok, outcome = run_degradable(
+        degradation, f"population@{isp}",
+        lambda: PopulationEngine(isp, corpus=corpus, config=config).run())
+    if not ok:
+        return campaign_payload([], degradation)
+    payload = campaign_payload(_isp_rows(outcome), degradation)
+    payload["population"] = _population_summary(outcome, corpus)
+    payload["obs_metrics"] = _metrics_snapshot(outcome, corpus)
+    return payload

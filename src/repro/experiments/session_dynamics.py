@@ -21,15 +21,11 @@ and masquerade as fail-closed overload.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from functools import partial
 from types import SimpleNamespace
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
-from ..core.measure.classify import find_controlled_target
 from ..core.measure.session import (
-    ExhaustionReport,
-    ResidualReport,
-    TimeoutRecovery,
     probe_residual_window,
     probe_state_exhaustion,
     recover_flow_timeout,
@@ -57,11 +53,10 @@ from ..netsim.engine import Network
 from .common import (
     TableSpec,
     Unit,
+    box_target,
     campaign_payload,
     fmt_cell,
-    format_table,
 )
-from .statefulness import _censored_site_target
 
 #: The one domain the scenario boxes censor.
 BLOCKED_DOMAIN = "blocked.example.com"
@@ -84,50 +79,11 @@ SCENARIOS: Dict[str, Dict] = {
 _COUNTER_FIELDS = ("evicted", "overload_fail_open", "overload_fail_closed",
                    "residual_hits", "truncated_flows")
 
-
-@dataclass
-class SessionDynamicsResult:
-    recoveries: Dict[str, TimeoutRecovery] = field(default_factory=dict)
-    exhaustions: Dict[str, ExhaustionReport] = field(default_factory=dict)
-    residuals: Dict[str, ResidualReport] = field(default_factory=dict)
-    #: Session-table activity summed over the scenario boxes.
-    counters: Dict[str, int] = field(default_factory=dict)
-
-    def render(self) -> str:
-        return format_table(list(CAMPAIGN.headers), _body_rows(self),
-                            title=CAMPAIGN.title)
-
-
 CAMPAIGN = TableSpec(
     title="Section 4.2.1/6.3: session-table dynamics",
     headers=("ISP", "mechanism", "idle timeout (s)", "capacity",
              "overload", "residual (s)"),
 )
-
-
-def _body_rows(result: "SessionDynamicsResult") -> List[List[str]]:
-    body = []
-    isps = sorted(set(result.recoveries) | set(result.exhaustions)
-                  | set(result.residuals))
-    for isp in isps:
-        recovery = result.recoveries.get(isp)
-        exhaustion = result.exhaustions.get(isp)
-        residual = result.residuals.get(isp)
-        timeout_text = "-"
-        if recovery is not None and recovery.recovered is not None:
-            timeout_text = fmt_cell(recovery.recovered)
-        capacity_text = "-"
-        overload_text = "-"
-        if exhaustion is not None:
-            overload_text = exhaustion.classification
-            if exhaustion.capacity is not None:
-                capacity_text = str(exhaustion.capacity)
-        residual_text = "-"
-        if residual is not None and residual.window is not None:
-            residual_text = fmt_cell(residual.window)
-        body.append([isp, PROFILES[isp].mechanism, timeout_text,
-                     capacity_text, overload_text, residual_text])
-    return body
 
 
 # ---------------------------------------------------------------------------
@@ -195,62 +151,49 @@ def _accumulate_counters(counters: Dict[str, int], box) -> None:
 # Campaign units
 # ---------------------------------------------------------------------------
 
-def units(isps=HTTP_FILTERING_ISPS):
-    """Named measurement units for the campaign runner."""
-    for isp in isps:
-        yield Unit(isp, _campaign_unit(isp))
+def units():
+    """One campaign unit per HTTP-censoring ISP."""
+    for isp in HTTP_FILTERING_ISPS:
+        yield Unit(isp, partial(_measure, isp))
 
 
-def _campaign_unit(isp: str):
-    def unit_fn(world, domains):
-        result = run(world, isps=(isp,))
-        payload = campaign_payload(_body_rows(result))
-        if result.counters:
-            payload["session_counters"] = dict(sorted(
-                result.counters.items()))
-        return payload
-    return unit_fn
-
-
-def run(world, isps=HTTP_FILTERING_ISPS) -> SessionDynamicsResult:
-    """Run all three probe families for every requested ISP."""
-    result = SessionDynamicsResult()
-    for isp in isps:
-        result.recoveries[isp] = _recover_real_timeout(world, isp)
-        params = SCENARIOS.get(isp)
-        if params is None:
-            continue
-        exhaustion_world = build_scenario(
-            isp, max_flows=params["max_flows"],
-            overload_policy=params["overload"])
-        result.exhaustions[isp] = probe_state_exhaustion(
-            exhaustion_world, exhaustion_world.client,
-            exhaustion_world.server_ip, BLOCKED_DOMAIN, isp=isp,
-            max_probe=params["max_flows"] + 8)
-        _accumulate_counters(result.counters, exhaustion_world.box)
-        if params["residual_window"] > 0.0:
-            residual_world = build_scenario(
-                isp, max_flows=None,
-                residual_window=params["residual_window"])
-            result.residuals[isp] = probe_residual_window(
-                residual_world, residual_world.client,
-                residual_world.server_ip, BLOCKED_DOMAIN, isp=isp)
-            _accumulate_counters(result.counters, residual_world.box)
-        else:
-            result.residuals[isp] = ResidualReport(isp=isp)
-    return result
-
-
-def _recover_real_timeout(world, isp: str) -> TimeoutRecovery:
-    """Binary-search the deployed boxes' idle timeout in the full world."""
-    candidates = sorted(world.blocklists.http.get(isp, ()))
-    server, domain = find_controlled_target(world, isp, candidates)
-    if server is not None:
-        dst_ip = server.ip
-    else:
-        domain, dst_ip = _censored_site_target(world, isp, candidates)
-        if domain is None:
-            return TimeoutRecovery(isp=isp)
-    client = VantagePoint.inside(world, isp).host
-    return recover_flow_timeout(world, client, dst_ip, domain, isp=isp,
-                                attempts=6)
+def _measure(isp: str, world, domains):
+    """All three probe families for *isp*: the deployed boxes' idle
+    timeout in *world*, then its scenario variant's capacity, overload
+    policy and residual window."""
+    timeout_text = "-"
+    _, domain, dst_ip = box_target(world, isp)
+    if domain is not None:
+        client = VantagePoint.inside(world, isp).host
+        recovery = recover_flow_timeout(world, client, dst_ip, domain,
+                                        isp=isp, attempts=6)
+        if recovery.recovered is not None:
+            timeout_text = fmt_cell(recovery.recovered)
+    params = SCENARIOS[isp]
+    counters: Dict[str, int] = {}
+    exhaustion_world = build_scenario(
+        isp, max_flows=params["max_flows"],
+        overload_policy=params["overload"])
+    exhaustion = probe_state_exhaustion(
+        exhaustion_world, exhaustion_world.client,
+        exhaustion_world.server_ip, BLOCKED_DOMAIN, isp=isp,
+        max_probe=params["max_flows"] + 8)
+    _accumulate_counters(counters, exhaustion_world.box)
+    residual_text = "-"
+    if params["residual_window"] > 0.0:
+        residual_world = build_scenario(
+            isp, max_flows=None, residual_window=params["residual_window"])
+        residual = probe_residual_window(
+            residual_world, residual_world.client,
+            residual_world.server_ip, BLOCKED_DOMAIN, isp=isp)
+        _accumulate_counters(counters, residual_world.box)
+        if residual.window is not None:
+            residual_text = fmt_cell(residual.window)
+    capacity_text = ("-" if exhaustion.capacity is None
+                     else str(exhaustion.capacity))
+    payload = campaign_payload([[
+        isp, PROFILES[isp].mechanism, timeout_text, capacity_text,
+        exhaustion.classification, residual_text]])
+    if counters:
+        payload["session_counters"] = dict(sorted(counters.items()))
+    return payload

@@ -9,41 +9,23 @@ minutes (restartable by fresh packets).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, List
 
-from ..core.measure.classify import find_controlled_target
-from ..core.measure.stateful import (
-    FlowTimeoutEstimate,
-    StatefulnessReport,
-    estimate_flow_timeout,
-    probe_statefulness,
-)
+from ..core.measure.stateful import estimate_flow_timeout, probe_statefulness
 from ..isps.profiles import HTTP_FILTERING_ISPS
 from .common import (
     Cell,
     TableSpec,
     Unit,
+    box_target,
     campaign_payload,
     fmt_cell,
-    format_table,
     parse_pair,
 )
 
 #: Idle durations used to bracket the 150 s purge.
 TIMEOUT_CANDIDATES = (60.0, 140.0, 170.0)
-
-
-@dataclass
-class StatefulnessResult:
-    reports: Dict[str, StatefulnessReport] = field(default_factory=dict)
-    timeouts: Dict[str, FlowTimeoutEstimate] = field(default_factory=dict)
-    skipped: List[str] = field(default_factory=list)
-
-    def render(self) -> str:
-        return format_table(list(CAMPAIGN.headers), _body_rows(self),
-                            title=CAMPAIGN.title)
-
 
 #: Campaign decomposition: one resumable unit per HTTP-censoring ISP.
 CAMPAIGN = TableSpec(
@@ -68,27 +50,6 @@ CELLS = tuple(
         ("timeout high (s)", (120, 180), (170.0, 170.0))))
 
 
-def _body_rows(result: "StatefulnessResult") -> List[List[str]]:
-    body = []
-    for isp, report in result.reports.items():
-        bracket = result.timeouts.get(isp)
-        bracket_text = "-"
-        if bracket is not None:
-            bracket_text = (f"({bracket.lower_bound}, "
-                            f"{bracket.upper_bound})")
-        body.append([
-            isp, fmt_cell(report.no_handshake), fmt_cell(report.syn_only),
-            fmt_cell(report.synack_first),
-            fmt_cell(report.missing_final_ack),
-            fmt_cell(report.full_handshake), fmt_cell(report.stateful),
-            bracket_text,
-        ])
-    for isp in result.skipped:
-        body.append([isp, "-", "-", "-", "-", "-", "-",
-                     "no censored path"])
-    return body
-
-
 def measured(rows: List[List[str]]) -> Dict[str, object]:
     """A unit's probe outcomes and timeout bracket from its payload
     rows (``"-"`` where no censored path was found)."""
@@ -100,57 +61,24 @@ def measured(rows: List[List[str]]) -> Dict[str, object]:
     return cells
 
 
-def units(isps=HTTP_FILTERING_ISPS):
-    """Named measurement units for the campaign runner."""
-    for isp in isps:
-        yield Unit(isp, _campaign_unit(isp))
+def units():
+    """One campaign unit per HTTP-censoring ISP."""
+    for isp in HTTP_FILTERING_ISPS:
+        yield Unit(isp, partial(_measure, isp))
 
 
-def _campaign_unit(isp: str):
-    def unit_fn(world, domains):
-        result = run(world, isps=(isp,))
-        return campaign_payload(_body_rows(result))
-    return unit_fn
-
-
-def run(world, isps=HTTP_FILTERING_ISPS,
-        with_timeout: bool = True) -> StatefulnessResult:
-    """Run statefulness probing for every HTTP-censoring ISP."""
-    result = StatefulnessResult()
-    for isp in isps:
-        candidates = sorted(world.blocklists.http.get(isp, ()))
-        server, domain = find_controlled_target(world, isp, candidates)
-        if server is not None:
-            dst_ip = server.ip
-        else:
-            # No controlled host behind a box — probe against a
-            # censored site directly (the TTL-limited GETs never reach
-            # it, so the box remains the only possible responder).
-            domain, dst_ip = _censored_site_target(world, isp, candidates)
-            if domain is None:
-                result.skipped.append(isp)
-                continue
-        result.reports[isp] = probe_statefulness(world, isp, domain, dst_ip)
-        if with_timeout:
-            result.timeouts[isp] = estimate_flow_timeout(
-                world, isp, domain, dst_ip,
-                idle_candidates=TIMEOUT_CANDIDATES)
-    return result
-
-
-def _censored_site_target(world, isp: str, candidates):
-    from ..core.measure.fastprobe import (
-        canonical_payload,
-        express_http_probe,
-    )
-
-    client = world.client_of(isp)
-    for domain in candidates:
-        dst_ip = world.hosting.ip_for(domain, region="in")
-        if dst_ip is None:
-            continue
-        verdict = express_http_probe(world.network, client, dst_ip,
-                                     canonical_payload(domain))
-        if verdict.censored:
-            return domain, dst_ip
-    return None, None
+def _measure(isp: str, world, domains):
+    """The five handshake probes and the flow-timeout bracket from
+    *isp*'s client, against a box it reaches."""
+    _, domain, dst_ip = box_target(world, isp)
+    if domain is None:
+        return campaign_payload([[isp, "-", "-", "-", "-", "-", "-",
+                                  "no censored path"]])
+    report = probe_statefulness(world, isp, domain, dst_ip)
+    bracket = estimate_flow_timeout(world, isp, domain, dst_ip,
+                                    idle_candidates=TIMEOUT_CANDIDATES)
+    return campaign_payload([[
+        isp, fmt_cell(report.no_handshake), fmt_cell(report.syn_only),
+        fmt_cell(report.synack_first), fmt_cell(report.missing_final_ack),
+        fmt_cell(report.full_handshake), fmt_cell(report.stateful),
+        f"({bracket.lower_bound}, {bracket.upper_bound})"]])

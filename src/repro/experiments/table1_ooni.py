@@ -8,10 +8,10 @@ of the paper's Table 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, List, Optional
 
-from ..core.measure.metrics import PrecisionRecall, precision_recall
+from ..core.measure.metrics import precision_recall
 from ..core.measure.ooni import (
     BLOCKING_DNS,
     BLOCKING_HTTP,
@@ -27,7 +27,6 @@ from .common import (
     Unit,
     campaign_payload,
     fmt_cell,
-    format_table,
     ground_truth_any,
     parse_pair,
     run_degradable,
@@ -106,57 +105,12 @@ CHECKS = (
 )
 
 
-@dataclass
-class Table1Row:
-    isp: str
-    total: Optional[PrecisionRecall] = None
-    dns: Optional[PrecisionRecall] = None
-    tcp: Optional[PrecisionRecall] = None
-    http: Optional[PrecisionRecall] = None
-    #: Client retries the OONI campaign spent inside this ISP.
-    retries: int = 0
-
-
-@dataclass
-class Table1Result:
-    rows: List[Table1Row] = field(default_factory=list)
-    degradation: Degradation = field(default_factory=Degradation)
-
-    def row(self, isp: str) -> Table1Row:
-        for row in self.rows:
-            if row.isp == isp:
-                return row
-        raise KeyError(isp)
-
-    def render(self) -> str:
-        table = format_table(list(CAMPAIGN.headers), _body_rows(self),
-                             title=CAMPAIGN.title)
-        extra = self.degradation.describe()
-        return table + ("\n" + extra if extra else "")
-
-
 #: Campaign decomposition: one resumable unit per OONI-tested ISP.
 CAMPAIGN = TableSpec(
     title="Table 1: Accuracy of OONI — precision and recall",
     headers=("ISP", "Total(P,R)", "DNS(P,R)", "TCP(P,R)",
              "HTTP(P,R)", "paper Total", "paper HTTP"),
 )
-
-
-def _body_rows(result: "Table1Result") -> List[List[str]]:
-    body = []
-    for row in result.rows:
-        paper = PAPER_TABLE1.get(row.isp, {})
-        body.append([
-            row.isp,
-            fmt_cell(row.total.as_tuple()),
-            fmt_cell(row.dns.as_tuple()),
-            fmt_cell(row.tcp.as_tuple()),
-            fmt_cell(row.http.as_tuple()),
-            fmt_cell(paper.get("total", "-")),
-            fmt_cell(paper.get("http", "-")),
-        ])
-    return body
 
 
 def measured(rows: List[List[str]]) -> Dict[str, Optional[float]]:
@@ -167,47 +121,32 @@ def measured(rows: List[List[str]]) -> Dict[str, Optional[float]]:
     return cells
 
 
-def units(isps=OONI_TESTED_ISPS):
-    """Named measurement units for the campaign runner."""
-    for isp in isps:
-        yield Unit(isp, _campaign_unit(isp))
+def units():
+    """One campaign unit per OONI-tested ISP."""
+    for isp in OONI_TESTED_ISPS:
+        yield Unit(isp, partial(_measure, isp))
 
 
-def _campaign_unit(isp: str):
-    def unit_fn(world, domains):
-        result = run(world, domains=domains, isps=(isp,))
-        return campaign_payload(_body_rows(result), result.degradation)
-    return unit_fn
-
-
-def run(world, domains: Optional[List[str]] = None,
-        isps=OONI_TESTED_ISPS) -> Table1Result:
-    """Regenerate Table 1."""
-    if domains is None:
-        domains = world.corpus.domains()
-    result = Table1Result()
-    for isp in isps:
-        ok, ooni = run_degradable(result.degradation, f"ooni@{isp}",
-                                  run_ooni, world, isp, domains)
-        if not ok:
-            continue
-        campaign = ooni.degraded()
-        result.degradation.retries += campaign["retries"]
-        for domain, site in ooni.results.items():
-            if site.error is not None:
-                result.degradation.record_error(
-                    f"ooni@{isp}:{domain}", site.error)
-        truth = ground_truth_any(world, isp, domains)
-        actual_all = set(truth)
-        actual_dns = {d for d, m in truth.items() if m == "dns"}
-        actual_http = {d for d, m in truth.items() if m == "http"}
-        row = Table1Row(
-            isp=isp,
-            total=precision_recall(ooni.flagged(), actual_all),
-            dns=precision_recall(ooni.flagged(BLOCKING_DNS), actual_dns),
-            tcp=precision_recall(ooni.flagged(BLOCKING_TCP), set()),
-            http=precision_recall(ooni.flagged(BLOCKING_HTTP), actual_http),
-            retries=campaign["retries"],
-        )
-        result.rows.append(row)
-    return result
+def _measure(isp: str, world, domains: List[str]):
+    """Table 1's row for *isp*: OONI's verdicts over *domains* scored
+    against behavioural ground truth."""
+    degradation = Degradation()
+    ok, ooni = run_degradable(degradation, f"ooni@{isp}",
+                              run_ooni, world, isp, domains)
+    if not ok:
+        return campaign_payload([], degradation)
+    degradation.retries += ooni.degraded()["retries"]
+    for domain, site in ooni.results.items():
+        if site.error is not None:
+            degradation.record_error(f"ooni@{isp}:{domain}", site.error)
+    truth = ground_truth_any(world, isp, domains)
+    actual = {None: set(truth), BLOCKING_TCP: set(),
+              BLOCKING_DNS: {d for d, m in truth.items() if m == "dns"},
+              BLOCKING_HTTP: {d for d, m in truth.items() if m == "http"}}
+    paper = PAPER_TABLE1[isp]
+    row = [isp] + [
+        fmt_cell(precision_recall(ooni.flagged(blocking),
+                                  actual[blocking]).as_tuple())
+        for blocking in (None, BLOCKING_DNS, BLOCKING_TCP, BLOCKING_HTTP)
+    ] + [fmt_cell(paper["total"]), fmt_cell(paper["http"])]
+    return campaign_payload([row], degradation)

@@ -8,15 +8,10 @@ controlled-server experiment, and the number of PBWs observed blocked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, List, Optional
 
-from ..core.measure.classify import (
-    classify_by_behaviour,
-    classify_middlebox,
-    find_controlled_target,
-)
-from ..core.measure.fastprobe import canonical_payload, express_http_probe
+from ..core.measure.classify import classify_by_behaviour, classify_middlebox
 from ..core.measure.coverage import (
     measure_coverage_inside,
     measure_coverage_outside,
@@ -28,9 +23,9 @@ from .common import (
     Degradation,
     TableSpec,
     Unit,
+    box_target,
     campaign_payload,
     fmt_cell,
-    format_table,
     parse_number,
     run_degradable,
 )
@@ -87,51 +82,12 @@ CHECKS = (
 _KIND_ABBREV = {"wiretap": "WM", "interceptive": "IM"}
 
 
-@dataclass
-class Table2Row:
-    isp: str
-    inside_coverage: float = 0.0
-    outside_coverage: float = 0.0
-    middlebox_type: str = "?"
-    websites_blocked: int = 0
-
-
-@dataclass
-class Table2Result:
-    rows: List[Table2Row] = field(default_factory=list)
-    degradation: Degradation = field(default_factory=Degradation)
-
-    def row(self, isp: str) -> Table2Row:
-        for row in self.rows:
-            if row.isp == isp:
-                return row
-        raise KeyError(isp)
-
-    def render(self) -> str:
-        table = format_table(list(CAMPAIGN.headers), _body_rows(self),
-                             title=CAMPAIGN.title)
-        extra = self.degradation.describe()
-        return table + ("\n" + extra if extra else "")
-
-
 #: Campaign decomposition: one resumable unit per HTTP-censoring ISP.
 CAMPAIGN = TableSpec(
     title="Table 2: HTTP filtering in different ISPs",
     headers=("ISP", "Cov% (inside)", "Cov% (outside)", "Type",
              "Blocked", "paper (in, out, type, blocked)"),
 )
-
-
-def _body_rows(result: "Table2Result") -> List[List[str]]:
-    return [
-        [row.isp,
-         fmt_cell(round(row.inside_coverage * 100, 1)),
-         fmt_cell(round(row.outside_coverage * 100, 1)),
-         fmt_cell(row.middlebox_type),
-         fmt_cell(row.websites_blocked),
-         fmt_cell(PAPER_TABLE2.get(row.isp, "-"))]
-        for row in result.rows
-    ]
 
 
 def measured(rows: List[List[str]]) -> Dict[str, object]:
@@ -142,72 +98,47 @@ def measured(rows: List[List[str]]) -> Dict[str, object]:
             "type": row[3], "blocked": parse_number(row[4])}
 
 
-def units(isps=HTTP_FILTERING_ISPS):
-    """Named measurement units for the campaign runner."""
-    for isp in isps:
-        yield Unit(isp, _campaign_unit(isp))
+def units():
+    """One campaign unit per HTTP-censoring ISP."""
+    for isp in HTTP_FILTERING_ISPS:
+        yield Unit(isp, partial(_measure, isp))
 
 
-def _campaign_unit(isp: str):
-    def unit_fn(world, domains):
-        result = run(world, domains=domains, isps=(isp,))
-        return campaign_payload(_body_rows(result), result.degradation)
-    return unit_fn
-
-
-def run(world, domains: Optional[List[str]] = None,
-        isps=HTTP_FILTERING_ISPS, classify: bool = True) -> Table2Result:
-    """Regenerate Table 2."""
-    if domains is None:
-        domains = world.corpus.domains()
-    result = Table2Result()
-    for isp in isps:
-        in_ok, inside = run_degradable(result.degradation,
-                                       f"coverage-in@{isp}",
-                                       measure_coverage_inside, world, isp,
-                                       domains=domains)
-        out_ok, outside = run_degradable(result.degradation,
-                                         f"coverage-out@{isp}",
-                                         measure_coverage_outside, world,
-                                         isp, domains=domains)
-        if not (in_ok and out_ok):
-            continue
-        kind = "?"
-        if classify:
-            # _classify legitimately returns None for "undeterminable";
-            # only a dead unit (ok=False) is a degradation.
-            _, determined = run_degradable(result.degradation,
-                                           f"classify@{isp}",
-                                           _classify, world, isp)
-            kind = determined or "?"
-        result.rows.append(Table2Row(
-            isp=isp,
-            inside_coverage=inside.coverage,
-            outside_coverage=outside.coverage,
-            middlebox_type=kind,
-            websites_blocked=len(inside.blocked_union()),
-        ))
-    return result
+def _measure(isp: str, world, domains: List[str]):
+    """Table 2's row for *isp*: coverage from inside and outside over
+    *domains*, the box family, and the sites blocked from inside."""
+    degradation = Degradation()
+    in_ok, inside = run_degradable(degradation, f"coverage-in@{isp}",
+                                   measure_coverage_inside, world, isp,
+                                   domains=domains)
+    out_ok, outside = run_degradable(degradation, f"coverage-out@{isp}",
+                                     measure_coverage_outside, world, isp,
+                                     domains=domains)
+    if not (in_ok and out_ok):
+        return campaign_payload([], degradation)
+    # _classify legitimately returns None for "undeterminable"; only a
+    # dead unit (ok=False) is a degradation.
+    _, kind = run_degradable(degradation, f"classify@{isp}",
+                             _classify, world, isp)
+    row = [isp,
+           fmt_cell(round(inside.coverage * 100, 1)),
+           fmt_cell(round(outside.coverage * 100, 1)),
+           fmt_cell(kind or "?"),
+           fmt_cell(len(inside.blocked_union())),
+           fmt_cell(PAPER_TABLE2[isp])]
+    return campaign_payload([row], degradation)
 
 
 def _classify(world, isp: str) -> Optional[str]:
-    candidates = sorted(world.blocklists.http.get(isp, ()))
-    server, domain = find_controlled_target(world, isp, candidates)
+    server, domain, dst_ip = box_target(world, isp)
+    if domain is None:
+        return None
     if server is not None:
-        classification = classify_middlebox(world, isp, domain,
-                                            server_host=server, attempts=8)
-        return _KIND_ABBREV.get(classification.kind, classification.kind)
-    # No controlled host behind a box: fall back to the client-side
-    # behavioural discriminator against a censored site itself.
-    client = world.client_of(isp)
-    for candidate in candidates:
-        dst_ip = world.hosting.ip_for(candidate, region="in")
-        if dst_ip is None:
-            continue
-        verdict = express_http_probe(world.network, client, dst_ip,
-                                     canonical_payload(candidate))
-        if verdict.censored:
-            behavioural = classify_by_behaviour(world, isp, candidate,
-                                                dst_ip, attempts=8)
-            return _KIND_ABBREV.get(behavioural.kind, behavioural.kind)
-    return None
+        kind = classify_middlebox(world, isp, domain, server_host=server,
+                                  attempts=8).kind
+    else:
+        # No controlled host behind a box: the client-side behavioural
+        # discriminator against a censored site itself.
+        kind = classify_by_behaviour(world, isp, domain, dst_ip,
+                                     attempts=8).kind
+    return _KIND_ABBREV.get(kind, kind)

@@ -8,10 +8,10 @@ in this world.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from functools import partial
+from typing import Dict, List
 
-from ..core.measure.tcpip import TCPIPFilterReport, detect_tcpip_filtering
+from ..core.measure.tcpip import detect_tcpip_filtering
 from ..isps.profiles import OONI_TESTED_ISPS
 from .common import (
     Cell,
@@ -19,22 +19,11 @@ from .common import (
     TableSpec,
     Unit,
     campaign_payload,
-    format_table,
 )
 
 
-@dataclass
-class TCPIPExperimentResult:
-    reports: Dict[str, TCPIPFilterReport] = field(default_factory=dict)
-
-    @property
-    def any_filtering(self) -> bool:
-        return any(report.any_filtering for report in self.reports.values())
-
-    def render(self) -> str:
-        return format_table(list(CAMPAIGN.headers), _body_rows(self),
-                            title=CAMPAIGN.title)
-
+#: Corpus sites handshaken per ISP.
+SITES_PER_ISP = 25
 
 #: Campaign decomposition: one resumable unit per tested ISP.
 CAMPAIGN = TableSpec(
@@ -53,43 +42,22 @@ CHECKS = (
 )
 
 
-def _body_rows(result: "TCPIPExperimentResult") -> List[List]:
-    body = []
-    for isp, report in result.reports.items():
-        filtered = report.filtered_domains()
-        body.append([
-            isp, len(report.successes), len(filtered),
-            "TCP/IP filtering" if filtered else "none (as in paper)",
-        ])
-    return body
-
-
 def measured(rows: List[List]) -> Dict[str, object]:
     """A unit's handshake findings from its payload rows."""
     return dict(zip(CAMPAIGN.headers[1:], rows[0][1:]))
 
 
-def units(isps=OONI_TESTED_ISPS):
-    """Named measurement units for the campaign runner."""
-    for isp in isps:
-        yield Unit(isp, _campaign_unit(isp))
+def units():
+    """One campaign unit per tested ISP."""
+    for isp in OONI_TESTED_ISPS:
+        yield Unit(isp, partial(_measure, isp))
 
 
-def _campaign_unit(isp: str):
-    def unit_fn(world, domains):
-        result = run(world, domains=domains, isps=(isp,))
-        return campaign_payload(_body_rows(result))
-    return unit_fn
-
-
-def run(world, domains: Optional[List[str]] = None,
-        isps=OONI_TESTED_ISPS, sites_per_isp: int = 25
-        ) -> TCPIPExperimentResult:
-    """Run the five-handshake test in every ISP."""
-    if domains is None:
-        domains = world.corpus.domains()
-    result = TCPIPExperimentResult()
-    for isp in isps:
-        result.reports[isp] = detect_tcpip_filtering(
-            world, isp, domains[:sites_per_isp])
-    return result
+def _measure(isp: str, world, domains: List[str]):
+    """Five handshakes to each of the first sites of *domains* from
+    *isp*'s client."""
+    report = detect_tcpip_filtering(world, isp, domains[:SITES_PER_ISP])
+    filtered = report.filtered_domains()
+    return campaign_payload([[
+        isp, len(report.successes), len(filtered),
+        "TCP/IP filtering" if filtered else "none (as in paper)"]])

@@ -604,42 +604,14 @@ class Campaign:
 
     def _finish(self, units_by_exp, resumed: int, discarded: int,
                 deadline_hit: Optional[str]) -> CampaignReport:
-        from ..experiments.common import Degradation
-
         records, _ = Journal.load(self.journal_path)
         latest: Dict[Tuple[str, str], Dict] = {}
         for rec in records:
             if rec.get("type") == "unit":
                 latest[(rec["experiment"], rec["unit"])] = rec
 
-        counts = {"total": 0, "ok": 0, "degraded": 0, "timeout": 0,
-                  "failed": 0, "quarantined": 0, "missing": 0}
-        degradation = Degradation(resumed=resumed)
-        for key, units in units_by_exp.items():
-            for unit in units:
-                counts["total"] += 1
-                rec = latest.get((key, unit.name))
-                if rec is None:
-                    counts["missing"] += 1
-                    continue
-                counts[rec["status"]] += 1
-                if rec["status"] == "timeout":
-                    degradation.record_timeout(TimeoutDegradation(
-                        unit=f"{key}:{unit.name}",
-                        kind=rec["timeout"]["kind"],
-                        detail=rec["timeout"]["detail"]))
-                elif rec["status"] == "failed":
-                    degradation.record_error(f"{key}:{unit.name}",
-                                             rec["error"]["reason"])
-                elif rec["status"] == QUARANTINED:
-                    degradation.record_quarantine(
-                        f"{key}:{unit.name}", rec["error"]["reason"])
-                else:
-                    payload = rec["payload"]
-                    degradation.retries += payload.get("retries", 0)
-                    for unit_name, reason in payload.get("errors", ()):
-                        degradation.record_error(unit_name, reason)
-
+        counts, degradation = fold_records(units_by_exp, latest)
+        degradation.resumed = resumed
         tables = self._assemble(units_by_exp, latest)
         from .atomicio import replace_text
 
@@ -689,6 +661,48 @@ class Campaign:
                                    latest)
                     for key, module in self.registry.items()]
         return "\n\n".join(sections) + "\n"
+
+
+def fold_records(units_by_exp: Mapping[str, Sequence[Unit]],
+                 latest: Mapping[Tuple[str, str], Dict]):
+    """``(counts, degradation)`` of the units' latest records.
+
+    *counts* tallies units by status (``missing`` for a unit without
+    a record); the :class:`~repro.experiments.common.Degradation`
+    gathers timeouts, failures, quarantines and each payload's retries
+    and errors, which ``repro campaign`` and ``repro experiment`` print
+    with its ``describe()``.
+    """
+    from ..experiments.common import Degradation
+
+    counts = {"total": 0, "ok": 0, "degraded": 0, "timeout": 0,
+              "failed": 0, "quarantined": 0, "missing": 0}
+    degradation = Degradation()
+    for key, units in units_by_exp.items():
+        for unit in units:
+            counts["total"] += 1
+            rec = latest.get((key, unit.name))
+            if rec is None:
+                counts["missing"] += 1
+                continue
+            counts[rec["status"]] += 1
+            if rec["status"] == "timeout":
+                degradation.record_timeout(TimeoutDegradation(
+                    unit=f"{key}:{unit.name}",
+                    kind=rec["timeout"]["kind"],
+                    detail=rec["timeout"]["detail"]))
+            elif rec["status"] == "failed":
+                degradation.record_error(f"{key}:{unit.name}",
+                                         rec["error"]["reason"])
+            elif rec["status"] == QUARANTINED:
+                degradation.record_quarantine(
+                    f"{key}:{unit.name}", rec["error"]["reason"])
+            else:
+                payload = rec["payload"]
+                degradation.retries += payload.get("retries", 0)
+                for unit_name, reason in payload.get("errors", ()):
+                    degradation.record_error(unit_name, reason)
+    return counts, degradation
 
 
 def render_section(spec, key: str, units: Sequence[Unit],

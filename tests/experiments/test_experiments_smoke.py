@@ -1,8 +1,9 @@
-"""Experiment modules: run each on the small world, check structure.
+"""Experiment modules: run units on the small world, check structure.
 
 Full-scale shape assertions are the fidelity cells and checks each
 experiment declares, which ``repro report`` judges; these smoke tests
-guarantee each experiment runs end to end and renders.
+guarantee each experiment's units run end to end and that its own
+``measured(rows)`` parses what they return.
 """
 
 import pytest
@@ -13,6 +14,7 @@ from repro.experiments import (
     fig2_dns,
     fig5_http,
     https_filtering,
+    idiosyncrasies,
     ooni_failures,
     statefulness,
     table1_ooni,
@@ -32,6 +34,15 @@ from repro.experiments.common import (
 @pytest.fixture(scope="module")
 def sample(small_world):
     return small_world.corpus.domains()[:60]
+
+
+def measure(module, name, world, domains):
+    """Run *module*'s unit *name* as the campaign would; returns its
+    payload and the cells its ``measured(rows)`` reads from it."""
+    unit = next(unit for unit in module.units() if unit.name == name)
+    payload = unit.fn(world, domains)
+    assert payload["rows"] and not payload["errors"]
+    return payload, module.measured(payload["rows"])
 
 
 class TestCommonHelpers:
@@ -58,101 +69,75 @@ class TestCommonHelpers:
 
 class TestTable1:
     def test_runs_and_renders(self, small_world, sample):
-        result = table1_ooni.run(small_world, sample, isps=("idea",))
-        assert "OONI" in result.render()
-        row = result.row("idea")
-        assert row.tcp.as_tuple() == (0.0, 0.0)
-        assert 0 <= row.total.precision <= 1
-
-    def test_unknown_row_raises(self, small_world, sample):
-        result = table1_ooni.run(small_world, sample, isps=("idea",))
-        with pytest.raises(KeyError):
-            result.row("bsnl")
+        _, cells = measure(table1_ooni, "idea", small_world, sample)
+        assert (cells["TCP P"], cells["TCP R"]) == (0.0, 0.0)
+        assert 0 <= cells["Total P"] <= 1
 
 
 class TestTable2:
     def test_runs_and_renders(self, small_world, sample):
-        result = table2_http.run(small_world, sample, isps=("idea",),
-                                 classify=False)
-        assert result.row("idea").inside_coverage > 0.5
-        assert "Table 2" in result.render()
+        _, cells = measure(table2_http, "idea", small_world, sample)
+        assert cells["inside %"] > 50
 
 
 class TestTable3:
-    def test_runs_and_renders(self, small_world, sample):
-        result = table3_collateral.run(small_world,
-                                       small_world.corpus.domains(),
-                                       stubs=("siti",))
-        assert result.dominant_neighbour("siti") in ("airtel", None)
-        assert "Collateral" in result.render()
+    def test_runs_and_renders(self, small_world):
+        _, cells = measure(table3_collateral, "siti", small_world,
+                           small_world.corpus.domains())
+        counts = {name: count for name, count in cells.items() if count}
+        assert not counts or max(counts, key=counts.get) == "airtel"
 
 
 class TestFigures:
     def test_fig2(self, small_world):
-        result = fig2_dns.run(small_world, isps=("bsnl",))
-        assert "bsnl" in result.scans
-        assert 0 <= result.coverage("bsnl") <= 1
-        assert "Figure 2" in result.render()
-        assert "Website ID" in result.render_series("bsnl")
+        _, cells = measure(fig2_dns, "bsnl", small_world,
+                           small_world.corpus.domains())
+        assert 0 <= cells["coverage %"] <= 100
 
     def test_fig5(self, small_world, sample):
-        result = fig5_http.run(small_world, sample, isps=("idea",))
-        assert result.consistency("idea") > 0.4
-        assert "Figure 5" in result.render()
+        _, cells = measure(fig5_http, "idea", small_world, sample)
+        assert cells["consistency %"] > 40
 
 
 class TestSectionExperiments:
     def test_trigger(self, small_world):
-        result = trigger_analysis.run(small_world, isps=("idea",))
-        assert "idea" in result.analyses
-        assert "request-only" in result.analyses["idea"].conclusion
-        assert "3.4" in result.render()
+        _, cells = measure(trigger_analysis, "idea", small_world, [])
+        assert cells["conclusion"] == "request-only"
 
     def test_dns_mechanism(self, small_world):
-        result = dns_mechanism.run(small_world, isps=("mtnl",),
-                                   resolvers_per_isp=2)
-        assert result.mechanisms("mtnl") == {"poisoning"}
-        assert result.injector_trace.mechanism == "injection"
-        assert "poisoning" in result.render()
+        _, cells = measure(dns_mechanism, "mtnl", small_world, [])
+        assert cells["mechanism"] == "poisoning"
+        _, cells = measure(dns_mechanism, "synthetic-injector",
+                           small_world, [])
+        assert cells["mechanism"] == "injection"
 
     def test_tcpip(self, small_world):
-        result = tcpip_filtering.run(small_world, isps=("nkn",),
-                                     sites_per_isp=4)
-        assert not result.any_filtering
-        assert "3.3" in result.render()
+        _, cells = measure(tcpip_filtering, "idea", small_world,
+                           small_world.corpus.domains())
+        assert cells["sites tested"] > 0
+        assert cells["filtered"] == 0
 
     def test_statefulness(self, small_world):
-        result = statefulness.run(small_world, isps=("idea",),
-                                  with_timeout=False)
-        assert result.reports["idea"].stateful
-        assert "4.2.1" in result.render()
+        _, cells = measure(statefulness, "idea", small_world, [])
+        assert cells["stateful"] == "True"
 
     def test_evasion(self, small_world):
-        result = evasion_matrix.run(small_world, isps=("idea",),
-                                    sites_per_isp=2)
-        assert result.matrices["idea"].success_rate(
-            "host-value-whitespace") == 1.0
-        assert result.all_sites_evaded("idea")
-        assert "evasion" in result.render()
+        _, cells = measure(evasion_matrix, "idea", small_world, [])
+        assert cells["host-value-whitespace"] == 100
+        assert cells["all evaded"] == "True"
 
     def test_ooni_failures(self, small_world, sample):
-        result = ooni_failures.run(small_world, sample, isps=("idea",),
-                                   detector_sample=10)
-        breakdown = result.breakdowns["idea"]
-        assert breakdown.true_positives >= 0
-        assert "OONI" in result.render()
+        _, cells = measure(ooni_failures, "idea", small_world, sample)
+        assert cells["TP"] >= 0
 
     def test_https(self, small_world):
-        result = https_filtering.run(small_world, isps=("idea", "mtnl"))
-        assert result.instances("idea") == []
-        assert result.all_instances_dns_caused
-        assert "HTTPS" in result.render()
+        _, idea = measure(https_filtering, "idea", small_world, [])
+        _, mtnl = measure(https_filtering, "mtnl", small_world, [])
+        assert idea["filtering instances"] == 0
+        assert mtnl["causes"] in ("-", "dns-poisoning")
 
     def test_idiosyncrasies(self, small_world):
-        from repro.experiments import idiosyncrasies
-        result = idiosyncrasies.run(small_world, isps=("idea",))
-        report = result.reports["idea"]
-        if report.port80_censored is not None:
-            assert report.port_80_only
-            assert report.keepalive_extends_flow
-        assert "6.3" in result.render()
+        _, cells = measure(idiosyncrasies, "idea", small_world, [])
+        if cells["port-80 only"] != "-":
+            assert cells["port-80 only"] == "True"
+            assert cells["keep-alive extends state"] == "True"

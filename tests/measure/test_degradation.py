@@ -46,56 +46,66 @@ def sample(small_world):
     return small_world.corpus.domains()[:60]
 
 
+def measure(module, name, world, domains):
+    """Run *module*'s unit *name* as the campaign would; returns its
+    payload and the cells its ``measured(rows)`` reads from it."""
+    unit = next(unit for unit in module.units() if unit.name == name)
+    payload = unit.fn(world, domains)
+    return payload, module.measured(payload["rows"])
+
+
+def dominant(counts):
+    counts = {name: count for name, count in counts.items() if count}
+    return max(counts, key=counts.get) if counts else None
+
+
 class TestHeadlineExperimentsUnderLoss:
     """Each experiment completes and lands within TOLERANCE of the
     zero-loss run on an identically-built world."""
 
     def test_table1_ooni(self, small_world, faulty_world, sample):
-        clean = table1_ooni.run(small_world, sample, isps=("idea",))
-        lossy = table1_ooni.run(faulty_world, sample, isps=("idea",))
-        assert "Table 1" in lossy.render()
-        for attr in ("total", "http"):
-            clean_pr = getattr(clean.row("idea"), attr).as_tuple()
-            lossy_pr = getattr(lossy.row("idea"), attr).as_tuple()
-            for got, want in zip(lossy_pr, clean_pr):
-                assert abs(got - want) <= TOLERANCE
-        # The campaign reports what the faults cost it.
-        assert lossy.row("idea").retries > 0
-        assert "degraded" in lossy.render()
-        assert clean.row("idea").retries == 0
+        clean, clean_cells = measure(table1_ooni, "idea", small_world,
+                                     sample)
+        lossy, lossy_cells = measure(table1_ooni, "idea", faulty_world,
+                                     sample)
+        for cell in ("Total P", "Total R", "HTTP P", "HTTP R"):
+            assert abs(lossy_cells[cell] - clean_cells[cell]) <= TOLERANCE
+        # The unit reports what the faults cost it.
+        assert lossy["retries"] > 0
+        assert clean["retries"] == 0
 
     def test_table2_http(self, small_world, faulty_world, sample):
-        clean = table2_http.run(small_world, sample, isps=("idea",),
-                                classify=False)
-        lossy = table2_http.run(faulty_world, sample, isps=("idea",),
-                                classify=False)
-        assert not lossy.degradation.partial
-        assert abs(lossy.row("idea").inside_coverage
-                   - clean.row("idea").inside_coverage) <= TOLERANCE
-        assert abs(lossy.row("idea").outside_coverage
-                   - clean.row("idea").outside_coverage) <= TOLERANCE
+        _, clean = measure(table2_http, "idea", small_world, sample)
+        lossy_payload, lossy = measure(table2_http, "idea", faulty_world,
+                                       sample)
+        assert not lossy_payload["errors"]
+        for cell in ("inside %", "outside %"):
+            assert abs(lossy[cell] - clean[cell]) <= TOLERANCE * 100
 
     def test_fig2_dns(self, small_world, faulty_world):
-        clean = fig2_dns.run(small_world, isps=("bsnl",))
-        lossy = fig2_dns.run(faulty_world, isps=("bsnl",))
-        assert not lossy.degradation.partial
-        assert abs(lossy.coverage("bsnl")
-                   - clean.coverage("bsnl")) <= TOLERANCE
+        domains = small_world.corpus.domains()
+        _, clean = measure(fig2_dns, "bsnl", small_world, domains)
+        lossy_payload, lossy = measure(fig2_dns, "bsnl", faulty_world,
+                                       domains)
+        assert not lossy_payload["errors"]
+        assert abs(lossy["coverage %"]
+                   - clean["coverage %"]) <= TOLERANCE * 100
 
     def test_fig5_http(self, small_world, faulty_world, sample):
-        clean = fig5_http.run(small_world, sample, isps=("idea",))
-        lossy = fig5_http.run(faulty_world, sample, isps=("idea",))
-        assert not lossy.degradation.partial
-        assert abs(lossy.consistency("idea")
-                   - clean.consistency("idea")) <= TOLERANCE
+        _, clean = measure(fig5_http, "idea", small_world, sample)
+        lossy_payload, lossy = measure(fig5_http, "idea", faulty_world,
+                                       sample)
+        assert not lossy_payload["errors"]
+        assert abs(lossy["consistency %"]
+                   - clean["consistency %"]) <= TOLERANCE * 100
 
     def test_table3_collateral(self, small_world, faulty_world):
         domains = small_world.corpus.domains()
-        clean = table3_collateral.run(small_world, domains, stubs=("siti",))
-        lossy = table3_collateral.run(faulty_world, domains, stubs=("siti",))
-        assert not lossy.degradation.partial
-        assert (lossy.dominant_neighbour("siti")
-                == clean.dominant_neighbour("siti"))
+        _, clean = measure(table3_collateral, "siti", small_world, domains)
+        lossy_payload, lossy = measure(table3_collateral, "siti",
+                                       faulty_world, domains)
+        assert not lossy_payload["errors"]
+        assert dominant(lossy) == dominant(clean)
 
 
 class TestSeededDeterminism:
@@ -103,25 +113,22 @@ class TestSeededDeterminism:
 
     def run_once(self, fault_seed, domains):
         world = make_faulty_world(fault_seed=fault_seed)
-        result = table1_ooni.run(world, domains, isps=("idea",))
-        return result
+        return measure(table1_ooni, "idea", world, domains)
 
     def test_same_fault_seed_byte_identical(self, sample):
         domains = sample[:20]
-        first = self.run_once(FAULT_SEED, domains)
-        second = self.run_once(FAULT_SEED, domains)
-        assert first.render() == second.render()
-        assert first.row("idea").retries == second.row("idea").retries
+        first, _ = self.run_once(FAULT_SEED, domains)
+        second, _ = self.run_once(FAULT_SEED, domains)
+        assert first == second
 
     def test_different_fault_seed_within_tolerance(self, sample):
         """A different schedule shifts which probes retry, but hardened
         clients keep the metrics inside the documented tolerance."""
         domains = sample[:20]
-        first = self.run_once(FAULT_SEED, domains)
-        other = self.run_once(FAULT_SEED + 1, domains)
-        for got, want in zip(other.row("idea").total.as_tuple(),
-                             first.row("idea").total.as_tuple()):
-            assert abs(got - want) <= TOLERANCE
+        _, first = self.run_once(FAULT_SEED, domains)
+        _, other = self.run_once(FAULT_SEED + 1, domains)
+        for cell in ("Total P", "Total R"):
+            assert abs(other[cell] - first[cell]) <= TOLERANCE
 
 
 class TestUnhardenedRegression:

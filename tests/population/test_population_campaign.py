@@ -20,6 +20,11 @@ def _tiny_population(monkeypatch):
 SETTINGS = UnitSettings(seed=1808, scale=0.05)
 
 
+def idea_unit():
+    return next(unit for unit in population_scale.units()
+                if unit.name == "idea")
+
+
 class TestUnits:
     def test_one_unit_per_isp(self):
         names = [unit.name for unit in population_scale.units()]
@@ -34,7 +39,7 @@ class TestUnits:
         assert population_scale.sessions_for("airtel") == full["airtel"]
 
     def test_unit_payload_shape(self):
-        unit = next(iter(population_scale.units(("idea",))))
+        unit = idea_unit()
         world = build_unit_world(SETTINGS)
         payload = unit.fn(world, None)
         assert payload["rows"]
@@ -50,7 +55,7 @@ class TestUnits:
 
 class TestMetricsLift:
     def test_execute_unit_routes_obs_metrics_sidecar(self):
-        unit = next(iter(population_scale.units(("idea",))))
+        unit = idea_unit()
         record, _wall, extras, kind = execute_unit(
             SETTINGS, "population-scale", unit)
         assert kind is None

@@ -2,18 +2,15 @@
 
 import pytest
 
-from repro.cli import EXPERIMENTS, build_parser, main
+from repro.cli import build_parser, main
 
 
 class TestParser:
     def test_all_experiments_named(self):
-        from repro import experiments
-        assert set(EXPERIMENTS) == set(experiments.EXPERIMENT_MODULES)
-        for cli_name in EXPERIMENTS:
-            module = experiments.EXPERIMENT_MODULES[cli_name]
-            assert hasattr(module, "run"), cli_name
-            assert hasattr(module, "units"), cli_name
-            assert hasattr(module, "CAMPAIGN"), cli_name
+        from repro.experiments import EXPERIMENT_MODULES
+        for name, module in EXPERIMENT_MODULES.items():
+            assert hasattr(module, "units"), name
+            assert hasattr(module, "CAMPAIGN"), name
 
     def test_requires_command(self):
         with pytest.raises(SystemExit):
@@ -169,6 +166,27 @@ class TestExperimentIsTheCampaignSection:
         assert main(["experiment", name, "--scale", "0.05"]) == 0
         assert capsys.readouterr().out == \
             (run_dir / "tables.txt").read_text()
+
+    def test_unknown_experiment_exits_2(self, capsys):
+        assert main(["experiment", "no-such-experiment"]) == 2
+        err = capsys.readouterr().err
+        assert "unknown experiment 'no-such-experiment'" in err
+        assert "table2" in err  # the message names the choices
+
+    def test_reports_the_campaign_degradation(self, capsys, tmp_path):
+        """Under loss both commands print the same retry line, the
+        experiment's after its table."""
+        flags = ["--scale", "0.05", "--loss", "0.05", "--fault-seed", "3"]
+        assert main(["campaign", "table1", *flags,
+                     "--run-dir", str(tmp_path / "run")]) == 0
+        campaign = capsys.readouterr().out
+        assert main(["experiment", "table1", *flags]) == 0
+        experiment = capsys.readouterr().out
+        [line] = [line for line in campaign.splitlines()
+                  if line.startswith("degraded: ")]
+        assert line.endswith(" client retries")
+        assert experiment == \
+            (tmp_path / "run" / "tables.txt").read_text() + line + "\n"
 
     def test_verbose_folds_drops_from_unit_metrics(self, capsys):
         assert main(["experiment", "tcpip", "--scale", "0.05",

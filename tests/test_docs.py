@@ -113,3 +113,19 @@ def test_catalogued_names_are_string_literals_in_source():
     assert errors == ["docs/FAKE.md:4: catalogued name "
                       "`netsim_teleports_total` is no string literal "
                       "in src/"]
+
+
+def test_readme_table2_is_what_its_command_prints(capsys):
+    """README quotes `repro experiment table2 --scale 1.0`'s output
+    (format_table pads its last column, so trailing spaces differ)."""
+    from repro.cli import main
+
+    readme = open(os.path.join(REPO_ROOT, "README.md"),
+                  encoding="utf-8").read()
+    command = "python -m repro experiment table2 --scale 1.0"
+    _, found, rest = readme.partition(f"```bash\n{command}\n```\n\n```\n")
+    assert found, f"README has no `{command}` block"
+    quoted = rest.partition("```")[0].splitlines()
+    assert main(command.split()[3:]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert [line.rstrip() for line in printed] == quoted
