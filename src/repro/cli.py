@@ -49,24 +49,33 @@ drain on SIGTERM, and crash recovery from the spool on boot — see
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
-from typing import Optional
+from typing import Dict, Optional
 
-from .isps import PROFILES, build_world
-from .netsim.faults import fault_setup
+from .isps import PROFILES
+from .runner.parallel import UnitSettings, build_unit_world
+
+#: The run settings (:class:`~repro.runner.parallel.UnitSettings`) are
+#: flags without argparse defaults: an unflagged setting is absent
+#: from the parsed namespace, so the record supplies its default and
+#: checks every value, and a resumed campaign adopts what was not
+#: flagged from its journal.
+_SETTING = argparse.SUPPRESS
+
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--scale", type=float, default=0.25,
+    common.add_argument("--scale", type=float, default=_SETTING,
                         help="world scale (1.0 = full paper scale)")
-    common.add_argument("--seed", type=int, default=1808)
-    common.add_argument("--loss", type=float, default=0.0,
+    common.add_argument("--seed", type=int, default=_SETTING)
+    common.add_argument("--loss", type=float, default=_SETTING,
                         help="per-link packet loss probability "
                              "(enables fault injection)")
-    common.add_argument("--fault-seed", type=int, default=0,
+    common.add_argument("--fault-seed", type=int, default=_SETTING,
                         help="seed for the deterministic fault schedule")
-    common.add_argument("--retries", type=int, default=None,
+    common.add_argument("--retries", type=int, default=_SETTING,
                         help="override DNS/HTTP client attempts under "
                              "faults (default: hardening policy)")
     common.add_argument("--verbose", action="store_true",
@@ -113,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
                                "from dispatch; the supervisor kills a "
                                "worker still busy 2 s past it and "
                                "journals a timeout")
-    campaign.add_argument("--unit-steps", type=int, default=None,
+    campaign.add_argument("--unit-steps", type=int, default=_SETTING,
                           metavar="N",
                           help="simulated-event budget per unit: the "
                                "event past N ends the unit as a "
@@ -124,8 +133,8 @@ def build_parser() -> argparse.ArgumentParser:
                                "in canonical unit order, so output is "
                                "byte-identical to --workers 1 "
                                "(default: 1)")
-    campaign.add_argument("--worker-memory-mb", type=int, default=None,
-                          metavar="MB",
+    campaign.add_argument("--worker-memory-mb", dest="memory_limit_mb",
+                          type=int, default=_SETTING, metavar="MB",
                           help="memory budget per worker process (its "
                                "data limit, RLIMIT_DATA); a unit blowing "
                                "it is retried in a fresh worker and "
@@ -138,6 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="echo journal records as they are "
                                "appended")
     campaign.add_argument("--trace", action="store_true",
+                          default=_SETTING,
                           help="record hop-level trace events to "
                                "<run-dir>/trace.jsonl (journal bytes "
                                "are unaffected)")
@@ -228,20 +238,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list] = None) -> int:
-    raw = list(sys.argv[1:]) if argv is None else list(argv)
-    args = build_parser().parse_args(raw)
+    args = build_parser().parse_args(argv)
     if args.command == "experiment":
         return _cmd_experiment(args)
     if args.command == "campaign":
-        return _cmd_campaign(args, raw)
+        return _cmd_campaign(args)
     if args.command == "report":
         return _cmd_report(args)
     if args.command == "fuzz":
         return _cmd_fuzz(args)
     if args.command == "serve":
         return _cmd_serve(args)
-    world = build_world(seed=args.seed, scale=args.scale)
-    _install_faults(world, args)
+    try:
+        settings = UnitSettings(**_given_settings(args))
+    except ValueError as exc:
+        return _trouble(str(exc))
+    world = build_unit_world(settings)
     if args.command == "info":
         status = _cmd_info(world)
     elif args.command == "fetch":
@@ -257,18 +269,11 @@ def main(argv: Optional[list] = None) -> int:
     return status
 
 
-def _install_faults(world, args) -> None:
-    """Activate the ``--loss``/``--fault-seed``/``--retries`` flags."""
-    faults = _fault_flags(args)
-    if faults is not None:
-        world.install_faults(*faults)
-
-
-def _fault_flags(args):
-    try:
-        return fault_setup(args.loss, args.fault_seed, args.retries)
-    except ValueError as exc:
-        raise SystemExit(f"repro: error: {exc}")
+def _given_settings(args) -> Dict:
+    """The run settings flagged on the command line."""
+    names = {field.name for field in dataclasses.fields(UnitSettings)}
+    return {name: value for name, value in vars(args).items()
+            if name in names}
 
 
 def _print_fault_stats(world) -> None:
@@ -306,16 +311,13 @@ def _cmd_experiment(args) -> int:
     from .obs.report import fold_drops
     from .runner import CampaignError
     from .runner.campaign import _registry, fold_records, render_section
-    from .runner.parallel import UnitSettings, execute_unit
+    from .runner.parallel import execute_unit
 
     try:
         [module] = _registry([args.name]).values()
-    except CampaignError as exc:
-        return _campaign_trouble(str(exc))
-    _fault_flags(args)  # a bad --loss exits here, before any world
-    settings = UnitSettings(seed=args.seed, scale=args.scale,
-                            loss=args.loss, fault_seed=args.fault_seed,
-                            retries=args.retries)
+        settings = UnitSettings(**_given_settings(args))
+    except (CampaignError, ValueError) as exc:
+        return _trouble(str(exc))
     units = list(module.units())
     latest = {}
     drops = {}
@@ -348,26 +350,7 @@ def _print_drops(drops) -> None:
         print(f"  {reason}: {count}")
 
 
-#: Campaign flags that pin journal meta fields; any the user does NOT
-#: pass are adopted from the journal on ``--resume``, so the printed
-#: ``repro campaign --resume <run_dir>`` hint works verbatim.
-_CAMPAIGN_META_FLAGS = (
-    ("--seed", "seed"), ("--scale", "scale"), ("--loss", "loss"),
-    ("--fault-seed", "fault_seed"), ("--retries", "retries"),
-    ("--unit-steps", "unit_steps"),
-    ("--worker-memory-mb", "memory_limit"),
-)
-
-
-def _resume_adoptions(raw) -> set:
-    flagged = {
-        key for opt, key in _CAMPAIGN_META_FLAGS
-        if any(tok == opt or tok.startswith(opt + "=") for tok in raw)
-    }
-    return {key for _, key in _CAMPAIGN_META_FLAGS} - flagged
-
-
-def _cmd_campaign(args, raw=()) -> int:
+def _cmd_campaign(args) -> int:
     import signal
     import threading
 
@@ -375,8 +358,7 @@ def _cmd_campaign(args, raw=()) -> int:
     from .runner.campaign import Campaign
 
     if args.workers < 1:
-        return _campaign_trouble(
-            f"--workers must be >= 1, got {args.workers}")
+        return _trouble(f"--workers must be >= 1, got {args.workers}")
     cores = os.cpu_count()
     if cores is not None and args.workers > cores:
         print(f"repro: warning: --workers {args.workers} exceeds "
@@ -401,30 +383,24 @@ def _cmd_campaign(args, raw=()) -> int:
         except (ValueError, OSError):  # non-main thread / platform
             pass
     try:
+        # Settings left unflagged take their defaults, or on --resume
+        # the journal's, which makes the printed
+        # ``repro campaign --resume <run_dir>`` hint work verbatim.
         campaign = Campaign(
             experiments=list(args.names) or None,
-            seed=args.seed,
-            scale=args.scale,
             run_dir=run_dir,
             resume=args.resume is not None,
-            unit_steps=args.unit_steps,
             unit_wall=args.unit_deadline,
             deadline=args.deadline,
-            loss=args.loss,
-            fault_seed=args.fault_seed,
-            retries=args.retries,
             echo_journal=args.journal,
             workers=args.workers,
-            trace=args.trace,
-            memory_limit_mb=args.worker_memory_mb,
             max_worker_crashes=args.max_worker_crashes,
             stop_event=stop_event,
-            adopt_settings=(_resume_adoptions(raw)
-                            if args.resume is not None else None),
+            **_given_settings(args),
         )
         report = campaign.run()
     except CampaignError as exc:
-        return _campaign_trouble(str(exc))
+        return _trouble(str(exc))
     finally:
         for signum, handler in restore.items():
             try:
@@ -438,10 +414,10 @@ def _cmd_campaign(args, raw=()) -> int:
     return 0 if report.complete else 1
 
 
-def _campaign_trouble(message: str) -> int:
-    """Report *message*; status 2 says the campaign did not run or
+def _trouble(message: str) -> int:
+    """Report *message*; status 2 says the command did not run or
     aborted.  As with grep and diff, 2 means trouble, while 1 means
-    the campaign finished with units missing."""
+    a campaign finished with units missing."""
     print(f"repro: error: {message}", file=sys.stderr)
     return 2
 

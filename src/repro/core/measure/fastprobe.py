@@ -272,6 +272,7 @@ def express_dns_probe(
         allowed = config.client_filter
         if allowed is None or not allowed(client.ip):
             return NO_ANSWER
-    response: DNSResponse = service.answer(DNSQuery(qname=qname), resolver_ip)
+    query = DNSQuery(qname=qname, qid=network.next_qid())
+    response: DNSResponse = service.answer(query, resolver_ip)
     return ExpressDNSAnswer(responded=True, ips=tuple(response.ips),
                             rcode=response.rcode)

@@ -143,7 +143,8 @@ def identify_censorious(
             if service is None:
                 continue
             for domain in domains:
-                answer = service.answer(DNSQuery(qname=domain), resolver_ip)
+                query = DNSQuery(qname=domain, qid=world.network.next_qid())
+                answer = service.answer(query, resolver_ip)
                 if answer.rcode != "NOERROR" or not answer.ips:
                     continue
                 if _is_manipulated(answer.ips, deployment):

@@ -15,9 +15,6 @@ from .message import (
     DNSLookupResult,
     DNSQuery,
     DNSResponse,
-    QidAllocator,
-    next_qid,
-    reset_qids,
 )
 from .resolver import (
     PoisonStrategy,
@@ -38,7 +35,6 @@ __all__ = [
     "DNS_PORT",
     "GlobalDNS",
     "PoisonStrategy",
-    "QidAllocator",
     "REGIONS",
     "ResolverConfig",
     "ResolverService",
@@ -46,8 +42,6 @@ __all__ = [
     "bogon_poison",
     "dns_lookup",
     "mixed_poison",
-    "next_qid",
-    "reset_qids",
     "resolve_all",
     "static_ip_poison",
 ]

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 from typing import List, Optional
 
 from ..netsim.devices import Host
@@ -13,20 +12,9 @@ from .message import DNS_PORT, DNSLookupResult, DNSQuery, DNSResponse
 
 DEFAULT_DNS_TIMEOUT = 2.0
 
-_client_ports = itertools.count(30000)
-
-
-def reset_client_ports(start: int = 30000) -> None:
-    """Restart the ephemeral source-port sequence DNS lookups draw from.
-
-    Like :func:`~repro.dnssim.message.reset_qids`, this exists so a
-    freshly built world issues the same port stream no matter what ran
-    earlier in the process — without it, trace flow ids (which embed
-    the source port) would differ between serial and worker-pool
-    campaign runs.  ``build_world`` calls it.
-    """
-    global _client_ports
-    _client_ports = itertools.count(start)
+#: First ephemeral source port of DNS lookups, a pool of the network's
+#: probe ports (:meth:`~repro.netsim.engine.Network.next_probe_port`).
+_CLIENT_PORT_BASE = 30000
 
 
 def dns_lookup(
@@ -85,8 +73,8 @@ def _lookup_once(
     itself; section 3.2-III).
     """
     result = DNSLookupResult(qname=qname, resolver_ip=resolver_ip)
-    src_port = next(_client_ports)
-    query = DNSQuery(qname=qname)
+    src_port = network.next_probe_port(_CLIENT_PORT_BASE)
+    query = DNSQuery(qname=qname, qid=network.next_qid())
     packet = make_udp_packet(client.ip, resolver_ip, src_port, DNS_PORT,
                              query, ttl=ttl)
     started = network.now

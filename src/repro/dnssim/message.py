@@ -2,53 +2,16 @@
 
 Queries and responses travel as structured UDP payloads; a 16-bit query
 id ties them together exactly as in real DNS (the tracer matches
-injected vs. authoritative answers by qid).
+injected vs. authoritative answers by qid).  Ids come from the
+network a query crosses (:meth:`~repro.netsim.engine.Network.next_qid`).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import List, Optional
 
 DNS_PORT = 53
-
-
-class QidAllocator:
-    """A deterministic, resettable 16-bit query-id sequence.
-
-    The seed repo used a bare module-level ``itertools.count``, which
-    leaked state across worlds: the qids a test saw depended on every
-    lookup any earlier test had performed.  Worlds (and fuzz runs) now
-    reset the allocator so a given seed always produces the same qid
-    stream.
-    """
-
-    def __init__(self, start: int = 1) -> None:
-        self._counter = itertools.count(start)
-
-    def next(self) -> int:
-        """The next query id (16-bit wrap)."""
-        return next(self._counter) & 0xFFFF
-
-    def reset(self, start: int = 1) -> None:
-        """Restart the sequence at *start*."""
-        self._counter = itertools.count(start)
-
-
-#: Process-wide default allocator (what :func:`next_qid` draws from).
-_default_qids = QidAllocator()
-
-
-def next_qid() -> int:
-    """A fresh query id (16-bit wrap) from the default allocator."""
-    return _default_qids.next()
-
-
-def reset_qids(start: int = 1) -> None:
-    """Reset the default qid sequence (fresh worlds, deterministic
-    fuzz runs, test isolation)."""
-    _default_qids.reset(start)
 
 
 @dataclass(frozen=True)
@@ -56,7 +19,7 @@ class DNSQuery:
     """An A-record question for *qname*."""
 
     qname: str
-    qid: int = field(default_factory=next_qid)
+    qid: int
     qtype: str = "A"
 
 

@@ -16,7 +16,7 @@ from types import SimpleNamespace
 from typing import Dict, List, Optional, Tuple
 
 from ..dnssim.client import dns_lookup
-from ..dnssim.message import DNSQuery, reset_qids
+from ..dnssim.message import DNSQuery
 from ..dnssim.resolver import ResolverConfig, ResolverService, static_ip_poison
 from ..dnssim.zones import GlobalDNS
 from ..httpsim.message import make_response
@@ -300,7 +300,6 @@ def run_dns_probe(entry: dict) -> DiffResult:
     """Replay one DNS mutant against honest and poisoned resolvers."""
     result = DiffResult()
     qname = entry.get("qname", "")
-    reset_qids(1)
 
     global_dns = GlobalDNS()
     global_dns.add_simple(FUZZ_DOMAIN, ["95.1.2.3"])

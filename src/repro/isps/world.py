@@ -24,8 +24,6 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from ..dnssim.client import reset_client_ports
-from ..dnssim.message import reset_qids
 from ..dnssim.resolver import ResolverConfig, ResolverService
 from ..dnssim.zones import GlobalDNS
 from ..httpsim.server import OriginServer
@@ -99,13 +97,6 @@ class World:
             boxes.extend(deployment.peering_boxes.values())
         return boxes
 
-    def reset_qids(self, start: int = 1) -> None:
-        """Restart the DNS query-id sequence this world's lookups draw
-        from.  ``build_world`` already calls this, so a freshly built
-        world issues the same qid stream regardless of what ran before
-        it — fuzz runs and test order can't change qids."""
-        reset_qids(start)
-
     def install_faults(self, plan: FaultPlan,
                        hardening: Optional[HardeningPolicy] = None,
                        ) -> FaultInjector:
@@ -124,14 +115,6 @@ def build_world(
     if isp_names is None:
         isp_names = list(PROFILES)
     isp_names = _close_over_upstreams(isp_names)
-
-    # Fresh worlds start from pristine qid and ephemeral-port
-    # sequences: what any lookup sees depends only on the world's own
-    # traffic, never on whatever ran earlier in the process (trace
-    # flow ids embed source ports, so this is also what keeps traces
-    # byte-identical between serial and worker-pool campaigns).
-    reset_qids()
-    reset_client_ports()
 
     network = Network()
     global_dns = GlobalDNS()

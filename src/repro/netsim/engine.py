@@ -183,6 +183,8 @@ class Network:
         #: Probe source-port counters, keyed by each pool's first port
         #: (see :meth:`next_probe_port`).
         self._probe_ports: Dict[int, Iterator[int]] = {}
+        #: DNS query ids (see :meth:`next_qid`).
+        self._qids = itertools.count(1)
 
     def next_probe_port(self, first: int) -> int:
         """Next source port of the probe pool that starts at *first*.
@@ -198,6 +200,14 @@ class Network:
         if counter is None:
             counter = self._probe_ports[first] = itertools.count(first)
         return next(counter)
+
+    def next_qid(self) -> int:
+        """Next DNS query id (1, 2, …, wrapping at 16 bits).
+
+        Per network, like :meth:`next_probe_port`, so a freshly built
+        world's lookups carry the same ids in any process.
+        """
+        return next(self._qids) & 0xFFFF
 
     def install_faults(self, plan: FaultPlan,
                        hardening: Optional[HardeningPolicy] = None,

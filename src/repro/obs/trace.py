@@ -44,12 +44,13 @@ kind                emitted by / meaning
                     blocked despite its new handshake
 ==================  =====================================================
 
-The campaign supervisor (:mod:`repro.runner.supervise`) reuses this
-bus for its own event family — ``worker-crash``, ``unit-retry``,
-``unit-quarantined``, ``unit-hard-timeout``, ``worker-spawn`` — but
-those are wall-clock forensics, so they stream to the separate
-``supervision.jsonl`` sidecar, never ``trace.jsonl`` (which must stay
-byte-identical between serial and ``--workers N`` runs).
+The campaign supervisor (:mod:`repro.runner.supervise`) hands its own
+event family — ``worker-crash``, ``unit-retry``, ``unit-quarantined``,
+``unit-hard-timeout``, ``worker-spawn`` — to a plain callback in the
+same shape (``t``, ``kind``, fields), but those are wall-clock
+forensics, so they stream to the separate ``supervision.jsonl``
+sidecar, never ``trace.jsonl`` (which must stay byte-identical between
+serial and ``--workers N`` runs).
 
 Every event carries the virtual-clock time ``t`` (never wall time — so
 traces are byte-reproducible), its ``kind``, a ``corr`` correlation

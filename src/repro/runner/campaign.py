@@ -59,7 +59,7 @@ from .errors import (
     TimeoutDegradation,
 )
 from .journal import Journal
-from .parallel import UnitSettings
+from .parallel import UnitSettings, cast_setting
 from .units import Unit
 
 #: Journal schema version (bump on incompatible record changes).
@@ -84,6 +84,14 @@ _SUPERVISION_COUNTERS = {
     "unit-hard-timeout": "campaign_unit_hard_timeouts_total",
     "worker-spawn": "campaign_workers_respawned_total",
 }
+
+
+def _count(name: str, value) -> int:
+    """*value* as a count of at least one (``ValueError`` otherwise)."""
+    count = cast_setting(name, int, value)
+    if count < 1:
+        raise ValueError(f"{name} must be >= 1, got {count}")
+    return count
 
 
 def _registry(experiments: Optional[Sequence[str]]):
@@ -155,30 +163,41 @@ class CampaignReport:
 class Campaign:
     """One resumable, deadline-guarded sweep over experiment units."""
 
-    def __init__(self, experiments: Optional[Sequence[str]] = None,
-                 seed: int = 1808, scale: float = 0.25,
+    def __init__(self, experiments: Optional[Sequence[str]] = None, *,
                  run_dir: str = "campaign-run", resume: bool = False,
-                 unit_steps: Optional[int] = None,
                  unit_wall: Optional[float] = None,
                  deadline: Optional[float] = None,
-                 loss: float = 0.0, fault_seed: int = 0,
-                 retries: Optional[int] = None,
                  crash_after: Optional[int] = None,
                  specs: Optional[Mapping[str, object]] = None,
                  echo_journal: bool = False,
                  workers: int = 1,
-                 trace: bool = False,
                  max_worker_crashes: int = 2,
-                 memory_limit_mb: Optional[int] = None,
                  stop_event=None,
                  on_event: Optional[Callable[[Dict], None]] = None,
-                 adopt_settings: Optional[Sequence[str]] = None,
-                 clock: Callable[[], float] = time.monotonic) -> None:
-        from ..netsim.faults import fault_setup
-
-        if workers < 1:
-            raise CampaignError(f"workers must be >= 1, got {workers}")
-        self.workers = workers
+                 clock: Callable[[], float] = time.monotonic,
+                 **settings) -> None:
+        """*settings* are the run's: keywords of
+        :class:`~repro.runner.parallel.UnitSettings` (``seed``,
+        ``scale``, ``loss``, …), which owns their defaults and checks.
+        On resume every setting not passed here is adopted from the
+        journal, as the experiment list is when *experiments* is
+        ``None``; a passed one must match it."""
+        try:
+            #: The run's settings, shared with the workers at spawn.
+            self.settings = UnitSettings(**settings)
+            self.workers = _count("workers", workers)
+            self.max_worker_crashes = _count("max_worker_crashes",
+                                             max_worker_crashes)
+            self.unit_wall = (None if unit_wall is None
+                              else cast_setting("unit_wall", float,
+                                                unit_wall))
+        except ValueError as exc:
+            # Checked here so a bad value stops the campaign before
+            # any journal exists.
+            raise CampaignError(str(exc)) from None
+        #: The settings given here, which a resume must not override.
+        self._given = {name: getattr(self.settings, name)
+                       for name in settings}
         self.registry = (dict(specs) if specs is not None
                          else _registry(experiments))
         #: Ad-hoc spec modules go to the workers at spawn; registry
@@ -187,31 +206,13 @@ class Campaign:
         #: On resume with no explicit experiment list, adopt the
         #: journal's recorded list rather than demanding a retype.
         self._adopt_experiments = specs is None and experiments is None
-        self.seed = seed
-        self.scale = scale
         self.run_dir = run_dir
         self.resume = resume
-        self.unit_steps = unit_steps
-        self.loss = loss
-        self.fault_seed = fault_seed
-        self.retries = retries
-        try:
-            # Built again in every unit's world; checked here so a bad
-            # value stops the campaign before any journal exists.
-            fault_setup(loss, fault_seed, retries)
-        except ValueError as exc:
-            raise CampaignError(str(exc)) from None
         if crash_after is None:
             raw = os.environ.get(CRASH_AFTER_ENV)
             crash_after = int(raw) if raw else None
         self.crash_after = crash_after
         self.echo_journal = echo_journal
-        self.trace = trace
-        if max_worker_crashes < 1:
-            raise CampaignError(f"max_worker_crashes must be >= 1, "
-                                f"got {max_worker_crashes}")
-        self.max_worker_crashes = max_worker_crashes
-        self.memory_limit_mb = memory_limit_mb
         #: Graceful-drain hook: any object with ``is_set()`` (e.g. a
         #: ``threading.Event``).  Once set, the campaign finishes the
         #: unit in flight, commits it, and returns with
@@ -224,16 +225,6 @@ class Campaign:
         #: plus every supervision event).  Best-effort — a failing sink
         #: is counted and reported, never allowed to abort the run.
         self.on_event = on_event
-        #: Meta keys to adopt from the journal on resume instead of
-        #: demanding a retype (the same courtesy ``_adopt_experiments``
-        #: extends to the experiment list).  The CLI passes every
-        #: setting the user did *not* explicitly flag, which is what
-        #: makes the printed ``repro campaign --resume <run_dir>``
-        #: hint work verbatim.  Explicitly-flagged values still go
-        #: through :meth:`_check_meta`, so a genuine conflict (e.g.
-        #: ``--seed 9`` against a seed-7 journal) still errors.
-        self._adopt_settings = frozenset(adopt_settings or ())
-        self.unit_wall = unit_wall
         #: Campaign wall budget (seconds), measured on :attr:`clock`
         #: from the start of :meth:`run` and checked between commits.
         self.deadline = deadline
@@ -252,18 +243,9 @@ class Campaign:
         return os.path.join(self.run_dir, "tables.txt")
 
     def _meta(self) -> Dict:
-        return {
-            "type": "meta",
-            "version": JOURNAL_VERSION,
-            "seed": self.seed,
-            "scale": self.scale,
-            "experiments": list(self.registry),
-            "loss": self.loss,
-            "fault_seed": self.fault_seed,
-            "retries": self.retries,
-            "unit_steps": self.unit_steps,
-            "memory_limit": self.memory_limit_mb,
-        }
+        return {"type": "meta", "version": JOURNAL_VERSION,
+                "experiments": list(self.registry),
+                **self.settings.meta()}
 
     def _open_journal(self) -> Tuple[Journal, List[Dict], int]:
         if self.resume:
@@ -271,11 +253,17 @@ class Campaign:
             if not records or records[0].get("type") != "meta":
                 raise ResumeMismatch(
                     f"{self.journal_path} has no readable meta record")
+            recorded = records[0]
             if self._adopt_experiments:
                 self.registry = _registry(
-                    records[0].get("experiments") or None)
-            self._adopt_recorded(records[0])
-            self._check_meta(records[0])
+                    recorded.get("experiments") or None)
+            try:
+                self.settings = dataclasses.replace(
+                    UnitSettings.from_meta(recorded), **self._given)
+            except ValueError as exc:
+                raise ResumeMismatch(
+                    f"cannot resume {self.journal_path}: {exc}") from None
+            self._check_meta(recorded)
             return journal, records, discarded
         if os.path.exists(self.journal_path):
             raise CampaignError(
@@ -286,28 +274,10 @@ class Campaign:
         self._append(journal, self._meta())
         return journal, [], 0
 
-    #: meta key → constructor attribute, for adopt-on-resume.
-    _ADOPTABLE = {
-        "seed": "seed", "scale": "scale", "loss": "loss",
-        "fault_seed": "fault_seed", "retries": "retries",
-        "unit_steps": "unit_steps", "memory_limit": "memory_limit_mb",
-    }
-
-    def _adopt_recorded(self, recorded: Dict) -> None:
-        """Take un-flagged settings from the journal meta record."""
-        for key in self._adopt_settings:
-            attr = self._ADOPTABLE.get(key)
-            if attr is not None and key in recorded:
-                setattr(self, attr, recorded[key])
-
     def _check_meta(self, recorded: Dict) -> None:
         expected = self._meta()
-        mismatched = [
-            key for key in ("version", "seed", "scale", "experiments",
-                            "loss", "fault_seed", "retries", "unit_steps",
-                            "memory_limit")
-            if recorded.get(key) != expected[key]
-        ]
+        mismatched = [key for key in expected
+                      if recorded.get(key) != expected[key]]
         if mismatched:
             detail = ", ".join(
                 f"{key}: journal={recorded.get(key)!r} "
@@ -326,16 +296,6 @@ class Campaign:
     # ------------------------------------------------------------------
     # Unit execution
     # ------------------------------------------------------------------
-
-    def _settings(self) -> UnitSettings:
-        """The picklable execution settings shared with workers."""
-        return UnitSettings(
-            seed=self.seed, scale=self.scale, loss=self.loss,
-            fault_seed=self.fault_seed, retries=self.retries,
-            unit_steps=self.unit_steps,
-            trace=self.trace,
-            memory_limit_mb=self.memory_limit_mb,
-        )
 
     def _sidecar_error(self, where: str, exc: BaseException) -> None:
         """A diagnostics channel failed: count it and say so on stderr.
@@ -433,7 +393,6 @@ class Campaign:
 
     def run(self) -> CampaignReport:
         from ..obs.metrics import MetricsRegistry
-        from ..obs.trace import TraceBus
 
         os.makedirs(self.run_dir, exist_ok=True)
         journal, prior, discarded = self._open_journal()
@@ -446,8 +405,6 @@ class Campaign:
         #: ``supervision.jsonl`` sidecar and the wall metrics — never
         #: ``trace.jsonl``, which byte-compares across worker counts.
         self._supervision_fh = None
-        self._supervision_bus = TraceBus()
-        self._supervision_bus.subscribe(self._on_supervision_event)
         units_by_exp: Dict[str, List[Unit]] = {
             key: list(module.units())
             for key, module in self.registry.items()
@@ -559,10 +516,10 @@ class Campaign:
         executed = 0
         deadline_hit: Optional[str] = None
         supervisor = Supervisor(
-            self._settings(), self.workers, specs=self._specs,
+            self.settings, self.workers, specs=self._specs,
             unit_wall=self.unit_wall,
             max_crashes=self.max_worker_crashes,
-            events=self._supervision_bus,
+            events=self._on_supervision_event,
             stop_check=self._stop_requested)
         units = {(key, unit.name): unit for key, unit in pending}
         outcomes = supervisor.run(
@@ -718,7 +675,6 @@ def render_section(spec, key: str, units: Sequence[Unit],
 
     headers = list(spec.headers)
     rows: List[List] = []
-    notes: List[str] = []
     for unit in units:
         rec = latest.get((key, unit.name))
         if rec is None:
@@ -737,12 +693,9 @@ def render_section(spec, key: str, units: Sequence[Unit],
                 headers))
         else:
             rows.extend(rec["payload"]["rows"])
-            notes.extend(rec["payload"].get("notes", ()))
     section = format_table(headers, rows, title=spec.title)
     if spec.footer:
         section += "\n" + spec.footer
-    for note in notes:
-        section += "\n" + note
     return section
 
 

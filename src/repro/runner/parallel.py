@@ -1,4 +1,4 @@
-"""Process-parallel execution of campaign units.
+"""A run's settings and the execution of one campaign unit.
 
 Campaign units are embarrassingly parallel by construction: every unit
 runs on a **fresh world built from the campaign seed** (never on state
@@ -12,19 +12,16 @@ byte-identical for every worker count; CI byte-compares ``--workers
 
 Every campaign unit runs in a supervised worker process
 (:mod:`repro.runner.supervise`); ``--workers 1`` is a one-worker pool.
-The pieces here are the worker's side of that:
+The pieces here are what a worker (or ``repro experiment``, in
+process) runs:
 
-* :class:`UnitSettings` — the picklable subset of campaign
-  configuration a unit's execution depends on;
+* :class:`UnitSettings` — the one record of a run's settings, which
+  every command, :class:`~repro.runner.campaign.Campaign` and
+  ``repro serve`` build and the workers receive at spawn;
+* :func:`build_unit_world` — the fresh world those settings describe;
 * :func:`execute_unit` — build world, cap its events, run one unit,
-  classify the outcome into a journal record and an outcome kind;
-* :func:`worker_initializer` / :func:`run_unit_task` — the worker
-  entry points.  Workers receive only ``(experiment, unit name,
-  attempt)`` triples and re-resolve the unit from the experiment
-  registry (or from the ad-hoc spec modules handed over at spawn), so
-  no closures cross the process boundary per task.  Deterministic
-  chaos hooks (:data:`KILL_ENV` / :data:`HANG_ENV`) let tests and CI
-  kill or wedge workers at exact ``unit:attempt`` points.
+  classify the outcome into a journal record (:func:`unit_record`)
+  and an outcome kind.
 
 Wall-clock timings are *returned* alongside records but never
 journaled — they are the one nondeterministic observable, and live in
@@ -34,43 +31,48 @@ the run directory's ``timings.jsonl`` sidecar instead.
 from __future__ import annotations
 
 import dataclasses
-import os
-import signal
 import sys
 import time
 import traceback
 from typing import Dict, Mapping, Optional, Tuple
 
 from ..netsim.errors import EventLimitExceeded
-from .errors import FATAL, POISON, CampaignError, classify_error
+from ..netsim.faults import fault_setup
+from .errors import FATAL, POISON, classify_error
 from .units import Unit
-
-#: Chaos hook: SIGKILL the worker at specific ``experiment/unit:attempt``
-#: points (comma-separated; omit ``:attempt`` to kill every attempt).
-#: Lets CI exercise the supervisor's crash-recovery path with real,
-#: deterministic worker deaths.
-KILL_ENV = "REPRO_CAMPAIGN_WORKER_KILL"
-
-#: Chaos hook: spin in **pure Python** (no simulated events, so no
-#: event limit) at matching ``experiment/unit`` points — a hang only
-#: the supervisor's hard deadline ends.
-HANG_ENV = "REPRO_CAMPAIGN_WORKER_HANG"
-
-#: Safety net on the chaos hang: never spin longer than this, so a
-#: test that forgot a unit wall cannot wedge CI forever.
-HANG_SPIN_LIMIT = 600.0
 
 #: Per-unit trace event cap under ``--trace`` (fixed, so truncation is
 #: deterministic).
 TRACE_LIMIT = 100_000
 
 
+def cast_setting(name: str, kind: type, value):
+    """*value* as *kind* — ``int``, ``float`` or ``bool``, as argparse's
+    ``type=`` casts a flag — or ``ValueError`` naming the setting."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        noun = "an integer" if kind is int else "a number"
+        raise ValueError(f"{name} must be {noun}, got {value!r}") from None
+
+
 @dataclasses.dataclass(frozen=True)
 class UnitSettings:
-    """Everything a unit's execution depends on, in picklable form."""
+    """A run's settings: everything a unit's execution depends on.
 
-    seed: int
-    scale: float
+    The one record of them.  Construction casts each value to its
+    default's type (``int`` where the default is ``None``, which stays
+    allowed), so a command line, a JSON submission and a journal's
+    meta record reach the same values, and raises ``ValueError`` for a
+    bad one.  :meth:`meta` is the journal's form of the settings a run
+    pins, and :meth:`from_meta` reads it back on resume.  Picklable:
+    workers receive it at spawn.
+    """
+
+    seed: int = 1808
+    scale: float = 0.25
+    #: Per-link loss probability, the seed of the fault schedule and
+    #: the client attempts under loss (:meth:`faults`).
     loss: float = 0.0
     fault_seed: int = 0
     retries: Optional[int] = None
@@ -79,12 +81,50 @@ class UnitSettings:
     unit_steps: Optional[int] = None
     #: Attach a trace bus to every unit world and return the buffered
     #: events through the result channel (``--trace``), at most
-    #: :data:`TRACE_LIMIT` per unit.
-    trace: bool = False
-    #: Per-worker memory budget (MiB): the data limit
-    #: (``RLIMIT_DATA``) that :func:`worker_initializer` sets, so one
-    #: pathological world build cannot OOM the host.  ``None`` = off.
-    memory_limit_mb: Optional[int] = None
+    #: :data:`TRACE_LIMIT` per unit.  Only a sidecar changes, so the
+    #: journal does not record it: a traced run and an untraced one
+    #: share their journal bytes.
+    trace: bool = dataclasses.field(default=False, metadata={"meta": None})
+    #: Per-worker memory budget (MiB): the data limit (``RLIMIT_DATA``)
+    #: each worker sets on itself, so one pathological world build
+    #: cannot OOM the host.  ``None`` = off.
+    memory_limit_mb: Optional[int] = dataclasses.field(
+        default=None, metadata={"meta": "memory_limit"})
+
+    def __post_init__(self) -> None:
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            if field.default is None and value is None:
+                continue
+            kind = int if field.default is None else type(field.default)
+            object.__setattr__(self, field.name,
+                               cast_setting(field.name, kind, value))
+        self.faults()  # a loss that is not a probability raises here
+
+    def faults(self):
+        """The fault plan and client hardening these settings ask for,
+        or ``None`` without loss (:func:`~repro.netsim.faults.fault_setup`)."""
+        return fault_setup(self.loss, self.fault_seed, self.retries)
+
+    @classmethod
+    def _meta_keys(cls) -> Dict[str, str]:
+        """Setting name -> its journal meta key, for the pinned ones."""
+        keys = {field.name: field.metadata.get("meta", field.name)
+                for field in dataclasses.fields(cls)}
+        return {name: key for name, key in keys.items() if key}
+
+    def meta(self) -> Dict:
+        """The settings a journal pins, keyed as its meta record is."""
+        return {key: getattr(self, name)
+                for name, key in self._meta_keys().items()}
+
+    @classmethod
+    def from_meta(cls, meta: Mapping) -> "UnitSettings":
+        """The settings a journal meta record pins (defaults for any
+        key it lacks)."""
+        return cls(**{name: meta[key]
+                      for name, key in cls._meta_keys().items()
+                      if key in meta})
 
 
 def out_of_memory(exc: BaseException, settings: UnitSettings) -> bool:
@@ -116,14 +156,29 @@ def _peak_rss_mb() -> Optional[float]:
 def build_unit_world(settings: UnitSettings):
     """A pristine world per unit: resume- and order-independence."""
     from ..isps.world import build_world
-    from ..netsim.faults import fault_setup
 
     world = build_world(seed=settings.seed, scale=settings.scale)
-    faults = fault_setup(settings.loss, settings.fault_seed,
-                         settings.retries)
+    faults = settings.faults()
     if faults is not None:
         world.install_faults(*faults)
     return world
+
+
+def unit_record(experiment: str, unit_name: str, status: str, *,
+                payload: Optional[Dict] = None,
+                error: Optional[Dict] = None,
+                timeout: Optional[Dict] = None,
+                steps: Optional[int] = None) -> Dict:
+    """One unit's journal record.
+
+    Only deterministic fields: ``error`` is ``{"category", "reason"}``
+    for a failed or quarantined unit, ``timeout`` ``{"kind",
+    "detail"}`` for a timed-out one, and ``steps`` the simulated
+    events the unit ran (``None`` where no worker could count them).
+    """
+    return {"type": "unit", "experiment": experiment, "unit": unit_name,
+            "status": status, "payload": payload, "error": error,
+            "timeout": timeout, "steps": steps}
 
 
 def execute_unit(settings: UnitSettings, experiment: str, unit: Unit
@@ -162,10 +217,7 @@ def execute_unit(settings: UnitSettings, experiment: str, unit: Unit
     from ..obs.metrics import (MetricsRegistry, STEP_BUCKETS,
                                collect_world_metrics)
 
-    record: Dict = {"type": "unit", "experiment": experiment,
-                    "unit": unit.name, "payload": None,
-                    "error": None, "timeout": None}
-    obs_snapshot: Optional[Dict] = None
+    payload = error = timeout = obs_snapshot = None
     kind: Optional[str] = None
     extras: Dict = {"metrics": None, "trace": None}
     start = time.monotonic()
@@ -193,8 +245,8 @@ def execute_unit(settings: UnitSettings, experiment: str, unit: Unit
         # The count stops at the crossing event, even where a fused
         # transit chain carried ``events_processed`` further.
         steps = settings.unit_steps + 1
-        record["status"] = "timeout"
-        record["timeout"] = {
+        status = "timeout"
+        timeout = {
             "kind": "sim-steps",
             "detail": f"unit exceeded {settings.unit_steps} "
                       f"simulated events",
@@ -202,11 +254,9 @@ def execute_unit(settings: UnitSettings, experiment: str, unit: Unit
     except Exception as exc:
         category = (POISON if out_of_memory(exc, settings)
                     else classify_error(exc))
-        record["status"] = "failed"
-        record["error"] = {
-            "category": category,
-            "reason": f"{type(exc).__name__}: {exc}",
-        }
+        status = "failed"
+        error = {"category": category,
+                 "reason": f"{type(exc).__name__}: {exc}"}
         if category in (FATAL, POISON):
             kind = category
         if category == FATAL:
@@ -222,11 +272,11 @@ def execute_unit(settings: UnitSettings, experiment: str, unit: Unit
             obs_snapshot = payload.pop("obs_metrics", None)
         errors = payload.get("errors") if isinstance(payload, dict) \
             else None
-        record["status"] = "degraded" if errors else "ok"
-        record["payload"] = payload
+        status = "degraded" if errors else "ok"
     if steps is None:
         steps = network.events_processed - events_before
-    record["steps"] = steps
+    record = unit_record(experiment, unit.name, status, payload=payload,
+                         error=error, timeout=timeout, steps=steps)
     if kind is None:
         registry = MetricsRegistry()
         collect_world_metrics(registry, world, experiment=experiment)
@@ -239,148 +289,3 @@ def execute_unit(settings: UnitSettings, experiment: str, unit: Unit
             extras["trace"] = sink.lines()
     extras["peak_rss_mb"] = _peak_rss_mb()
     return record, time.monotonic() - start, extras, kind
-
-
-# ---------------------------------------------------------------------------
-# Worker-process side
-# ---------------------------------------------------------------------------
-
-#: Per-worker state installed by :func:`worker_initializer`: the
-#: settings, the ad-hoc spec modules (``None`` = the experiment
-#: registry) and a lazily built ``{experiment: {name: Unit}}`` memo
-#: (units are re-resolved once per worker, then reused for every task
-#: the worker executes).
-_WORKER: Dict = {}
-
-
-def worker_initializer(settings: UnitSettings,
-                       specs: Optional[Mapping[str, object]] = None
-                       ) -> None:
-    _WORKER["settings"] = settings
-    _WORKER["specs"] = specs
-    _WORKER["units"] = {}
-    _apply_memory_limit(settings.memory_limit_mb)
-
-
-def _apply_memory_limit(limit_mb: Optional[int]) -> None:
-    """Cap this process's data memory (best effort, POSIX only).
-
-    ``RLIMIT_DATA`` bounds the heap and the private writable mappings,
-    which is what a unit's allocations grow; since Linux 4.7 it covers
-    anonymous ``mmap`` too.  Address space (``RLIMIT_AS``) would also
-    count what the worker only reserves — the 64 MB malloc arena and
-    8 MB stack its parent-watch thread maps before the limit applies —
-    so a 70 MB budget would leave almost nothing for a worker whose
-    resident set stays near 26 MB.
-
-    Meant for worker processes — applying it to the campaign parent
-    (or a test process) would cap *that* process too, which is why the
-    limit rides :class:`UnitSettings` instead of ambient state.
-    """
-    if not limit_mb:
-        return
-    try:
-        import resource
-    except ImportError:  # pragma: no cover - non-POSIX
-        return
-    limit = int(limit_mb) * 1024 * 1024
-    try:
-        _, hard = resource.getrlimit(resource.RLIMIT_DATA)
-        resource.setrlimit(resource.RLIMIT_DATA, (limit, hard))
-    except (ValueError, OSError):  # pragma: no cover - platform quirk
-        pass
-
-
-# ---------------------------------------------------------------------------
-# Chaos hooks (worker side)
-# ---------------------------------------------------------------------------
-
-#: Parsed chaos plans, memoized per raw env value (workers are
-#: long-lived; the env never changes underneath them).
-_CHAOS_CACHE: Dict[Tuple[str, str], Dict[str, Optional[frozenset]]] = {}
-
-
-def _parse_chaos_plan(raw: str) -> Dict[str, Optional[frozenset]]:
-    """``exp/unit:attempt,...`` -> ``{"exp/unit": {attempts} | None}``.
-
-    ``None`` means *every* attempt (an entry without ``:attempt``).
-    Malformed entries are ignored — a typo in a chaos knob must never
-    take down a real campaign.
-    """
-    plan: Dict[str, Optional[frozenset]] = {}
-    for entry in raw.split(","):
-        entry = entry.strip()
-        if not entry or "/" not in entry:
-            continue
-        key, attempt = entry, None
-        if ":" in entry:
-            head, _, tail = entry.rpartition(":")
-            try:
-                attempt = int(tail)
-                key = head
-            except ValueError:
-                attempt = None
-        attempts = plan.get(key, frozenset())
-        if attempt is None or attempts is None:
-            plan[key] = None
-        else:
-            plan[key] = attempts | {attempt}
-    return plan
-
-
-def _chaos_match(env: str, experiment: str, unit_name: str,
-                 attempt: int) -> bool:
-    raw = os.environ.get(env)
-    if not raw:
-        return False
-    plan = _CHAOS_CACHE.get((env, raw))
-    if plan is None:
-        plan = _CHAOS_CACHE[(env, raw)] = _parse_chaos_plan(raw)
-    attempts = plan.get(f"{experiment}/{unit_name}", frozenset())
-    return attempts is None or attempt in attempts
-
-
-def _maybe_chaos(experiment: str, unit_name: str, attempt: int) -> None:
-    """Apply the deterministic chaos plan, if any, for this task."""
-    if _chaos_match(KILL_ENV, experiment, unit_name, attempt):
-        os.kill(os.getpid(), getattr(signal, "SIGKILL", signal.SIGTERM))
-    if _chaos_match(HANG_ENV, experiment, unit_name, attempt):
-        # Pure-Python spin: no simulated events, so no event limit
-        # can interrupt it — only a hard deadline kill can.
-        deadline = time.monotonic() + HANG_SPIN_LIMIT
-        while time.monotonic() < deadline:
-            pass
-
-
-def _resolve_unit(experiment: str, unit_name: str) -> Unit:
-    by_name = _WORKER["units"].get(experiment)
-    if by_name is None:
-        modules = _WORKER["specs"]
-        if modules is None:
-            from ..experiments import EXPERIMENT_MODULES as modules
-        module = modules.get(experiment)
-        if module is None:
-            raise CampaignError(f"worker: unknown experiment "
-                                f"{experiment!r}")
-        by_name = {unit.name: unit for unit in module.units()}
-        _WORKER["units"][experiment] = by_name
-    unit = by_name.get(unit_name)
-    if unit is None:
-        raise CampaignError(
-            f"worker: experiment {experiment!r} has no unit "
-            f"{unit_name!r}")
-    return unit
-
-
-def run_unit_task(experiment: str, unit_name: str, attempt: int = 1
-                  ) -> Tuple[Dict, float, Dict, Optional[str]]:
-    """Pool task: execute one unit in this worker process.
-
-    Returns :func:`execute_unit`'s ``(record, wall, extras, kind)``.
-    Fatal and poison failures come back as values rather than
-    exceptions, so the parent can journal them durably.
-    """
-    settings: UnitSettings = _WORKER["settings"]
-    _maybe_chaos(experiment, unit_name, attempt)
-    unit = _resolve_unit(experiment, unit_name)
-    return execute_unit(settings, experiment, unit)

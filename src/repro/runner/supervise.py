@@ -37,12 +37,15 @@ degrades instead of dying, so the pool is built for that:
   rides the ``timings.jsonl`` / ``supervision.jsonl`` sidecars and the
   wall-half metrics, never the journal.
 
-A respawn budget bounds pathological crash loops (a broken
-``worker_initializer`` would otherwise respawn forever); exceeding it
+A respawn budget bounds pathological crash loops (a worker that dies
+before its first task would otherwise respawn forever); exceeding it
 raises :class:`~repro.runner.errors.CampaignError` with the crash
 history intact in the sidecars.  Deadline kills do not draw on it: a
 hard timeout is a final outcome, so they are bounded by the number of
 units.
+
+The pool's sizes and budgets are the campaign's to check
+(:class:`~repro.runner.campaign.Campaign`); a supervisor trusts them.
 """
 
 from __future__ import annotations
@@ -57,11 +60,14 @@ import threading
 import time
 import traceback
 from multiprocessing import connection as mp_connection
-from typing import (Deque, Dict, Iterator, List, Mapping, Optional,
-                    Sequence, Tuple)
+from typing import (Callable, Deque, Dict, Iterator, List, Mapping,
+                    Optional, Sequence, Tuple)
 
-from .errors import POISON, QUARANTINED, CampaignError
-from .parallel import out_of_memory, run_unit_task, worker_initializer
+from ..obs.trace import TIME_DECIMALS
+from . import parallel
+from .errors import FATAL, POISON, QUARANTINED, CampaignError
+from .parallel import out_of_memory, unit_record
+from .units import Unit
 
 #: How long the commit loop blocks waiting for results per iteration;
 #: also the granularity of death/deadline checks.
@@ -94,6 +100,21 @@ HARD_GRACE = 2.0
 #: How long to wait for a worker to die after ``kill()``.
 JOIN_TIMEOUT = 5.0
 
+#: Chaos hook: SIGKILL the worker at specific ``experiment/unit:attempt``
+#: points (comma-separated; omit ``:attempt`` to kill every attempt).
+#: Lets CI exercise the supervisor's crash-recovery path with real,
+#: deterministic worker deaths.
+KILL_ENV = "REPRO_CAMPAIGN_WORKER_KILL"
+
+#: Chaos hook: spin in **pure Python** (no simulated events, so no
+#: event limit) at matching ``experiment/unit`` points — a hang only
+#: the supervisor's hard deadline ends.
+HANG_ENV = "REPRO_CAMPAIGN_WORKER_HANG"
+
+#: Safety net on the chaos hang: never spin longer than this, so a
+#: test that forgot a unit wall cannot wedge CI forever.
+HANG_SPIN_LIMIT = 600.0
+
 
 def quarantine_record(experiment: str, unit_name: str,
                       crashes: int) -> Dict:
@@ -103,16 +124,11 @@ def quarantine_record(experiment: str, unit_name: str,
     so runs that quarantine the same unit after the same number of
     attempts journal identical bytes at any worker count.
     """
-    return {
-        "type": "unit", "experiment": experiment, "unit": unit_name,
-        "payload": None,
-        "error": {
-            "category": POISON,
-            "reason": f"crashed {crashes} consecutive worker "
-                      f"attempt(s); quarantined",
-        },
-        "timeout": None, "status": QUARANTINED, "steps": None,
-    }
+    return unit_record(experiment, unit_name, QUARANTINED, error={
+        "category": POISON,
+        "reason": f"crashed {crashes} consecutive worker "
+                  f"attempt(s); quarantined",
+    })
 
 
 def hard_timeout_record(experiment: str, unit_name: str,
@@ -123,15 +139,10 @@ def hard_timeout_record(experiment: str, unit_name: str,
     ``None`` because a SIGKILLed worker cannot report its event count
     (forensics live in the supervision sidecar).
     """
-    return {
-        "type": "unit", "experiment": experiment, "unit": unit_name,
-        "payload": None, "error": None,
-        "timeout": {
-            "kind": "unit-wall",
-            "detail": f"unit exceeded {unit_wall:g}s wall budget",
-        },
-        "status": "timeout", "steps": None,
-    }
+    return unit_record(experiment, unit_name, "timeout", timeout={
+        "kind": "unit-wall",
+        "detail": f"unit exceeded {unit_wall:g}s wall budget",
+    })
 
 
 @dataclasses.dataclass
@@ -197,7 +208,7 @@ def _exit_with_parent(parent_pid: int) -> None:
 
 
 def _worker_main(settings, conn, specs=None) -> None:
-    """Worker process body: initialize once, then serve tasks forever.
+    """Worker process body: set up once, then serve tasks forever.
 
     Tasks arrive and results return on the worker's **own duplex
     pipe** — deliberately not a shared queue.  A queue shared by all
@@ -206,8 +217,17 @@ def _worker_main(settings, conn, specs=None) -> None:
     per-worker pipes a killed worker can only corrupt its own channel,
     which the supervisor already treats as a crash.
 
-    Anything escaping :func:`run_unit_task` is folded into an in-band
-    fatal result — except a failed allocation outside a unit
+    The worker's state is its locals: *settings*, the ad-hoc spec
+    modules (*specs*; ``None`` = the registry), the units resolved so far
+    (each experiment's ``units()`` is asked once, at its first task)
+    and the chaos plans, parsed once because the environment never
+    changes underneath a worker.  Each task looks
+    :func:`~repro.runner.parallel.execute_unit` up on its module, and
+    each experiment's ``units()`` on the experiment's module, so a
+    wrapper installed there (a profiler's, say) sees every unit.
+
+    Anything escaping a task is folded into an in-band fatal result —
+    except a failed allocation outside a unit
     (:func:`~repro.runner.parallel.out_of_memory`), where the
     interpreter's heap can no longer be trusted, so the worker dies
     with :data:`EXIT_MEMORY` and lets the supervisor attribute it.
@@ -227,7 +247,10 @@ def _worker_main(settings, conn, specs=None) -> None:
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     threading.Thread(target=_exit_with_parent, args=(os.getppid(),),
                      daemon=True, name="repro-parent-watch").start()
-    worker_initializer(settings, specs)
+    _apply_memory_limit(settings.memory_limit_mb)
+    resolved: Dict[str, Dict[str, Unit]] = {}
+    plans = {env: _parse_chaos_plan(os.environ.get(env, ""))
+             for env in (KILL_ENV, HANG_ENV)}
     gc.freeze()
     while True:
         try:
@@ -238,19 +261,17 @@ def _worker_main(settings, conn, specs=None) -> None:
             break
         index, experiment, unit_name, attempt = task
         try:
-            record, wall, extras, kind = run_unit_task(
-                experiment, unit_name, attempt=attempt)
+            _apply_chaos(plans, experiment, unit_name, attempt)
+            unit = _resolve_unit(specs, resolved, experiment, unit_name)
+            record, wall, extras, kind = parallel.execute_unit(
+                settings, experiment, unit)
         except BaseException as exc:
             if out_of_memory(exc, settings):
                 os._exit(EXIT_MEMORY)
-            record = {
-                "type": "unit", "experiment": experiment,
-                "unit": unit_name, "payload": None,
-                "error": {"category": "fatal",
-                          "reason": f"{type(exc).__name__}: {exc}"},
-                "timeout": None, "status": "failed", "steps": None,
-            }
-            wall, kind = 0.0, "fatal"
+            record = unit_record(experiment, unit_name, "failed", error={
+                "category": FATAL,
+                "reason": f"{type(exc).__name__}: {exc}"})
+            wall, kind = 0.0, FATAL
             extras = _empty_extras()
             extras["traceback"] = traceback.format_exc()
         try:
@@ -269,6 +290,103 @@ def _worker_main(settings, conn, specs=None) -> None:
         pass
 
 
+def _apply_memory_limit(limit_mb: Optional[int]) -> None:
+    """Cap this worker's data memory (best effort, POSIX only).
+
+    ``RLIMIT_DATA`` bounds the heap and the private writable mappings,
+    which is what a unit's allocations grow; since Linux 4.7 it covers
+    anonymous ``mmap`` too.  Address space (``RLIMIT_AS``) would also
+    count what the worker only reserves — the 64 MB malloc arena and
+    8 MB stack its parent-watch thread maps before the limit applies —
+    so a 70 MB budget would leave almost nothing for a worker whose
+    resident set stays near 26 MB.  Only workers apply it, so the
+    campaign's own process is never capped.
+    """
+    if not limit_mb:
+        return
+    try:
+        import resource
+    except ImportError:  # pragma: no cover - non-POSIX
+        return
+    limit = int(limit_mb) * 1024 * 1024
+    try:
+        _, hard = resource.getrlimit(resource.RLIMIT_DATA)
+        resource.setrlimit(resource.RLIMIT_DATA, (limit, hard))
+    except (ValueError, OSError):  # pragma: no cover - platform quirk
+        pass
+
+
+def _parse_chaos_plan(raw: str) -> Dict[str, Optional[frozenset]]:
+    """``exp/unit:attempt,...`` -> ``{"exp/unit": {attempts} | None}``.
+
+    ``None`` means *every* attempt (an entry without ``:attempt``).
+    Malformed entries are ignored — a typo in a chaos knob must never
+    take down a real campaign.
+    """
+    plan: Dict[str, Optional[frozenset]] = {}
+    for entry in raw.split(","):
+        entry = entry.strip()
+        if not entry or "/" not in entry:
+            continue
+        key, attempt = entry, None
+        if ":" in entry:
+            head, _, tail = entry.rpartition(":")
+            try:
+                attempt = int(tail)
+                key = head
+            except ValueError:
+                attempt = None
+        attempts = plan.get(key, frozenset())
+        if attempt is None or attempts is None:
+            plan[key] = None
+        else:
+            plan[key] = attempts | {attempt}
+    return plan
+
+
+def _apply_chaos(plans: Mapping[str, Dict[str, Optional[frozenset]]],
+                 experiment: str, unit_name: str, attempt: int) -> None:
+    """Kill or wedge this worker where a chaos plan says so."""
+
+    def planned(env: str) -> bool:
+        attempts = plans[env].get(f"{experiment}/{unit_name}", frozenset())
+        return attempts is None or attempt in attempts
+
+    if planned(KILL_ENV):
+        os.kill(os.getpid(), getattr(signal, "SIGKILL", signal.SIGTERM))
+    if planned(HANG_ENV):
+        # Pure-Python spin: no simulated events, so no event limit
+        # can interrupt it — only a hard deadline kill can.
+        deadline = time.monotonic() + HANG_SPIN_LIMIT
+        while time.monotonic() < deadline:
+            pass
+
+
+def _resolve_unit(specs: Optional[Mapping[str, object]],
+                  resolved: Dict[str, Dict[str, Unit]],
+                  experiment: str, unit_name: str) -> Unit:
+    """The unit *unit_name* of *experiment*, from the spec modules or
+    else the experiment registry, asking the module's ``units()`` on
+    the experiment's first task only."""
+    by_name = resolved.get(experiment)
+    if by_name is None:
+        modules = specs
+        if modules is None:
+            from ..experiments import EXPERIMENT_MODULES as modules
+        module = modules.get(experiment)
+        if module is None:
+            raise CampaignError(f"worker: unknown experiment "
+                                f"{experiment!r}")
+        by_name = resolved[experiment] = {
+            unit.name: unit for unit in module.units()}
+    unit = by_name.get(unit_name)
+    if unit is None:
+        raise CampaignError(
+            f"worker: experiment {experiment!r} has no unit "
+            f"{unit_name!r}")
+    return unit
+
+
 class Supervisor:
     """Run campaign units on a self-healing pool of worker processes.
 
@@ -277,10 +395,10 @@ class Supervisor:
     campaign's journal-commit loop needs.  Closing the generator (or
     exhausting it) shuts the pool down.
 
-    ``events`` is an optional :class:`~repro.obs.trace.TraceBus`; the
-    supervisor emits ``worker-crash`` / ``unit-retry`` /
-    ``unit-quarantined`` / ``unit-hard-timeout`` / ``worker-spawn``
-    events onto it with wall-relative timestamps.
+    ``events`` is an optional callback; the supervisor calls it with
+    each ``worker-crash`` / ``unit-retry`` / ``unit-quarantined`` /
+    ``unit-hard-timeout`` / ``worker-spawn`` event, a dict of ``t``
+    (seconds since :meth:`run` began), ``kind`` and the event's fields.
 
     ``specs`` maps experiment names to ad-hoc spec modules that
     replace the experiment registry in the workers.  It is handed over
@@ -294,13 +412,8 @@ class Supervisor:
                  max_crashes: int = DEFAULT_MAX_CRASHES,
                  backoff_base: float = DEFAULT_BACKOFF_BASE,
                  max_respawns: Optional[int] = None,
-                 events=None,
+                 events: Optional[Callable[[Dict], None]] = None,
                  stop_check=None) -> None:
-        if workers < 1:
-            raise CampaignError(f"workers must be >= 1, got {workers}")
-        if max_crashes < 1:
-            raise CampaignError(
-                f"max_crashes must be >= 1, got {max_crashes}")
         self.settings = settings
         self.workers = workers
         self.specs = specs
@@ -621,5 +734,5 @@ class Supervisor:
 
     def _emit(self, kind: str, **fields) -> None:
         if self._events is not None:
-            self._events.emit(kind, time.monotonic() - self._start_time,
-                              **fields)
+            t = round(time.monotonic() - self._start_time, TIME_DECIMALS)
+            self._events({"t": t, "kind": kind, **fields})

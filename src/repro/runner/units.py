@@ -44,8 +44,7 @@ class TableSpec:
 
 
 def campaign_payload(rows: Sequence[Sequence],
-                     degradation=None,
-                     notes: Sequence[str] = ()) -> Dict:
+                     degradation=None) -> Dict:
     """The uniform unit payload: display-ready rows plus accounting.
 
     *rows* must already be JSON-clean (strings/numbers) — experiments
@@ -53,7 +52,10 @@ def campaign_payload(rows: Sequence[Sequence],
     """
     payload: Dict = {
         "rows": [list(row) for row in rows],
-        "notes": list(notes),
+        # Always empty and never rendered; the key stays so journals
+        # keep their bytes, and with them the hash chain a resume of an
+        # existing run directory verifies.
+        "notes": [],
         "errors": [],
         "retries": 0,
     }

@@ -8,8 +8,8 @@ Concurrency model — three layers, one seam each:
   ordinary :class:`~repro.runner.campaign.Campaign` commit loop — unit
   execution itself happens in the campaign's supervised worker
   *processes* (:mod:`repro.runner.supervise`), never in this process,
-  so concurrent campaigns cannot stomp the process-global qid/port
-  allocator streams;
+  so a unit that crashes or hangs costs its campaign a worker, never
+  the daemon;
 * campaign threads talk back only through two thread-safe channels:
   the :class:`~repro.obs.live.LiveFeed` (events) and
   ``loop.call_soon_threadsafe`` (completion).
@@ -37,12 +37,12 @@ from .recovery import CampaignJob, Spool
 from .scheduler import AdmissionError, FairScheduler
 from .tenants import TenantConfig
 
-#: Submission body fields a tenant may set; anything else is a 400.
-ALLOWED_SUBMISSION_KEYS = frozenset((
-    "experiments", "seed", "scale", "unit_steps",
-    "unit_wall", "loss", "fault_seed", "retries", "workers",
-    "memory_limit_mb", "max_worker_crashes", "trace",
-))
+#: The :class:`~repro.runner.campaign.Campaign` options a submission
+#: may set besides the run settings
+#: (:class:`~repro.runner.parallel.UnitSettings`); any other body field
+#: is a 400.
+CAMPAIGN_OPTIONS = ("experiments", "unit_wall", "workers",
+                    "max_worker_crashes")
 
 #: Request bodies past this are rejected (413) without reading.
 MAX_BODY_BYTES = 1 << 20
@@ -224,32 +224,15 @@ class Service:
     def _campaign_worker(self, job: CampaignJob,
                          stop_event: threading.Event) -> None:
         """Thread body: run one campaign, record its fate durably."""
-        from ..runner.campaign import Campaign
         from ..runner.errors import CampaignError
 
-        sub = job.submission
         outcome: Dict = {"state": "failed"}
         try:
-            campaign = Campaign(
-                experiments=sub.get("experiments") or None,
-                seed=int(sub.get("seed", 1808)),
-                scale=float(sub.get("scale", 0.25)),
-                run_dir=job.run_dir,
-                resume=job.resume,
-                unit_steps=sub.get("unit_steps"),
-                unit_wall=sub.get("unit_wall"),
-                loss=float(sub.get("loss", 0.0)),
-                fault_seed=int(sub.get("fault_seed", 0)),
-                retries=sub.get("retries"),
-                workers=job.slots,
-                trace=bool(sub.get("trace", False)),
-                max_worker_crashes=int(
-                    sub.get("max_worker_crashes", 2)),
-                memory_limit_mb=sub.get("memory_limit_mb"),
-                stop_event=stop_event,
+            campaign = _campaign(
+                job.submission, run_dir=job.run_dir, resume=job.resume,
+                workers=job.slots, stop_event=stop_event,
                 on_event=lambda event, _t=job.tenant, _r=job.run_id:
-                    self._on_campaign_event(_t, _r, event),
-            )
+                    self._on_campaign_event(_t, _r, event))
             report = campaign.run()
             if report.drained:
                 outcome = {"state": "interrupted", "resume": True}
@@ -315,7 +298,7 @@ class Service:
         # Quota-check before any disk work, so a rejected submission
         # leaves no spool residue; nothing can change the quota state
         # between the check and the enqueue (single-threaded loop).
-        self.scheduler.check_submit(tenant, int(submission["workers"]))
+        self.scheduler.check_submit(tenant, submission["workers"])
         job = self.spool.accept(tenant, submission)
         self.scheduler.submit(tenant, job)
         self.feed.publish({"kind": "campaign-queued", "tenant": tenant,
@@ -324,11 +307,15 @@ class Service:
         return job
 
     def _validate_submission(self, tenant: str, body: Dict) -> Dict:
+        from ..runner.errors import CampaignError
+        from ..runner.parallel import UnitSettings
+
         if not isinstance(body, dict):
             raise AdmissionError(
                 "bad-request", 400,
                 "submission body must be a JSON object", tenant=tenant)
-        unknown = sorted(set(body) - ALLOWED_SUBMISSION_KEYS)
+        allowed = {field.name for field in dataclasses.fields(UnitSettings)}
+        unknown = sorted(set(body) - allowed - set(CAMPAIGN_OPTIONS))
         if unknown:
             raise AdmissionError(
                 "bad-request", 400,
@@ -346,25 +333,17 @@ class Service:
                     f"(choose from "
                     f"{', '.join(sorted(EXPERIMENT_MODULES))})",
                     tenant=tenant)
-        from ..netsim.faults import fault_setup
-
-        try:
-            fault_setup(float(body.get("loss", 0.0)),
-                        int(body.get("fault_seed", 0)), body.get("retries"))
-        except (TypeError, ValueError) as exc:
-            raise AdmissionError(
-                "bad-request", 400, f"bad fault settings: {exc}",
-                tenant=tenant)
         submission = dict(body)
         if submission.get("workers") is None:
             submission["workers"] = self.config.default_workers
         try:
-            submission["workers"] = int(submission["workers"])
-        except (TypeError, ValueError):
-            raise AdmissionError(
-                "bad-request", 400,
-                f"workers must be an integer, "
-                f"got {submission['workers']!r}", tenant=tenant)
+            # The campaign this submission asks for checks every value
+            # it holds; nothing touches the spool until it passes.
+            campaign = _campaign(submission)
+        except CampaignError as exc:
+            raise AdmissionError("bad-request", 400, str(exc),
+                                 tenant=tenant)
+        submission["workers"] = campaign.workers
         return submission
 
     # ------------------------------------------------------------------
@@ -601,3 +580,15 @@ class Service:
                          "worker_crashes": self._crashes,
                          "events_published": self.feed.published},
         }
+
+
+def _campaign(submission: Dict, **runtime):
+    """The :class:`~repro.runner.campaign.Campaign` a submission asks
+    for; *runtime* adds what the service decides (run directory,
+    resume, slots, stop event, event sink)."""
+    from ..runner.campaign import Campaign
+
+    options = dict(submission, **runtime)
+    # An empty list asks for every experiment, as an omitted one does.
+    options["experiments"] = options.get("experiments") or None
+    return Campaign(**options)

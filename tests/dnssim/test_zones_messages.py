@@ -4,12 +4,10 @@ from repro.dnssim import (
     DNSQuery,
     DNSResponse,
     GlobalDNS,
-    QidAllocator,
     REGIONS,
     ZoneRecord,
-    next_qid,
-    reset_qids,
 )
+from repro.netsim import Network
 
 
 class TestGlobalDNS:
@@ -55,40 +53,39 @@ class TestGlobalDNS:
 
 class TestMessages:
     def test_qids_unique(self):
-        ids = {next_qid() for _ in range(100)}
+        network = Network()
+        ids = {network.next_qid() for _ in range(100)}
         assert len(ids) == 100
 
     def test_reset_qids_makes_sequence_reproducible(self):
-        reset_qids()
-        first = [next_qid() for _ in range(5)]
-        reset_qids()
-        assert [next_qid() for _ in range(5)] == first
-
-    def test_reset_qids_custom_start_and_wrap(self):
-        reset_qids(0xFFFE)
-        assert [next_qid() for _ in range(4)] == [0xFFFE, 0xFFFF, 0, 1]
-        reset_qids()
+        # A fresh network starts the sequence over, so a new world's ids
+        # do not depend on what ran before it.
+        first = Network()
+        sequence = [first.next_qid() for _ in range(5)]
+        assert sequence == [1, 2, 3, 4, 5]
+        again = Network()
+        assert [again.next_qid() for _ in range(5)] == sequence
 
     def test_private_allocator_independent_of_default(self):
-        own = QidAllocator(start=100)
-        before = next_qid()
-        assert own.next() == 100
-        assert own.next() == 101
-        # Drawing from a private allocator never advances the default.
-        assert next_qid() == before + 1
-        own.reset(7)
-        assert own.next() == 7
+        # Each network owns its ids: drawing from one never advances
+        # another's sequence.
+        own, other = Network(), Network()
+        before = other.next_qid()
+        assert own.next_qid() == 1
+        assert own.next_qid() == 2
+        assert other.next_qid() == before + 1
 
-    def test_query_default_qids_follow_reset(self):
-        reset_qids(42)
-        query = DNSQuery(qname="a.example")
-        assert query.qid == 42
-        reset_qids()
+    def test_qids_wrap_at_16_bits(self):
+        network = Network()
+        for _ in range(0xFFFD):
+            network.next_qid()
+        assert [network.next_qid() for _ in range(4)] == \
+            [0xFFFE, 0xFFFF, 0, 1]
 
     def test_query_defaults(self):
-        query = DNSQuery(qname="a.example")
+        query = DNSQuery(qname="a.example", qid=7)
         assert query.qtype == "A"
-        assert 0 <= query.qid <= 0xFFFF
+        assert query.qid == 7
 
     def test_response_ok(self):
         ok = DNSResponse(qname="a", qid=1, ips=("1.1.1.1",))

@@ -121,6 +121,7 @@ def dns_answer(router: ReferenceRouter, client, resolver_ip: str,
         allowed = config.client_filter
         if allowed is None or not allowed(client.ip):
             return NO_ANSWER
-    response = service.answer(DNSQuery(qname=qname), resolver_ip)
+    query = DNSQuery(qname=qname, qid=router.network.next_qid())
+    response = service.answer(query, resolver_ip)
     return ExpressDNSAnswer(responded=True, ips=tuple(response.ips),
                             rcode=response.rcode)

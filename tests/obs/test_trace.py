@@ -86,7 +86,7 @@ class TestFlowId:
         from repro.dnssim.message import DNSQuery
 
         query = make_udp_packet("10.0.0.1", "8.8.8.8", 30000, 53,
-                                DNSQuery(qname="example.in"))
+                                DNSQuery(qname="example.in", qid=1))
         assert flow_id(query).startswith("udp:")
 
 

@@ -16,7 +16,8 @@ from repro.netsim import make_udp_packet
 from repro.runner import CampaignError, SimulatedCrash
 from repro.runner.campaign import Campaign
 from repro.runner.parallel import UnitSettings, build_unit_world, \
-    execute_unit, run_unit_task, worker_initializer
+    execute_unit
+from repro.runner.supervise import Supervisor
 from repro.runner.units import TableSpec, Unit, campaign_payload
 
 #: Cheap-but-real experiment subset (same as the resume suite).
@@ -214,31 +215,39 @@ class TestMemoryBudget:
 
 
 class TestWorkerTask:
-    """The pool entry points, driven in-process."""
+    """One task through a worker process, and the two failures a unit
+    hands back as values."""
 
-    def test_run_unit_task_round_trip(self):
-        worker_initializer(UnitSettings(seed=1808, scale=SCALE))
-        record, wall, extras, fatal = run_unit_task("tcpip", "mtnl")
-        assert not fatal
+    def _outcome(self, experiment, unit_name):
+        supervisor = Supervisor(UnitSettings(seed=1808, scale=SCALE),
+                                workers=1)
+        [outcome] = supervisor.run([(experiment, unit_name)])
+        return outcome
+
+    def test_worker_round_trip(self):
+        outcome = self._outcome("tcpip", "mtnl")
+        record, extras = outcome.record, outcome.extras
+        assert outcome.kind is None
         assert record["status"] == "ok"
         assert record["experiment"] == "tcpip"
         assert record["unit"] == "mtnl"
         assert record["payload"]["rows"]
-        assert wall >= 0.0
+        assert outcome.wall >= 0.0
         assert extras["trace"] is None  # tracing off by default
         assert extras["metrics"]["counters"]
 
     def test_unknown_unit_raises(self):
-        worker_initializer(UnitSettings(seed=1808, scale=SCALE))
-        with pytest.raises(CampaignError, match="no unit"):
-            run_unit_task("tcpip", "not-an-isp")
+        # The worker's CampaignError comes back as a fatal outcome.
+        outcome = self._outcome("tcpip", "not-an-isp")
+        assert outcome.kind == "fatal"
+        assert outcome.record["error"]["reason"] == (
+            "CampaignError: worker: experiment 'tcpip' has no unit "
+            "'not-an-isp'")
+        assert "CampaignError" in outcome.extras["traceback"]
 
-    def _inject_unit(self, fn):
-        from repro.runner.parallel import _WORKER
-        from repro.runner.units import Unit
-
-        worker_initializer(UnitSettings(seed=1808, scale=SCALE))
-        _WORKER["units"]["tcpip"] = {"boom": Unit("boom", fn)}
+    def _execute(self, fn):
+        return execute_unit(UnitSettings(seed=1808, scale=SCALE),
+                            "tcpip", Unit("boom", fn))
 
     def test_fatal_path_measures_real_wall(self):
         import time
@@ -247,8 +256,7 @@ class TestWorkerTask:
             time.sleep(0.05)
             raise RuntimeError("deliberate programming error")
 
-        self._inject_unit(boom)
-        record, wall, extras, kind = run_unit_task("tcpip", "boom")
+        record, wall, extras, kind = self._execute(boom)
         assert kind == "fatal"
         assert record["status"] == "failed"
         # The failed attempt's elapsed time is forensic data — it must
@@ -261,8 +269,7 @@ class TestWorkerTask:
         def balloon(world, domains):
             raise MemoryError("deliberate balloon")
 
-        self._inject_unit(balloon)
-        record, wall, extras, kind = run_unit_task("tcpip", "boom")
+        record, wall, extras, kind = self._execute(balloon)
         assert kind == "poison"
         assert record["error"]["category"] == "poison"
         assert wall >= 0.0

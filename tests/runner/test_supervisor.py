@@ -22,8 +22,8 @@ import pytest
 from repro.runner import supervise
 from repro.runner.campaign import Campaign
 from repro.runner.errors import CampaignError
-from repro.runner.parallel import HANG_ENV, KILL_ENV, UnitSettings
-from repro.runner.supervise import Supervisor
+from repro.runner.parallel import UnitSettings
+from repro.runner.supervise import HANG_ENV, KILL_ENV, Supervisor
 
 SCALE = 0.05
 
@@ -189,16 +189,14 @@ class TestHardDeadline:
     def test_no_respawn_once_no_unit_needs_a_worker(self, monkeypatch):
         # The last unit hangs and is killed: nothing is left to run,
         # so no replacement worker starts only to be shut down.
-        from repro.obs.trace import BufferSink, TraceBus
+        from repro.obs.trace import BufferSink
 
         monkeypatch.setenv(HANG_ENV, "tcpip/airtel")
         monkeypatch.setattr(supervise, "HARD_GRACE", 0.5)
-        bus = TraceBus()
         sink = BufferSink()
-        bus.subscribe(sink)
         supervisor = Supervisor(
             UnitSettings(seed=1808, scale=SCALE),
-            workers=1, unit_wall=0.5, events=bus)
+            workers=1, unit_wall=0.5, events=sink)
         outcomes = list(supervisor.run([("tcpip", "mtnl"),
                                         ("tcpip", "airtel")]))
         assert [o.record["status"] for o in outcomes] == ["ok", "timeout"]
@@ -219,10 +217,12 @@ class TestSupervisorUnit:
         assert supervisor._spawned == 0
 
     def test_workers_validated(self):
+        # A supervisor trusts its sizes: the campaign that builds one
+        # rejects a pool or a crash budget below one first.
         with pytest.raises(CampaignError, match="workers"):
-            Supervisor(self._settings(), workers=0)
-        with pytest.raises(CampaignError, match="max_crashes"):
-            Supervisor(self._settings(), workers=1, max_crashes=0)
+            Campaign(workers=0)
+        with pytest.raises(CampaignError, match="max_worker_crashes"):
+            Campaign(max_worker_crashes=0)
 
     def test_respawn_budget_bounds_crash_loops(self, monkeypatch):
         # Kill every attempt; with max_crashes high the unit keeps

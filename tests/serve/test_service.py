@@ -126,11 +126,21 @@ class TestEndpoints:
         assert body["detail"].startswith("unknown experiment(s): nope")
 
     def test_bad_loss_400(self, service):
-        status, body = service.request(
-            "POST", "/v1/tenants/alice/campaigns", {"loss": 1.5})
-        assert status == 400
-        assert body["detail"] == ("bad fault settings: loss must be a "
-                                  "probability, got 1.5")
+        """A setting the campaign would refuse is refused at admission,
+        before the spool holds anything of it."""
+        spool = os.path.join(service.service.config.spool, "alice")
+        before = sorted(os.listdir(spool))
+        for submission, detail in (
+                ({"loss": 1.5}, "loss must be a probability, got 1.5"),
+                ({"scale": "x"}, "scale must be a number, got 'x'"),
+                ({"max_worker_crashes": 0},
+                 "max_worker_crashes must be >= 1, got 0"),
+                ({"unit_steps": "x"},
+                 "unit_steps must be an integer, got 'x'")):
+            status, body = service.request(
+                "POST", "/v1/tenants/alice/campaigns", submission)
+            assert (status, body["detail"]) == (400, detail), submission
+        assert sorted(os.listdir(spool)) == before
 
     def test_over_quota_slots_429(self, service):
         status, body = service.request(

@@ -153,6 +153,28 @@ class TestCampaignCli:
         assert "timeout" in capsys.readouterr().out
 
 
+class TestSettings:
+    """Every command reads its settings through one record."""
+
+    @pytest.mark.parametrize("command", [
+        ["campaign", "tcpip"], ["experiment", "tcpip"], ["info"],
+        ["fetch", "idea"], ["evade", "idea"], ["trace", "idea"]])
+    def test_bad_setting_exits_2_before_any_world(self, command, capsys,
+                                                  tmp_path,
+                                                  monkeypatch):
+        from repro.isps import world
+
+        def no_world(*args, **kwargs):
+            raise AssertionError("built a world")
+
+        monkeypatch.setattr(world, "build_world", no_world)
+        monkeypatch.chdir(tmp_path)
+        assert main([*command, "--loss", "1.5"]) == 2
+        assert capsys.readouterr().err == (
+            "repro: error: loss must be a probability, got 1.5\n")
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestExperimentIsTheCampaignSection:
     """``repro experiment X`` runs X's units in-process, each on its own
     world, and prints exactly X's section of a campaign's tables."""

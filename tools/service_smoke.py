@@ -10,7 +10,9 @@ using only real subprocesses and real signals:
    both campaigns;
 4. byte-compare each campaign's ``journal.jsonl`` and ``tables.txt``
    against a plain ``repro campaign`` batch run of the same
-   submission;
+   submission — the daemon runs under ``PYTHONHASHSEED=1`` and the
+   batch references under ``0``, so the comparison also shows that
+   neither the service nor the hash seed changes a byte;
 5. submit one over-quota campaign — the 429 must be deterministic
    (identical bytes across requests) and leave no spool residue.
 
@@ -40,10 +42,15 @@ BOB = {"experiments": ["tcpip"], "seed": 9, "scale": 0.05,
        "workers": 1}
 
 
-def _env():
+#: Hash seeds of the daemon and of its batch references.
+SERVE_HASH_SEED = "1"
+BATCH_HASH_SEED = "0"
+
+
+def _env(hash_seed):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.join(REPO_ROOT, "src")
-    env["PYTHONHASHSEED"] = "0"
+    env["PYTHONHASHSEED"] = hash_seed
     return env
 
 
@@ -57,7 +64,7 @@ def boot(workdir):
         [sys.executable, "-m", "repro", "serve", "--port", "0",
          "--spool", "spool", "--workers", "3",
          "--tenant", "alice", "--tenant", "bob"],
-        cwd=workdir, env=_env(), stdout=subprocess.PIPE,
+        cwd=workdir, env=_env(SERVE_HASH_SEED), stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT, text=True)
     endpoint = os.path.join(workdir, "spool", "service.json")
     deadline = time.time() + 60
@@ -184,7 +191,7 @@ def main():
              "--seed", str(submission["seed"]),
              "--scale", str(submission["scale"]),
              "--run-dir", ref],
-            env=_env(), capture_output=True, text=True)
+            env=_env(BATCH_HASH_SEED), capture_output=True, text=True)
         if batch.returncode != 0:
             fail(f"batch reference for {tenant}: {batch.stderr}")
         run = os.path.join(workdir, "spool", tenant, "c000001", "run")
@@ -193,7 +200,8 @@ def main():
                     read(os.path.join(ref, name)):
                 fail(f"{tenant} {name} differs from batch reference")
         print(f"service-smoke: {tenant} journal and tables "
-              f"byte-identical to batch")
+              f"byte-identical to batch (hash seeds {SERVE_HASH_SEED} "
+              f"and {BATCH_HASH_SEED})")
 
     print("service-smoke: PASS")
     return 0
