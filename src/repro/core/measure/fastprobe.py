@@ -77,8 +77,10 @@ def middleboxes_along(network: Network, client: Host, dst_ip: str,
 
     Cached per (client, destination, source address) until the
     network's topology generation moves, unroutable paths included.
-    Callers must treat the returned list as read-only — the express
-    probes only iterate it.
+    Only :func:`express_dns_probe` asks, so the memo holds resolver
+    paths; HTTP paths live compiled in :func:`_http_plan`'s memo
+    instead.  Callers must treat the returned list as read-only — the
+    express probes only iterate it.
     """
     client_ip = client_ip or client.ip
     boxes = _memo(network, "boxes")
@@ -122,7 +124,10 @@ def _http_plan(network: Network, client: Host, dst_ip: str,
     The per-box port and scope gates run once at compile time
     (:meth:`Middlebox.express_profile`); probing a payload is then one
     bound-method call per surviving box.  Boxes without a profile hook
-    (e.g. the DNS injector) compile to nothing.
+    (e.g. the DNS injector) compile to nothing.  A miss walks the path
+    itself (:func:`_walk_middleboxes`) rather than through
+    :func:`middleboxes_along`, so the plan is the only memo that keeps
+    an HTTP path.
     """
     plans = _memo(network, "plans")
     key = (client.name, dst_ip, client_ip, dst_port)
@@ -132,7 +137,7 @@ def _http_plan(network: Network, client: Host, dst_ip: str,
         return plan
     network.express_plan_builds += 1
     compiled = []
-    for hop, box in middleboxes_along(network, client, dst_ip,
+    for hop, box in _walk_middleboxes(network, client, dst_ip,
                                       client_ip) or ():
         profile = getattr(box, "express_profile", None)
         if profile is not None:

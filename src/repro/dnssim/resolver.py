@@ -11,7 +11,7 @@ correctly and lie only about their per-resolver blocklist.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, FrozenSet, Optional
+from typing import AbstractSet, Callable, Optional
 
 from ..netsim.devices import Host
 from ..netsim.packets import Packet, make_udp_packet
@@ -27,8 +27,11 @@ class ResolverConfig:
     """Behavioural knobs for one recursive resolver."""
 
     region: str = DEFAULT_REGION
-    #: Domains this resolver lies about (empty = honest resolver).
-    blocklist: FrozenSet[str] = frozenset()
+    #: Domains this resolver lies about (empty = honest resolver): any
+    #: immutable set.  A world's poisoned resolvers each hold a
+    #: :class:`~repro.isps.builder.ListSample`, a bit mask over their
+    #: ISP's sorted DNS master list, which every sample shares.
+    blocklist: AbstractSet[str] = frozenset()
     #: How the lie is produced (required when blocklist is non-empty).
     poison_strategy: Optional[PoisonStrategy] = None
     #: Resolvers answering queries from anyone are "open" — the ones

@@ -18,8 +18,9 @@ from __future__ import annotations
 
 import random
 import zlib
+from collections.abc import Set as AbstractSet
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 from ..dnssim.resolver import ResolverConfig, ResolverService, mixed_poison
 from ..dnssim.zones import GlobalDNS
@@ -87,6 +88,60 @@ def _sample_blocklist(master: FrozenSet[str], density: float,
     if density >= 1.0:
         return master
     return frozenset(d for d in sorted(master) if rng.random() < density)
+
+
+class MasterList:
+    """A master list in sorted order, and each name's position in it:
+    what every :class:`ListSample` of the list shares."""
+
+    __slots__ = ("names", "index")
+
+    def __init__(self, names: FrozenSet[str]) -> None:
+        self.names: Tuple[str, ...] = tuple(sorted(names))
+        self.index: Dict[str, int] = {
+            name: position for position, name in enumerate(self.names)}
+
+    def sample(self, density: float, rng: random.Random) -> "ListSample":
+        """An independent per-name sample, drawn as
+        :func:`_sample_blocklist` draws it: one ``rng.random()`` per
+        name in sorted order, none at all when *density* >= 1."""
+        if density >= 1.0:
+            return ListSample(self, (1 << len(self.names)) - 1)
+        mask = 0
+        for position in range(len(self.names)):
+            if rng.random() < density:
+                mask |= 1 << position
+        return ListSample(self, mask)
+
+
+class ListSample(AbstractSet):
+    """An immutable subset of a :class:`MasterList`: bit *i* of one int
+    mask says whether the master's *i*-th name is in.  It costs its
+    mask alone, where a frozenset of the same names costs a hash table;
+    it iterates in sorted order."""
+
+    __slots__ = ("_master", "_mask")
+
+    def __init__(self, master: MasterList, mask: int) -> None:
+        self._master = master
+        self._mask = mask
+
+    def __contains__(self, name: object) -> bool:
+        position = self._master.index.get(name)
+        return position is not None and bool(self._mask >> position & 1)
+
+    def __iter__(self) -> Iterator[str]:
+        mask = self._mask
+        return (name for position, name in enumerate(self._master.names)
+                if mask >> position & 1)
+
+    def __len__(self) -> int:
+        return self._mask.bit_count()
+
+    @classmethod
+    def _from_iterable(cls, names) -> FrozenSet[str]:
+        # What ``&``, ``|``, ``-`` and ``^`` build: a plain frozenset.
+        return frozenset(names)
 
 
 def _sized_subset(master: FrozenSet[str], size: int,
@@ -230,6 +285,8 @@ class ISPBuilder:
         poisoned_count = self._scaled(self.profile.resolver_poisoned, 1)
         poisoned_count = min(poisoned_count, total)
         strategy = mixed_poison(dep.static_poison_ip, "127.0.0.2")
+        # One sorted master for every poisoned resolver's sample.
+        master = MasterList(self.dns_blocklist)
 
         first_poisoned_ip = None
         for index in range(total):
@@ -245,9 +302,8 @@ class ISPBuilder:
             net.link(host.name, edge.name, delay=EDGE_DELAY)
             poisoned = index < poisoned_count
             if poisoned:
-                blocklist = _sample_blocklist(
-                    self.dns_blocklist, self.profile.dns_consistency,
-                    self.rng)
+                blocklist = master.sample(self.profile.dns_consistency,
+                                          self.rng)
                 config = ResolverConfig(
                     region="in", blocklist=blocklist,
                     poison_strategy=strategy)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import zlib
+from array import array
 from collections import Counter
 from heapq import heappop, heappush
 from typing import (TYPE_CHECKING, Callable, Dict, Iterator, List, Optional,
@@ -117,6 +118,9 @@ class Network:
         #: The topology: node name -> {neighbour name: link delay}.
         self.adjacency: Dict[str, Dict[str, float]] = {}
         self.nodes: Dict[str, Node] = {}
+        #: node name -> its ordinal, the order :meth:`add_node` saw it
+        #: in; a FIB entry's distances are indexed by it.
+        self._ordinals: Dict[str, int] = {}
         self.ip_owner: Dict[str, Node] = {}
         self.now: float = 0.0
         #: ``(now, reason, packet)`` per dropped packet, kept only
@@ -134,10 +138,10 @@ class Network:
         #: all derived routing state (FIB, paths, plans) is valid
         #: only for the generation it was computed under.
         self._generation = 0
-        #: dst node name -> (distance map, {node name -> sorted ECMP
-        #: candidate names}); a node's row is filled when it first asks.
-        self._fib: Dict[str, Tuple[Dict[str, float],
-                                   Dict[str, List[str]]]] = {}
+        #: dst node name -> (distances by node ordinal, -1.0 where
+        #: unreachable; {node name -> sorted ECMP candidate names}); a
+        #: node's row is filled when it first asks.
+        self._fib: Dict[str, Tuple[array, Dict[str, List[str]]]] = {}
         #: (node name, dst_ip, src_ip) -> compiled forwarding step —
         #: the delivery plan consulted by :meth:`_dispatch` instead of
         #: re-deriving next hop and link delay per packet.  Built
@@ -249,6 +253,7 @@ class Network:
         if node.name in self.nodes:
             raise SimulationError(f"duplicate node name: {node.name}")
         self.nodes[node.name] = node
+        self._ordinals[node.name] = len(self._ordinals)
         node.network = self
         self.adjacency[node.name] = {}
         for ip in node.ips:
@@ -377,15 +382,15 @@ class Network:
     # Routing (hash-based ECMP over shortest paths)
     # ------------------------------------------------------------------
 
-    def _ecmp_candidates(self, node_name: str, dist: Dict[str, float]
-                         ) -> List[str]:
+    def _ecmp_candidates(self, node_name: str, dist: array) -> List[str]:
         """Sorted equal-cost next-hop names from *node_name* toward the
         node *dist* was measured from."""
+        ordinals = self._ordinals
         best_cost = None
         candidates: List[str] = []
         for neighbor, delay in self.adjacency[node_name].items():
-            neighbor_dist = dist.get(neighbor)
-            if neighbor_dist is None:
+            neighbor_dist = dist[ordinals[neighbor]]
+            if neighbor_dist < 0.0:
                 continue
             cost = delay + neighbor_dist
             if best_cost is None or cost < best_cost - 1e-12:
@@ -396,22 +401,28 @@ class Network:
         candidates.sort()
         return candidates
 
-    def _fib_for(self, dst_name: str
-                 ) -> Tuple[Dict[str, float], Dict[str, List[str]]]:
+    def _fib_for(self, dst_name: str) -> Tuple[array, Dict[str, List[str]]]:
         """The forwarding table toward *dst_name*, built on first use.
 
-        A build is one Dijkstra sweep from the destination; the table
-        keeps its distance map beside an empty row map, and
-        :meth:`next_hop` fills a node's sorted candidate row the first
-        time that node asks, so a build costs nothing for nodes no
-        packet routes from.  Every later ``next_hop`` from an asked
-        node is a few dict lookups.  Invalidated wholesale by
+        A build is one Dijkstra sweep from the destination, packed into
+        an ``array('d')`` of distances indexed by node ordinal (-1.0
+        where the destination is unreachable): eight bytes a node,
+        where the sweep's dict holds an entry and a float object.  The
+        table keeps it beside an empty row map, and :meth:`next_hop`
+        fills a node's sorted candidate row the first time that node
+        asks, so a build costs nothing for nodes no packet routes
+        from.  Every later ``next_hop`` from an asked node is a few
+        dict lookups.  Invalidated wholesale by
         :meth:`invalidate_routing_caches`.
         """
         table = self._fib.get(dst_name)
         if table is None:
             self.fib_builds += 1
-            table = (dijkstra_distances(self.adjacency, dst_name), {})
+            dist = dijkstra_distances(self.adjacency, dst_name)
+            # Ordinals count up in insertion order, so iterating them
+            # visits ordinal 0, 1, 2, ...
+            table = (array("d", [dist.get(name, -1.0)
+                                 for name in self._ordinals]), {})
             self._fib[dst_name] = table
         else:
             self.fib_hits += 1
@@ -427,7 +438,7 @@ class Network:
         name = from_node.name
         candidates = rows.get(name)
         if candidates is None:
-            if name not in dist:
+            if dist[self._ordinals[name]] < 0.0:
                 return None
             candidates = rows[name] = self._ecmp_candidates(name, dist)
         if not candidates:

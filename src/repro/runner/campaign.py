@@ -94,6 +94,17 @@ def _count(name: str, value) -> int:
     return count
 
 
+def _budget(name: str, value) -> Optional[float]:
+    """*value* as a positive number of seconds, or ``None`` for no
+    budget (``ValueError`` otherwise)."""
+    if value is None:
+        return None
+    seconds = cast_setting(name, float, value)
+    if not seconds > 0:
+        raise ValueError(f"{name} must be > 0, got {seconds:g}")
+    return seconds
+
+
 def _registry(experiments: Optional[Sequence[str]]):
     """Resolve experiment keys to modules (lazy import: no cycles)."""
     from ..experiments import EXPERIMENT_MODULES
@@ -188,9 +199,15 @@ class Campaign:
             self.workers = _count("workers", workers)
             self.max_worker_crashes = _count("max_worker_crashes",
                                              max_worker_crashes)
-            self.unit_wall = (None if unit_wall is None
-                              else cast_setting("unit_wall", float,
-                                                unit_wall))
+            self.unit_wall = _budget("unit_wall", unit_wall)
+            #: Campaign wall budget (seconds), measured on :attr:`clock`
+            #: from the start of :meth:`run` and checked between commits.
+            self.deadline = _budget("deadline", deadline)
+            if crash_after is None:
+                raw = os.environ.get(CRASH_AFTER_ENV)
+                crash_after = (cast_setting(CRASH_AFTER_ENV, int, raw)
+                               if raw else None)
+            self.crash_after = crash_after
         except ValueError as exc:
             # Checked here so a bad value stops the campaign before
             # any journal exists.
@@ -208,10 +225,6 @@ class Campaign:
         self._adopt_experiments = specs is None and experiments is None
         self.run_dir = run_dir
         self.resume = resume
-        if crash_after is None:
-            raw = os.environ.get(CRASH_AFTER_ENV)
-            crash_after = int(raw) if raw else None
-        self.crash_after = crash_after
         self.echo_journal = echo_journal
         #: Graceful-drain hook: any object with ``is_set()`` (e.g. a
         #: ``threading.Event``).  Once set, the campaign finishes the
@@ -225,9 +238,6 @@ class Campaign:
         #: plus every supervision event).  Best-effort — a failing sink
         #: is counted and reported, never allowed to abort the run.
         self.on_event = on_event
-        #: Campaign wall budget (seconds), measured on :attr:`clock`
-        #: from the start of :meth:`run` and checked between commits.
-        self.deadline = deadline
         self.clock = clock
 
     # ------------------------------------------------------------------

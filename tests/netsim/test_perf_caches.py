@@ -240,11 +240,13 @@ class TestLazyFIB:
         assert self.counts(net) == (0, 0)
 
         # The first ask builds, and only the asking node gets a row;
-        # the distance map covers every node.
+        # the distances, one per node ordinal, reach every node.
         assert net.next_hop(client, server.ip).name == "r1"
         assert self.counts(net) == (1, 0)
         assert self.rows(net, "server") == {"client": ["r1"]}
-        assert set(net._fib["server"][0]) == set(net.nodes)
+        distances = net._fib["server"][0]
+        assert len(distances) == len(net.nodes)
+        assert all(distance >= 0.0 for distance in distances)
 
         # Asking again is a hit and fills nothing.
         assert net.next_hop(client, server.ip).name == "r1"

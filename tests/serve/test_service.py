@@ -136,10 +136,27 @@ class TestEndpoints:
                 ({"max_worker_crashes": 0},
                  "max_worker_crashes must be >= 1, got 0"),
                 ({"unit_steps": "x"},
-                 "unit_steps must be an integer, got 'x'")):
+                 "unit_steps must be an integer, got 'x'"),
+                ({"unit_wall": -1}, "unit_wall must be > 0, got -1"),
+                ({"unit_wall": 0}, "unit_wall must be > 0, got 0")):
             status, body = service.request(
                 "POST", "/v1/tenants/alice/campaigns", submission)
             assert (status, body["detail"]) == (400, detail), submission
+        assert sorted(os.listdir(spool)) == before
+
+    def test_bad_crash_after_env_400(self, service, monkeypatch):
+        """The campaign reads its crash hook from the environment at
+        admission; a value that is not a count refuses the submission,
+        as the CLI does, instead of answering 500."""
+        from repro.runner.campaign import CRASH_AFTER_ENV
+
+        spool = os.path.join(service.service.config.spool, "alice")
+        before = sorted(os.listdir(spool))
+        monkeypatch.setenv(CRASH_AFTER_ENV, "x")
+        status, body = service.request(
+            "POST", "/v1/tenants/alice/campaigns", SUBMISSION)
+        assert (status, body["detail"]) == (
+            400, f"{CRASH_AFTER_ENV} must be an integer, got 'x'")
         assert sorted(os.listdir(spool)) == before
 
     def test_over_quota_slots_429(self, service):

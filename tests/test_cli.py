@@ -144,6 +144,34 @@ class TestCampaignCli:
             "repro: error: loss must be a probability, got 1.5\n")
         assert not run_dir.exists()
 
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--deadline", "-5", "deadline must be > 0, got -5"),
+        ("--deadline", "0", "deadline must be > 0, got 0"),
+        ("--unit-deadline", "-1", "unit_wall must be > 0, got -1"),
+    ])
+    def test_non_positive_budget_exits_2_before_any_journal(
+            self, capsys, tmp_path, flag, value, message):
+        """A budget no unit can meet is a bad setting, not a campaign
+        that runs nothing and exits 1."""
+        run_dir = tmp_path / "run"
+        assert main(["campaign", "tcpip", "--scale", "0.05", flag, value,
+                     "--run-dir", str(run_dir)]) == 2
+        assert capsys.readouterr().err == f"repro: error: {message}\n"
+        assert not run_dir.exists()
+
+    def test_bad_crash_after_env_exits_2_before_any_journal(
+            self, capsys, tmp_path, monkeypatch):
+        from repro.runner.campaign import CRASH_AFTER_ENV
+
+        monkeypatch.setenv(CRASH_AFTER_ENV, "x")
+        run_dir = tmp_path / "run"
+        assert main(["campaign", "tcpip", "--scale", "0.05",
+                     "--run-dir", str(run_dir)]) == 2
+        assert capsys.readouterr().err == (
+            f"repro: error: {CRASH_AFTER_ENV} must be an integer, "
+            f"got 'x'\n")
+        assert not run_dir.exists()
+
     def test_finished_with_missing_units_exits_1(self, capsys, tmp_path):
         """1 means the campaign finished, but not every unit has a
         result: here the step budget times units out."""

@@ -51,11 +51,13 @@ SEED = 1808
 SCALE = 0.05
 
 #: Bytes the first :func:`probe_round` on a fresh world may leave
-#: behind: FIB rows, delivery plans, box lists, express plans and page
-#: bodies, 1,088 KB on CPython 3.11 and 3.12 and 1,333 KB on 3.10.  A
-#: flow-hash memo and a path cache beneath the plans kept 5,390 more
-#: entries, for 1,792-2,040 KB.
-WARMUP_RETAINED_MAX = 1536 * 1024
+#: behind: FIB rows and distances, delivery plans, the resolver paths'
+#: box lists, express plans and page bodies, 541 KB on CPython 3.11 to
+#: 3.13 and 679 KB on 3.10.  A distance dict per FIB destination and a
+#: box list for every HTTP plan's path as well kept 1,086 KB (1,331 KB
+#: on 3.10); a flow-hash memo and a path cache beneath the plans kept
+#: 5,390 more entries, for 1,792-2,040 KB.
+WARMUP_RETAINED_MAX = 768 * 1024
 
 #: Bytes an identical warm round of :func:`probe_round` may leave
 #: behind.  What it keeps is middlebox flow records and the few
