@@ -26,8 +26,12 @@ OONI_BODY_PROPORTION_THRESHOLD = 0.7
 
 
 def body_difference(a: bytes, b: bytes) -> float:
-    """1 − difflib similarity ratio of two bodies (0 = identical)."""
-    if not a and not b:
+    """1 − difflib similarity ratio of two bodies (0 = identical).
+
+    Equal bodies answer 0.0 without a matcher: difflib's longest block
+    of a sequence against itself is all of it, so their ratio is 1.0.
+    """
+    if a == b:
         return 0.0
     matcher = SequenceMatcher(None,
                               a.decode("latin-1", "replace"),

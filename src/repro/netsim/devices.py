@@ -131,6 +131,9 @@ class Host(Node):
             trace.emit("send", self.network.now, node=self.name,
                        flow=flow_id(packet), proto=packet.flow_key()[0],
                        dst=packet.dst, ttl=packet.ttl)
+        if packet.ip_id is None:
+            # Numbered before the capture records it.
+            packet.ip_id = self.network.next_ip_id()
         if self.capture.windows:
             self.capture.record(self.network.now, self.name, "tx", packet)
         self.network.transmit(self, packet)

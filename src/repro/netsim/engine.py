@@ -62,6 +62,10 @@ _PLAN_EXPRESS = 3
 #: The no-route plan carries no target; shared across all keys.
 _NO_ROUTE_PLAN = (_PLAN_NO_ROUTE, None, 0.0)
 
+#: A FIB entry: distances by node ordinal, the lazily filled rows of
+#: ECMP candidates, and the name of the node the sweep started from.
+_FibEntry = Tuple[array, Dict[str, List[str]], str]
+
 #: Inline middlebox verdicts.
 FORWARD = "forward"
 DROP = "drop"
@@ -93,6 +97,13 @@ def dijkstra_distances(adjacency: Dict[str, Dict[str, float]],
     and the source sits at integer ``0``: the steps, and so the floats,
     of networkx's ``single_source_dijkstra_path_length``, which
     ``tests/netsim/test_fib_property.py`` holds this to exactly.
+
+    A node with one link never enters the heap: links are
+    bidirectional, so only the node at the link's other end reaches
+    it.  Its distance is set when that node settles, to the sum the
+    heap would have popped, and popping it would relax nothing.
+    Leaving it out removes only its own heap entry, so every other
+    node pops in the same order, at the same distance.
     """
     dist: Dict[str, float] = {}
     seen: Dict[str, float] = {source: 0}
@@ -104,8 +115,12 @@ def dijkstra_distances(adjacency: Dict[str, Dict[str, float]],
             continue
         dist[v] = dist_v
         for u, delay in adjacency[v].items():
+            if u in dist:
+                continue
             vu_dist = dist_v + delay
-            if u not in dist and (u not in seen or vu_dist < seen[u]):
+            if len(adjacency[u]) == 1:
+                dist[u] = vu_dist
+            elif u not in seen or vu_dist < seen[u]:
                 seen[u] = vu_dist
                 heappush(fringe, (vu_dist, next(counter), u))
     return dist
@@ -138,10 +153,13 @@ class Network:
         #: all derived routing state (FIB, paths, plans) is valid
         #: only for the generation it was computed under.
         self._generation = 0
-        #: dst node name -> (distances by node ordinal, -1.0 where
-        #: unreachable; {node name -> sorted ECMP candidate names}); a
-        #: node's row is filled when it first asks.
-        self._fib: Dict[str, Tuple[array, Dict[str, List[str]]]] = {}
+        #: sweep source name -> (distances by node ordinal, -1.0 where
+        #: unreachable; {node name -> sorted ECMP candidate names}; the
+        #: source name); a node's row is filled when it first asks.
+        self._sweeps: Dict[str, _FibEntry] = {}
+        #: dst node name -> its FIB entry, a sweep in :attr:`_sweeps`
+        #: (see :meth:`_fib_for`).
+        self._fib: Dict[str, _FibEntry] = {}
         #: (node name, dst_ip, src_ip) -> compiled forwarding step —
         #: the delivery plan consulted by :meth:`_dispatch` instead of
         #: re-deriving next hop and link delay per packet.  Built
@@ -187,8 +205,11 @@ class Network:
         #: Probe source-port counters, keyed by each pool's first port
         #: (see :meth:`next_probe_port`).
         self._probe_ports: Dict[int, Iterator[int]] = {}
-        #: DNS query ids (see :meth:`next_qid`).
+        #: DNS query ids, IP-IDs and TCP initial sequence numbers (see
+        #: :meth:`next_qid`, :meth:`next_ip_id`, :meth:`next_iss`).
         self._qids = itertools.count(1)
+        self._ip_ids = itertools.count(1)
+        self._iss_counter = itertools.count(1)
 
     def next_probe_port(self, first: int) -> int:
         """Next source port of the probe pool that starts at *first*.
@@ -212,6 +233,26 @@ class Network:
         world's lookups carry the same ids in any process.
         """
         return next(self._qids) & 0xFFFF
+
+    def next_ip_id(self) -> int:
+        """Next IP identification value (1, 2, …, wrapping at 16 bits).
+
+        Per network, like :meth:`next_qid`: whether a genuine packet
+        draws a censor's fixed IP-ID (Airtel's 242, which an evasion
+        firewall drops) must not depend on what the process ran before.
+        """
+        return next(self._ip_ids) & 0xFFFF
+
+    def next_iss(self) -> int:
+        """Next TCP initial sequence number, ``10_000 + 100_000·n`` for
+        the network's n-th connection end.
+
+        Deterministic and distinctive: easy to spot in captures and
+        never one a middlebox forges.  Per network, like
+        :meth:`next_qid`, so a fresh world's first SYN is the same in
+        any process.
+        """
+        return 10_000 + 100_000 * next(self._iss_counter)
 
     def install_faults(self, plan: FaultPlan,
                        hardening: Optional[HardeningPolicy] = None,
@@ -246,6 +287,7 @@ class Network:
         """Advance the generation and drop all derived routing state."""
         self._generation += 1
         self._fib.clear()
+        self._sweeps.clear()
         self._fwd_plans.clear()
 
     def add_node(self, node: Node) -> Node:
@@ -401,31 +443,43 @@ class Network:
         candidates.sort()
         return candidates
 
-    def _fib_for(self, dst_name: str) -> Tuple[array, Dict[str, List[str]]]:
-        """The forwarding table toward *dst_name*, built on first use.
+    def _fib_for(self, dst_name: str) -> _FibEntry:
+        """The forwarding table toward *dst_name*, found on first use.
 
-        A build is one Dijkstra sweep from the destination, packed into
-        an ``array('d')`` of distances indexed by node ordinal (-1.0
-        where the destination is unreachable): eight bytes a node,
-        where the sweep's dict holds an entry and a float object.  The
-        table keeps it beside an empty row map, and :meth:`next_hop`
-        fills a node's sorted candidate row the first time that node
-        asks, so a build costs nothing for nodes no packet routes
-        from.  Every later ``next_hop`` from an asked node is a few
-        dict lookups.  Invalidated wholesale by
-        :meth:`invalidate_routing_caches`.
+        A table is one Dijkstra sweep, packed into an ``array('d')`` of
+        distances indexed by node ordinal (-1.0 where unreachable):
+        eight bytes a node, where the sweep's dict holds an entry and a
+        float object.  It sits beside an empty row map, and
+        :meth:`next_hop` fills a node's sorted candidate row the first
+        time that node asks, so a sweep costs nothing for nodes no
+        packet routes from.
+
+        The sweep is from *dst_name*, unless it has one neighbour (a
+        host on its uplink): every path to it ends at that uplink, so
+        each node's distance is the uplink's plus the same link, and
+        its equal-cost candidates are those toward the uplink.  Such a
+        destination shares its uplink's sweep and rows, and only the
+        uplink itself answers differently (:meth:`next_hop`).  Sweeps
+        are kept per source and retired with every table by
+        :meth:`invalidate_routing_caches`; ``fib_builds`` and
+        ``fib_hits`` count per destination all the same.
         """
         table = self._fib.get(dst_name)
+        if table is not None:
+            self.fib_hits += 1
+            return table
+        self.fib_builds += 1
+        neighbours = self.adjacency[dst_name]
+        source = next(iter(neighbours)) if len(neighbours) == 1 else dst_name
+        table = self._sweeps.get(source)
         if table is None:
-            self.fib_builds += 1
-            dist = dijkstra_distances(self.adjacency, dst_name)
+            dist = dijkstra_distances(self.adjacency, source)
             # Ordinals count up in insertion order, so iterating them
             # visits ordinal 0, 1, 2, ...
-            table = (array("d", [dist.get(name, -1.0)
-                                 for name in self._ordinals]), {})
-            self._fib[dst_name] = table
-        else:
-            self.fib_hits += 1
+            table = self._sweeps[source] = (
+                array("d", [dist.get(name, -1.0) for name in self._ordinals]),
+                {}, source)
+        self._fib[dst_name] = table
         return table
 
     def next_hop(self, from_node: Node, dst_ip: str,
@@ -434,13 +488,18 @@ class Network:
         owner = self.ip_owner.get(dst_ip)
         if owner is None or owner is from_node:
             return None
-        dist, rows = self._fib_for(owner.name)
+        dist, rows, source = self._fib_for(owner.name)
         name = from_node.name
+        if name == source:
+            # The owner's uplink: the owner is its one-link neighbour.
+            return owner
         candidates = rows.get(name)
         if candidates is None:
             if dist[self._ordinals[name]] < 0.0:
                 return None
             candidates = rows[name] = self._ecmp_candidates(name, dist)
+        if len(candidates) == 1:
+            return self.nodes[candidates[0]]
         if not candidates:
             return None
         digest = _ecmp_hash(src_ip, dst_ip, name)
@@ -558,7 +617,10 @@ class Network:
         return plan
 
     def transmit(self, from_node: Node, packet: Packet) -> None:
-        """Emit *packet* from *from_node* toward its destination."""
+        """Emit *packet* from *from_node* toward its destination, with
+        the next IP-ID unless it carries one."""
+        if packet.ip_id is None:
+            packet.ip_id = self.next_ip_id()
         self._dispatch(from_node, packet, False)
 
     def _dispatch(self, node: Node, packet: Packet, transit: bool) -> None:

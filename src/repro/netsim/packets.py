@@ -8,18 +8,10 @@ immutable.  ``clone()`` produces deep-enough copies for wiretaps.
 from __future__ import annotations
 
 import enum
-import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Union
 
 DEFAULT_TTL = 64
-
-_ip_id_counter = itertools.count(1)
-
-
-def next_ip_id() -> int:
-    """Return a fresh IP identification value (16-bit wrap)."""
-    return next(_ip_id_counter) & 0xFFFF
 
 
 class TCPFlags(enum.IntFlag):
@@ -123,7 +115,10 @@ class Packet:
     dst: str
     payload: Payload
     ttl: int = DEFAULT_TTL
-    ip_id: int = field(default_factory=next_ip_id)
+    #: ``None`` until the packet enters a network, which then gives it
+    #: its next IP-ID (``Network.next_ip_id``); a forged packet may
+    #: carry a fixed one instead.
+    ip_id: Optional[int] = None
 
     @property
     def is_tcp(self) -> bool:
@@ -226,10 +221,7 @@ def make_tcp_packet(
         flags=flags,
         payload=payload,
     )
-    packet = Packet(src=src, dst=dst, payload=segment, ttl=ttl)
-    if ip_id is not None:
-        packet.ip_id = ip_id
-    return packet
+    return Packet(src=src, dst=dst, payload=segment, ttl=ttl, ip_id=ip_id)
 
 
 def make_udp_packet(

@@ -147,7 +147,6 @@ class TCPConnection:
         ack: Optional[int] = None,
         payload: bytes = b"",
         ttl: Optional[int] = None,
-        ip_id: Optional[int] = None,
     ) -> Packet:
         packet = make_tcp_packet(
             self.local_ip,
@@ -159,7 +158,6 @@ class TCPConnection:
             flags=flags,
             payload=payload,
             ttl=self.default_ttl if ttl is None else ttl,
-            ip_id=ip_id,
         )
         self.stack.host.send_packet(packet)
         return packet
@@ -470,8 +468,6 @@ class TCPConnection:
 class TCPStack:
     """Per-host TCP: demultiplexing, listeners and RST generation."""
 
-    _iss_counter = itertools.count(1)
-
     def __init__(self, host: "Host") -> None:
         self.host = host
         self.connections: Dict[ConnKey, TCPConnection] = {}
@@ -501,7 +497,7 @@ class TCPStack:
         """Open a client connection and return it (handshake is async)."""
         if local_port is None:
             local_port = next(self._next_local_port)
-        iss = self._fresh_iss()
+        iss = self.host.network.next_iss()
         conn = TCPConnection(
             self, self.host.ip, local_port, remote_ip, remote_port, app,
             iss=iss, default_ttl=ttl,
@@ -516,11 +512,6 @@ class TCPStack:
     def forget(self, conn: TCPConnection) -> None:
         """Remove a closed connection from the demux table."""
         self.connections.pop(conn.key, None)
-
-    def _fresh_iss(self) -> int:
-        # Deterministic, distinctive ISNs: easy to spot in captures and
-        # guaranteed to differ from middlebox-forged sequence numbers.
-        return 10_000 + 100_000 * next(self._iss_counter)
 
     # -- demux ---------------------------------------------------------------
 
@@ -547,7 +538,7 @@ class TCPStack:
         app = factory()
         conn = TCPConnection(
             self, packet.dst, segment.dst_port, packet.src, segment.src_port,
-            app, iss=self._fresh_iss(),
+            app, iss=self.host.network.next_iss(),
         )
         conn.state = SYN_RCVD
         conn.rcv_nxt = segment.seq + 1

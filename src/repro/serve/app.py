@@ -321,18 +321,6 @@ class Service:
                 "bad-request", 400,
                 f"unknown submission field(s): {', '.join(unknown)}",
                 tenant=tenant)
-        experiments = body.get("experiments")
-        if experiments is not None:
-            from ..experiments import EXPERIMENT_MODULES
-
-            bad = sorted(set(experiments) - set(EXPERIMENT_MODULES))
-            if bad:
-                raise AdmissionError(
-                    "bad-request", 400,
-                    f"unknown experiment(s): {', '.join(bad)} "
-                    f"(choose from "
-                    f"{', '.join(sorted(EXPERIMENT_MODULES))})",
-                    tenant=tenant)
         submission = dict(body)
         if submission.get("workers") is None:
             submission["workers"] = self.config.default_workers

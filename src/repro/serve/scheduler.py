@@ -104,10 +104,6 @@ class FairScheduler:
         no residue.
         """
         state = self.check_tenant(tenant)
-        if slots < 1:
-            raise AdmissionError(
-                "bad-request", 400,
-                f"workers must be >= 1, got {slots}", tenant=tenant)
         if slots > state.max_slots:
             raise AdmissionError(
                 "over-quota", 429,

@@ -1,5 +1,9 @@
 """HTTP parsing (server-side leniency) and OONI-style comparisons."""
 
+from difflib import SequenceMatcher
+
+from hypothesis import given, settings, strategies as st
+
 from repro.httpsim import (
     GetRequestSpec,
     HTTPResponse,
@@ -145,6 +149,21 @@ class TestComparisons:
 
     def test_body_difference_disjoint(self):
         assert body_difference(b"aaaaaaa", b"zzzzzzzzzz") > 0.8
+
+    #: Bodies of repeated markup, long enough for difflib's popular-
+    #: element heuristic (200 characters and more) to apply.
+    BODIES = st.lists(st.sampled_from([b"<p>", b"lorem ", b"ipsum", b"\n",
+                                       b"\xe9", b"x"]),
+                      max_size=120).map(b"".join)
+
+    @settings(max_examples=60, deadline=None)
+    @given(BODIES, BODIES)
+    def test_body_difference_is_one_minus_ratio(self, a, b):
+        """The equal-body shortcut answers what difflib would."""
+        for x, y in ((a, a), (a, b), (b, b)):
+            ratio = SequenceMatcher(None, x.decode("latin-1"),
+                                    y.decode("latin-1")).ratio()
+            assert body_difference(x, y) == 1.0 - ratio
 
     def test_body_length_proportion(self):
         a = make_response(200, b"x" * 100)

@@ -113,3 +113,27 @@ def test_world_distance_maps_match_networkx(small_world):
     """Every destination of a built world, not just small topologies."""
     net = small_world.network
     assert_distances_equal(net, ReferenceRouter(net))
+
+
+def test_world_one_link_destinations_match_reference(small_world):
+    """A one-link destination routes over its uplink's sweep: from every
+    node of a built world, next hops toward each such host, and paths
+    toward one such host per uplink, are the seed router's."""
+    net = small_world.network
+    oracle = ReferenceRouter(net)
+    by_uplink = {}
+    for name, node in net.nodes.items():
+        if len(net.adjacency[name]) == 1 and node.ips:
+            by_uplink.setdefault(next(iter(net.adjacency[name])), []).append(
+                node)
+    assert len(by_uplink) > 1
+    for leaves in by_uplink.values():
+        for leaf in leaves:
+            for node in net.nodes.values():
+                for src_ip in (None, node.ip if node.ips else None):
+                    assert net.next_hop(node, leaf.ip, src_ip) is \
+                        oracle.next_hop(node, leaf.ip, src_ip), \
+                        (node.name, leaf.name, src_ip)
+        for node in net.nodes.values():
+            assert _path(net, node, leaves[0].ip) == \
+                _path(oracle, node, leaves[0].ip)

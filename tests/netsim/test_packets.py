@@ -2,6 +2,7 @@
 
 from repro.netsim import (
     IcmpType,
+    Network,
     Packet,
     TCPFlags,
     TCPSegment,
@@ -66,9 +67,16 @@ class TestPacket:
         assert udp.flow_key()[0] == "udp"
 
     def test_ip_ids_distinct_by_default(self):
-        ids = {make_udp_packet("1.1.1.1", "2.2.2.2", 1, 2, b"").ip_id
-               for _ in range(50)}
-        assert len(ids) == 50
+        """A packet is numbered as it enters a network, from that
+        network's counter."""
+        net = Network()
+        host = net.add_host("h", "1.1.1.1")
+        packets = [make_udp_packet("1.1.1.1", "2.2.2.2", 1, 2, b"")
+                   for _ in range(50)]
+        assert {packet.ip_id for packet in packets} == {None}
+        for packet in packets:
+            host.send_packet(packet)
+        assert len({packet.ip_id for packet in packets}) == 50
 
     def test_explicit_ip_id(self):
         packet = make_tcp_packet("1.1.1.1", "2.2.2.2", 1, 2, ip_id=242)

@@ -223,9 +223,10 @@ def diamond():
 
 
 class TestLazyFIB:
-    """A build is one Dijkstra per destination; a node's candidate row
-    fills the first time that node asks, and the counters count builds
-    and later lookups exactly as the eager table did."""
+    """A destination's table is one Dijkstra sweep, from its uplink if
+    it has one link, shared with every destination that sweep serves;
+    a node's candidate row fills the first time that node asks, and the
+    counters count builds and later lookups per destination."""
 
     @staticmethod
     def counts(net):
@@ -259,12 +260,12 @@ class TestLazyFIB:
         assert self.rows(net, "server")["r1"] == ["r2a", "r2b"]
 
         # A walk asks once per forwarding node; the branch not taken and
-        # the destination itself never ask.
+        # the destination itself never ask, and the server's uplink r3
+        # answers with the server without a row.
         path = [node.name for node in net.path_to(client, server.ip)]
         assert len(path) == 5
         assert self.counts(net) == (1, 6)
-        assert set(self.rows(net, "server")) == \
-            {"client", "r1", path[2], "r3"}
+        assert set(self.rows(net, "server")) == {"client", "r1", path[2]}
 
         # A repeated walk asks again at each forwarding node; the owner
         # routing to itself asks nothing.
@@ -276,6 +277,40 @@ class TestLazyFIB:
         assert net.next_hop(server, client.ip).name == "r3"
         assert self.counts(net) == (2, 10)
         assert self.rows(net, "client") == {"server": ["r3"]}
+
+    def test_hosts_behind_one_router_share_one_sweep(self, monkeypatch):
+        sources = []
+        sweep = engine_module.dijkstra_distances
+
+        def counted(adjacency, source):
+            sources.append(source)
+            return sweep(adjacency, source)
+
+        monkeypatch.setattr(engine_module, "dijkstra_distances", counted)
+        net, client, server = diamond()
+        hosts = [server]
+        for i in range(3):
+            hosts.append(net.add_host(f"h{i}", f"10.9.1.{i}"))
+            net.link(f"h{i}", "r3")
+
+        def route_to_all():
+            for host in hosts:
+                path = [node.name for node in net.path_to(client, host.ip)]
+                assert path[-2:] == ["r3", host.name]
+            assert net.next_hop(client, net.node("r3").ip).name == "r1"
+
+        route_to_all()
+        assert sources == ["r3"]
+        assert self.counts(net)[0] == len(hosts) + 1
+        route_to_all()
+        assert sources == ["r3"]
+        # A link, then a node, retires the sweep.
+        net.link("r1", "r3")
+        route_to_all()
+        assert sources == ["r3", "r3"]
+        net.add_host("late", "10.9.2.1")
+        route_to_all()
+        assert sources == ["r3", "r3", "r3"]
 
     def test_unreachable_node_gets_no_row(self):
         net, client, server = diamond()
@@ -297,8 +332,9 @@ class TestLazyFIB:
         dist = oracle.distances_to("server")
         assert self.rows(net, "server") == {
             name: oracle._ecmp_candidates(name, dist)
-            for name in net.nodes if name != "server"
+            for name in net.nodes if name not in ("server", "r3")
         }
+        assert oracle._ecmp_candidates("r3", dist) == ["server"]
         assert self.counts(net) == (1, len(net.nodes) - 2)
 
 

@@ -12,6 +12,7 @@ import os
 import pytest
 
 from repro.experiments import EXPERIMENT_MODULES
+from repro.netsim import Network, TCPFlags
 from repro.obs.report import generate_report, render_markdown, write_report
 from repro.runner.campaign import Campaign
 from repro.runner.parallel import UnitSettings, execute_unit
@@ -85,6 +86,32 @@ class TestTraceIndependentOfProcessHistory:
         assert first[0] == second[0]
         assert first[2]["trace"]
         assert first[2]["trace"] == second[2]["trace"]
+
+    def test_unit_run_twice_in_one_process_sends_one_first_syn(
+            self, monkeypatch):
+        """IP-IDs and TCP initial sequence numbers come from the unit's
+        world too, so whether a genuine FIN/RST draws a censor's fixed
+        IP-ID cannot depend on the units before it."""
+        syns = []
+        transmit = Network.transmit
+
+        def spy(network, node, packet):
+            if packet.is_tcp and packet.tcp.flags == TCPFlags.SYN:
+                syns.append((packet.tcp.seq, packet.ip_id))
+            transmit(network, node, packet)
+
+        monkeypatch.setattr(Network, "transmit", spy)
+        unit = next(unit for unit in EXPERIMENT_MODULES["tcpip"].units()
+                    if unit.name == "mtnl")
+        firsts = []
+        for _ in range(2):
+            syns.clear()
+            record, _wall, _extras, kind = execute_unit(
+                UnitSettings(seed=1808, scale=SCALE), "tcpip", unit)
+            assert kind is None and record["status"] == "ok"
+            firsts.append(syns[0])
+        assert firsts[0] == firsts[1]
+        assert firsts[0][0] == 110_000  # the world's first ISN
 
 
 class TestMetricsDeterminism:

@@ -123,7 +123,8 @@ class TestEndpoints:
             "POST", "/v1/tenants/alice/campaigns",
             {"experiments": ["nope"]})
         assert status == 400
-        assert body["detail"].startswith("unknown experiment(s): nope")
+        assert body["detail"].startswith(
+            "unknown experiment 'nope' (choose from ")
 
     def test_bad_loss_400(self, service):
         """A setting the campaign would refuse is refused at admission,

@@ -43,7 +43,7 @@ def _memo(network, name: str) -> Dict:
 
 
 def _clear_fib_rows(network) -> int:
-    rows = [table[1] for table in network._fib.values()]
+    rows = [table[1] for table in _sweeps(network).values()]
     count = sum(len(row) for row in rows)
     for row in rows:
         row.clear()
@@ -53,6 +53,18 @@ def _clear_fib_rows(network) -> int:
 def _clear(mapping: Dict) -> int:
     count = len(mapping)
     mapping.clear()
+    return count
+
+
+def _sweeps(network) -> Dict:
+    """The FIB's sweeps: ``Network._sweeps``, or ``Network._fib`` in a
+    checkout that sweeps once per destination and has no ``_sweeps``."""
+    return getattr(network, "_sweeps", network._fib)
+
+
+def _clear_fib_distances(network) -> int:
+    count = _clear(_sweeps(network))
+    network._fib.clear()
     return count
 
 
@@ -104,7 +116,7 @@ def measure(root: Path) -> List[Tuple[str, int, int]]:
         ("box memo", lambda: _clear(_memo(network, "boxes"))),
         ("delivery plans", lambda: _clear(network._fwd_plans)),
         ("FIB rows", lambda: _clear_fib_rows(network)),
-        ("FIB distances", lambda: _clear(network._fib)),
+        ("FIB distances", lambda: _clear_fib_distances(network)),
         ("content memo", _clear_content_memo),
         ("resolver samples", lambda: _clear_resolver_samples(world)),
         ("box samples", lambda: _clear_box_samples(world)),
